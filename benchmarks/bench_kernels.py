@@ -7,17 +7,14 @@ Times the vectorized (``fast``) kernels against their baselines and writes
   (gated: must be >= 1.2x on every conv shape);
 * ``col2im`` — new-layout fold vs ``col2im_reference`` (report-only: the
   scatter-accumulate is a strided loop in both, only the layout differs);
-* ``conv2d`` — forward+backward vs the ``legacy`` seed kernels (gated on the
-  mean speedup across shapes);
 * ``fused_loss`` — fused softmax-CE vs the composed log-softmax expression
-  (gated);
-* ``epoch`` — full VGG11 / ResNet18 training epochs, legacy vs fast, using
-  ``TrainHistory.throughput_examples_per_s`` (best epoch of several, which
-  is the min-time estimator and robust to scheduler noise).
+  (gated).
 
-The CI smoke gate is 1.2x so container timing noise cannot flake the job;
-the recorded numbers on an idle machine are ~1.5x end-to-end for VGG11 and
-higher for the individual kernels.
+The CI smoke gate is 1.2x so container timing noise cannot flake the job.
+The committed JSON still holds the ``conv2d`` and ``epoch`` sections of the
+last run that timed ``fast`` against the seed kernels — a frozen baseline,
+since those kernels are deleted; a fresh run writes only the three sections
+above.
 """
 
 from __future__ import annotations
@@ -28,12 +25,10 @@ import time
 import numpy as np
 
 from bench_common import write_bench_json
-from repro.models import resnet18, vgg11
-from repro.nn import SGD, CrossEntropy, Tensor, Trainer, use_kernel_mode
+from repro.nn import Tensor, use_kernel_mode
 from repro.nn.functional import (
     col2im,
     col2im_reference,
-    conv2d,
     im2col,
     im2col_reference,
     log_softmax,
@@ -98,34 +93,6 @@ def _bench_col2im() -> dict:
     return section
 
 
-def _bench_conv2d() -> dict:
-    rng = np.random.default_rng(2)
-    section = {}
-    for label, x_shape, (kh, kw), stride, padding in CONV_SHAPES:
-        c_out = 2 * x_shape[1]
-        x = rng.normal(size=x_shape).astype(np.float32)
-        w = rng.normal(size=(c_out, x_shape[1], kh, kw)).astype(np.float32)
-        b = rng.normal(size=(c_out,)).astype(np.float32)
-
-        def fwd_bwd():
-            xt = Tensor(x, requires_grad=True)
-            wt = Tensor(w, requires_grad=True)
-            bt = Tensor(b, requires_grad=True)
-            out = conv2d(xt, wt, bt, stride=stride, padding=padding)
-            out.backward(np.ones_like(out.data))
-
-        with use_kernel_mode("fast"):
-            fast_ms = _best_ms(fwd_bwd)
-        with use_kernel_mode("legacy"):
-            legacy_ms = _best_ms(fwd_bwd)
-        section[label] = {
-            "fast_ms": round(fast_ms, 4),
-            "legacy_ms": round(legacy_ms, 4),
-            "speedup": round(legacy_ms / fast_ms, 3),
-        }
-    return section
-
-
 def _bench_fused_loss() -> dict:
     rng = np.random.default_rng(3)
     logits_data = rng.normal(size=(256, 43)).astype(np.float32)  # GTSRB-sized batch
@@ -150,49 +117,12 @@ def _bench_fused_loss() -> dict:
     }
 
 
-def _epoch_throughput(build, mode: str, n: int = 128, epochs: int = 5) -> float:
-    rng = np.random.default_rng(0)
-    x = rng.normal(size=(n, 3, 32, 32)).astype(np.float32)
-    y = np.eye(10, dtype=np.float32)[rng.integers(0, 10, n)]
-    with use_kernel_mode(mode):
-        model = build(np.random.default_rng(0))
-        trainer = Trainer(
-            model,
-            CrossEntropy(),
-            SGD(model.parameters(), lr=0.01),
-            epochs=epochs,
-            batch_size=32,
-            rng=np.random.default_rng(0),
-        )
-        history = trainer.fit(x, y)
-    return max(epoch.throughput_examples_per_s for epoch in history.epochs)
-
-
-def _bench_epochs() -> dict:
-    configs = {
-        "vgg11_w4": lambda rng: vgg11((3, 32, 32), 10, width=4, rng=rng),
-        "resnet18_w8": lambda rng: resnet18((3, 32, 32), 10, width=8, rng=rng),
-    }
-    section = {}
-    for label, build in configs.items():
-        legacy = _epoch_throughput(build, "legacy")
-        fast = _epoch_throughput(build, "fast")
-        section[label] = {
-            "legacy_examples_per_s": round(legacy, 1),
-            "fast_examples_per_s": round(fast, 1),
-            "speedup": round(fast / legacy, 3),
-        }
-    return section
-
-
 def test_kernel_perf():
     payload = {
         "gate_min_speedup": GATE_MIN_SPEEDUP,
         "im2col": _bench_im2col(),
         "col2im": _bench_col2im(),
-        "conv2d": _bench_conv2d(),
         "fused_loss": _bench_fused_loss(),
-        "epoch": _bench_epochs(),
     }
     out = write_bench_json("BENCH_kernel_perf.json", "kernel_perf", payload)
     print(f"\n{json.dumps(payload, indent=2)}\n[saved to {out}]")
@@ -200,10 +130,4 @@ def test_kernel_perf():
     # Gates.  im2col: every conv gather must beat the seed loop.
     for label, row in payload["im2col"].items():
         assert row["speedup"] >= GATE_MIN_SPEEDUP, f"im2col {label}: {row}"
-    # conv2d: gate the mean so one noisy shape cannot flake the job.
-    conv_speedups = [row["speedup"] for row in payload["conv2d"].values()]
-    assert float(np.mean(conv_speedups)) >= GATE_MIN_SPEEDUP, payload["conv2d"]
     assert payload["fused_loss"]["speedup"] >= GATE_MIN_SPEEDUP, payload["fused_loss"]
-    # End-to-end: the acceptance target is ~1.5x on VGG11 (recorded in the
-    # JSON); the CI gate stays at 1.2x to absorb shared-runner noise.
-    assert payload["epoch"]["vgg11_w4"]["speedup"] >= GATE_MIN_SPEEDUP, payload["epoch"]

@@ -228,7 +228,8 @@ def build_parser() -> argparse.ArgumentParser:
         choices=KERNEL_MODES,
         default=None,
         help="nn kernel mode: fast (default), compiled (record/plan/replay "
-        "static training steps, bitwise-identical), reference, or legacy",
+        "static training steps), or reference (loop kernels); all three are "
+        "bitwise-identical",
     )
     study.add_argument(
         "--cluster",
@@ -363,8 +364,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--kernels",
         choices=KERNEL_MODES,
         default=None,
-        help="nn kernel mode for re-fitting and inference (compiled only "
-        "affects training; inference always runs eagerly)",
+        help="nn kernel mode for re-fitting and inference: fast (default), "
+        "compiled, or reference, all bitwise-identical (compiled only affects "
+        "training; inference always runs eagerly)",
     )
     serve.add_argument(
         "--replicas", type=int, default=1,

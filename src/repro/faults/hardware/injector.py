@@ -101,9 +101,9 @@ class HardwareFaultInjector:
 
         Each call advances the per-``site`` visit counter, so repeated strikes
         of the same op within one armed context draw independent (but
-        deterministic) fault positions.  Non-contiguous arrays (e.g. the
-        transposed outputs of the legacy kernels) are corrupted via a
-        copy-and-write-back path that lands on the same elements.
+        deterministic) fault positions.  Non-contiguous arrays (e.g. a
+        transposed view) are corrupted via a copy-and-write-back path that
+        lands on the same elements.
         """
         index = self._site_counts.get(site, 0)
         self._site_counts[site] = index + 1

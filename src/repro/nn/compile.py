@@ -7,8 +7,8 @@ order captured by the step's ``backward()`` call — and emits a
 :class:`CompiledStep`: a static schedule that replays the identical op
 sequence without rebuilding the graph.  Steady-state replay does
 
-- **no graph construction** — no ``Tensor`` wrappers, no backward closures,
-  no per-step topological sort; just two flat lists of ``(apply, ctx, slots)``
+- **no graph construction** — no ``Tensor`` wrappers, no op records, no
+  per-step topological sort; just two flat lists of ``(apply, ctx, slots)``
   and ``(vjp, ctx, slots)`` steps,
 - **no hot-loop allocation** — each entry owns a persistent
   :class:`~repro.nn.ops.OpCtx` whose output buffers are reused every step, the
@@ -31,12 +31,16 @@ networks.
 
 Structural limits
 -----------------
-Graphs are rejected with :exc:`CompileError` — and the trainer falls back to
-eager, results unchanged — when they contain an op recorded through a legacy
-closure instead of a registry :class:`~repro.nn.ops.OpDef`, or a non-scalar
-leaf constant whose value the planner cannot prove step-invariant (e.g. a
-distillation teacher's per-batch probabilities).  Scalar leaves (shape-derived
-factors like ``1/N``) are assumed step-invariant for a fixed geometry.
+Every op is a registry :class:`~repro.nn.ops.OpDef`, so the planner sees the
+whole graph.  Graphs are rejected with :exc:`CompileError` — and the trainer
+falls back to eager, results unchanged — when they contain a non-scalar leaf
+constant or an array op argument (e.g. a ``getitem`` index) whose value the
+planner cannot prove step-invariant: a distillation teacher's per-batch
+probabilities, or the ``(N, 1)`` row maxima that :func:`~repro.nn.functional.softmax`
+and :func:`~repro.nn.functional.log_softmax` subtract as constants.  Scalar
+leaves (shape-derived factors like ``1/N``) are assumed step-invariant for a
+fixed geometry.  A non-leaf input computed before the recording scope opened
+is refused too: the tape holds no entry that could recompute it.
 """
 
 from __future__ import annotations
@@ -281,6 +285,13 @@ class CompiledStep:
                 param.grad = grads[slot]
 
 
+def _is_array_arg(value) -> bool:
+    """Whether an op argument is (or holds) an array a replay would freeze."""
+    if isinstance(value, tuple):
+        return any(_is_array_arg(v) for v in value)
+    return isinstance(value, (np.ndarray, list))
+
+
 def compile_tape(
     tape: Tape,
     loss: Tensor,
@@ -308,8 +319,9 @@ def compile_tape(
     Raises
     ------
     CompileError
-        If the step contains ops outside the registry, non-scalar constants,
-        or no recorded backward.
+        If the step contains non-scalar constants or array op arguments,
+        consumes a non-leaf computed before recording, or has no recorded
+        backward.
     """
     if not tape.entries:
         raise CompileError("tape recorded no registry ops")
@@ -337,9 +349,9 @@ def compile_tape(
         if slot in bound:
             return
         bound.add(slot)
-        if tensor._backward_fn is not None:
+        if tensor._record is not None:
             raise CompileError(
-                f"op {tensor._op!r} was recorded through a legacy closure, not the op registry"
+                f"input from op {tensor._op!r} was computed outside the recording scope"
             )
         if tensor.requires_grad:
             param_slots.append((tensor, slot))
@@ -356,8 +368,13 @@ def compile_tape(
 
     # Forward schedule: every recorded entry, in recorded (eager) order.
     planned_fwd: list[tuple] = []
-    entry_out_slots: list[int] = []
     for entry in tape.entries:
+        for name, value in entry.kwargs.items():
+            if _is_array_arg(value):
+                raise CompileError(
+                    f"array argument {name!r} of op {entry.op.name!r} "
+                    "cannot be proven step-invariant"
+                )
         for parent in entry.inputs:
             if id(parent) not in entry_index_of:
                 bind_leaf(parent)
@@ -365,23 +382,6 @@ def compile_tape(
         out_slot = space.slot(entry.out)
         bound.add(out_slot)
         planned_fwd.append((entry, in_slots, out_slot))
-        entry_out_slots.append(out_slot)
-
-    # The opaque-op check must also cover closure nodes reachable from the
-    # loss/logits ancestry that never passed through an entry input list.
-    stack = [loss, logits]
-    seen: set[int] = set()
-    while stack:
-        node = stack.pop()
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        if id(node) in entry_index_of:
-            stack.extend(tape.entries[entry_index_of[id(node)]].inputs)
-        elif node._backward_fn is not None:
-            raise CompileError(
-                f"op {node._op!r} was recorded through a legacy closure, not the op registry"
-            )
 
     # Backward schedule: the captured DFS topological order, reversed,
     # restricted to registry-op outputs (leaves receive their gradients
@@ -401,10 +401,6 @@ def compile_tape(
     for node in reversed(tape.topo):
         idx = entry_index_of.get(id(node))
         if idx is None:
-            if node._backward_fn is not None:
-                raise CompileError(
-                    f"op {node._op!r} was recorded through a legacy closure, not the op registry"
-                )
             continue
         entry = tape.entries[idx]
         needs = tuple(t.requires_grad for t in entry.inputs)

@@ -7,7 +7,7 @@ that keeps the reproduction's training loops tractable on a laptop.
 
 Kernel modes
 ------------
-The hot-path kernels come in three selectable implementations (see
+The hot-path kernels come in three selectable modes (see
 :func:`set_kernel_mode`):
 
 ``fast`` (default)
@@ -21,14 +21,13 @@ The hot-path kernels come in three selectable implementations (see
     forward values and gradients — this is what lets the study harness swap
     kernels without perturbing a single result (``results_equivalent`` does
     exact float comparison).
-``legacy``
-    The original seed implementations (flat ``(N*OH*OW, C*KH*KW)`` patch
-    layout), kept verbatim for honest old-vs-new benchmarking in
-    ``benchmarks/bench_kernels.py``.  Numerically equal to ``fast`` up to
-    GEMM reduction-order rounding (~1e-6 relative on weight gradients).
+``compiled``
+    The ``fast`` kernels, plus :class:`repro.nn.trainer.Trainer` records one
+    training step per feed shape and replays it as a static schedule
+    (:mod:`repro.nn.compile`) — bitwise-identical to ``fast``.
 
-All three modes use the same optimiser/trainer code; only the kernel bodies
-differ.
+All three modes use the same optimiser/trainer code and the same registry
+ops; only the kernel bodies differ.
 
 Patch layout
 ------------
@@ -37,7 +36,8 @@ per-image.  Compared with the seed's flat ``(N*OH*OW, C*KH*KW)`` layout this
 removes the big stage-B transpose copy on the forward path and makes the conv
 output a contiguous NCHW reshape instead of a strided transpose, which is
 where most of the measured speedup comes from.  The seed layout survives as
-:func:`im2col_reference`/:func:`col2im_reference`.
+:func:`im2col_reference`/:func:`col2im_reference`, the oracles of the
+layout-equivalence tests and of ``benchmarks/bench_kernels.py``.
 """
 
 from __future__ import annotations
@@ -84,7 +84,7 @@ __all__ = [
 # ----------------------------------------------------------------------
 # Kernel-mode dispatch
 # ----------------------------------------------------------------------
-KERNEL_MODES = ("fast", "reference", "legacy", "compiled")
+KERNEL_MODES = ("fast", "reference", "compiled")
 
 #: Modes that run the vectorised kernel bodies with workspace pooling.
 #: ``compiled`` uses the identical kernels as ``fast``; it additionally lets
@@ -100,7 +100,7 @@ if _KERNEL_MODE not in KERNEL_MODES:
 
 
 def kernel_mode() -> str:
-    """Return the active kernel mode (``fast``, ``reference``, ``legacy``, or ``compiled``)."""
+    """Return the active kernel mode (``fast``, ``reference``, or ``compiled``)."""
     return _KERNEL_MODE
 
 
@@ -108,8 +108,7 @@ def set_kernel_mode(mode: str) -> str:
     """Select the kernel implementation; returns the previous mode.
 
     Also honours the ``REPRO_KERNELS`` environment variable at import time.
-    ``fast``, ``reference``, and ``compiled`` are bitwise-equivalent;
-    ``legacy`` is the seed implementation retained for benchmarking.
+    ``fast``, ``reference``, and ``compiled`` are bitwise-equivalent.
     """
     global _KERNEL_MODE
     if mode not in KERNEL_MODES:
@@ -459,8 +458,8 @@ def im2col_reference(
 ) -> np.ndarray:
     """Seed im2col: unfold NCHW patches into a flat ``(N*OH*OW, C*KH*KW)`` matrix.
 
-    Retained verbatim as the reference/legacy implementation for equivalence
-    tests and old-vs-new benchmarking; the hot path uses :func:`im2col`.
+    Retained verbatim as the oracle for layout-equivalence tests and the
+    im2col benchmark gate; the hot path uses :func:`im2col`.
     """
     n, c, h, w = images.shape
     out_h = conv_output_size(h, kernel_h, stride, padding)
@@ -487,8 +486,8 @@ def col2im_reference(
 ) -> np.ndarray:
     """Seed col2im: fold a flat ``(N*OH*OW, C*KH*KW)`` matrix back to NCHW.
 
-    The adjoint of :func:`im2col_reference`; retained verbatim for equivalence
-    tests and the legacy kernel mode.
+    The adjoint of :func:`im2col_reference`; retained verbatim as an
+    equivalence-test and benchmark oracle.
     """
     n, c, h, w = input_shape
     out_h = conv_output_size(h, kernel_h, stride, padding)
@@ -587,8 +586,6 @@ def conv2d(
     bias:
         Optional per-output-channel bias of shape ``(C_out,)``.
     """
-    if _KERNEL_MODE == "legacy":
-        return _conv2d_legacy(images, weight, bias, stride, padding)
     c_in = images.shape[1]
     c_in_w = weight.shape[1]
     if c_in != c_in_w:
@@ -699,8 +696,6 @@ def depthwise_conv2d(
     The building block of MobileNet's depthwise-separable convolutions
     (paper Table III).  ``weight`` has shape ``(C, 1, KH, KW)``.
     """
-    if _KERNEL_MODE == "legacy":
-        return _depthwise_conv2d_legacy(images, weight, bias, stride, padding)
     c = images.shape[1]
     c_w, one = weight.shape[0], weight.shape[1]
     if c_w != c or one != 1:
@@ -798,8 +793,6 @@ _DEPTHWISE_CONV2D = register_op(
 # ----------------------------------------------------------------------
 def max_pool2d(images: Tensor, kernel: int = 2, stride: int | None = None) -> Tensor:
     """Max pooling over non-overlapping (or strided) windows."""
-    if _KERNEL_MODE == "legacy":
-        return _max_pool2d_legacy(images, kernel, stride)
     stride = stride or kernel
     return run_op(_MAX_POOL2D, (images,), {"kernel": kernel, "stride": stride})
 
@@ -903,8 +896,6 @@ _MAX_POOL2D = register_op("max_pool2d", _max_pool2d_apply, _max_pool2d_vjp)
 
 def avg_pool2d(images: Tensor, kernel: int = 2, stride: int | None = None) -> Tensor:
     """Average pooling over windows."""
-    if _KERNEL_MODE == "legacy":
-        return _avg_pool2d_legacy(images, kernel, stride)
     stride = stride or kernel
     return run_op(_AVG_POOL2D, (images,), {"kernel": kernel, "stride": stride})
 
@@ -998,141 +989,6 @@ def global_avg_pool2d(images: Tensor) -> Tensor:
     return images.mean(axis=(2, 3))
 
 
-# ----------------------------------------------------------------------
-# Legacy (seed) kernels — benchmark baselines, selected by kernel mode
-# ----------------------------------------------------------------------
-def _conv2d_legacy(
-    images: Tensor, weight: Tensor, bias: Tensor | None, stride: int, padding: int
-) -> Tensor:
-    n, c_in, h, w = images.shape
-    c_out, c_in_w, kh, kw = weight.shape
-    if c_in != c_in_w:
-        raise ValueError(f"conv2d channel mismatch: input has {c_in}, weight expects {c_in_w}")
-    out_h = conv_output_size(h, kh, stride, padding)
-    out_w = conv_output_size(w, kw, stride, padding)
-
-    cols = im2col_reference(images.data, kh, kw, stride, padding)  # (N*OH*OW, C*KH*KW)
-    flat_weight = weight.data.reshape(c_out, -1)  # (C_out, C*KH*KW)
-    out = cols @ flat_weight.T  # (N*OH*OW, C_out)
-    if bias is not None:
-        out = out + bias.data
-    out_data = out.reshape(n, out_h, out_w, c_out).transpose(0, 3, 1, 2)
-    tap = getattr(_KERNEL_TAP, "fn", None)
-    if tap is not None:
-        tap("conv2d", out_data)
-
-    parents = (images, weight) if bias is None else (images, weight, bias)
-
-    def backward_fn(grad: np.ndarray) -> None:
-        grad_flat = grad.transpose(0, 2, 3, 1).reshape(-1, c_out)  # (N*OH*OW, C_out)
-        if bias is not None and bias.requires_grad:
-            bias._accumulate(grad_flat.sum(axis=0))
-        if weight.requires_grad:
-            grad_w = grad_flat.T @ cols  # (C_out, C*KH*KW)
-            weight._accumulate(grad_w.reshape(weight.shape))
-        if images.requires_grad:
-            grad_cols = grad_flat @ flat_weight  # (N*OH*OW, C*KH*KW)
-            images._accumulate(col2im_reference(grad_cols, images.shape, kh, kw, stride, padding))
-
-    return Tensor._make(out_data, parents, backward_fn, "conv2d")
-
-
-def _depthwise_conv2d_legacy(
-    images: Tensor, weight: Tensor, bias: Tensor | None, stride: int, padding: int
-) -> Tensor:
-    n, c, h, w = images.shape
-    c_w, one, kh, kw = weight.shape
-    if c_w != c or one != 1:
-        raise ValueError(f"depthwise weight must be (C, 1, KH, KW); got {weight.shape}")
-    out_h = conv_output_size(h, kh, stride, padding)
-    out_w = conv_output_size(w, kw, stride, padding)
-
-    cols = im2col_reference(images.data, kh, kw, stride, padding)  # (N*OH*OW, C*KH*KW)
-    cols_per_channel = cols.reshape(-1, c, kh * kw)  # (N*OH*OW, C, KH*KW)
-    flat_weight = weight.data.reshape(c, kh * kw)  # (C, KH*KW)
-    out = np.einsum("pck,ck->pc", cols_per_channel, flat_weight)
-    if bias is not None:
-        out = out + bias.data
-    out_data = out.reshape(n, out_h, out_w, c).transpose(0, 3, 1, 2)
-    tap = getattr(_KERNEL_TAP, "fn", None)
-    if tap is not None:
-        tap("depthwise_conv2d", out_data)
-
-    parents = (images, weight) if bias is None else (images, weight, bias)
-
-    def backward_fn(grad: np.ndarray) -> None:
-        grad_flat = grad.transpose(0, 2, 3, 1).reshape(-1, c)  # (N*OH*OW, C)
-        if bias is not None and bias.requires_grad:
-            bias._accumulate(grad_flat.sum(axis=0))
-        if weight.requires_grad:
-            grad_w = np.einsum("pc,pck->ck", grad_flat, cols_per_channel)
-            weight._accumulate(grad_w.reshape(weight.shape))
-        if images.requires_grad:
-            grad_cols = np.einsum("pc,ck->pck", grad_flat, flat_weight)
-            images._accumulate(
-                col2im_reference(
-                    grad_cols.reshape(-1, c * kh * kw), images.shape, kh, kw, stride, padding
-                )
-            )
-
-    return Tensor._make(out_data, parents, backward_fn, "depthwise_conv2d")
-
-
-def _max_pool2d_legacy(images: Tensor, kernel: int, stride: int | None) -> Tensor:
-    stride = stride or kernel
-    n, c, h, w = images.shape
-    out_h = conv_output_size(h, kernel, stride, 0)
-    out_w = conv_output_size(w, kernel, stride, 0)
-
-    cols = im2col_reference(images.data, kernel, kernel, stride, 0).reshape(-1, c, kernel * kernel)
-    argmax = cols.argmax(axis=2)  # (N*OH*OW, C)
-    out = np.take_along_axis(cols, argmax[:, :, None], axis=2)[:, :, 0]
-    out_data = out.reshape(n, out_h, out_w, c).transpose(0, 3, 1, 2)
-    tap = getattr(_KERNEL_TAP, "fn", None)
-    if tap is not None:
-        tap("max_pool2d", out_data)
-
-    def backward_fn(grad: np.ndarray) -> None:
-        if not images.requires_grad:
-            return
-        grad_flat = grad.transpose(0, 2, 3, 1).reshape(-1, c)  # (N*OH*OW, C)
-        grad_cols = np.zeros_like(cols)
-        np.put_along_axis(grad_cols, argmax[:, :, None], grad_flat[:, :, None], axis=2)
-        images._accumulate(
-            col2im_reference(
-                grad_cols.reshape(-1, c * kernel * kernel), images.shape, kernel, kernel, stride, 0
-            )
-        )
-
-    return Tensor._make(out_data, (images,), backward_fn, "max_pool2d")
-
-
-def _avg_pool2d_legacy(images: Tensor, kernel: int, stride: int | None) -> Tensor:
-    stride = stride or kernel
-    n, c, h, w = images.shape
-    out_h = conv_output_size(h, kernel, stride, 0)
-    out_w = conv_output_size(w, kernel, stride, 0)
-
-    cols = im2col_reference(images.data, kernel, kernel, stride, 0).reshape(-1, c, kernel * kernel)
-    out_data = cols.mean(axis=2).reshape(n, out_h, out_w, c).transpose(0, 3, 1, 2)
-    tap = getattr(_KERNEL_TAP, "fn", None)
-    if tap is not None:
-        tap("avg_pool2d", out_data)
-
-    def backward_fn(grad: np.ndarray) -> None:
-        if not images.requires_grad:
-            return
-        grad_flat = grad.transpose(0, 2, 3, 1).reshape(-1, c)
-        grad_cols = np.repeat(grad_flat[:, :, None], kernel * kernel, axis=2) / (kernel * kernel)
-        images._accumulate(
-            col2im_reference(
-                grad_cols.reshape(-1, c * kernel * kernel), images.shape, kernel, kernel, stride, 0
-            )
-        )
-
-    return Tensor._make(out_data, (images,), backward_fn, "avg_pool2d")
-
-
 def batch_norm_2d(
     x: Tensor,
     gamma: Tensor,
@@ -1151,85 +1007,71 @@ def batch_norm_2d(
     """
     if x.ndim != 4:
         raise ValueError(f"batch_norm_2d expects NCHW input; got shape {x.shape}")
-    if _KERNEL_MODE == "legacy":
-        return _batch_norm_2d_legacy(x, gamma, beta, mean, var, eps, training)
+    kwargs = {"mean": mean, "var": var, "eps": eps, "training": training}
+    return run_op(_BATCH_NORM_2D, (x, gamma, beta), kwargs)
+
+
+def _bn_apply(ctx: OpCtx, inputs, kwargs) -> np.ndarray:
+    x, g, b = inputs
     c = x.shape[1]
     shape = (1, c, 1, 1)
-    mean_b = mean.reshape(shape).astype(x.data.dtype)
-    inv_std = (1.0 / np.sqrt(var + eps)).reshape(shape).astype(x.data.dtype)
-    x_hat = (x.data - mean_b) * inv_std
-    out_data = gamma.data.reshape(shape) * x_hat + beta.data.reshape(shape)
+    mean_b = kwargs["mean"].reshape(shape).astype(x.dtype)
+    inv_std = (1.0 / np.sqrt(kwargs["var"] + kwargs["eps"])).reshape(shape).astype(x.dtype)
+    x_hat = (x - mean_b) * inv_std
+    out_data = g.reshape(shape) * x_hat + b.reshape(shape)
     tap = getattr(_KERNEL_TAP, "fn", None)
     if tap is not None:
         tap("batch_norm_2d", out_data)
+    ctx.saved = (x_hat, inv_std, g, shape, c, kwargs["training"])
+    return out_data
 
-    def backward_fn(grad: np.ndarray) -> None:
-        # The beta/gamma sums double as the mean statistics of the
-        # training-mode input gradient (mean = sum / count, the exact op
-        # np.mean performs), so each full-size product and reduction is
-        # computed once and shared.
-        need_x = x.requires_grad
-        grad_sum = None
-        if beta.requires_grad or (need_x and training):
-            grad_sum = grad.sum(axis=(0, 2, 3), keepdims=True)
-        if beta.requires_grad:
-            beta._accumulate(grad_sum.reshape(c))
-        grad_xhat_sum = None
-        if gamma.requires_grad or (need_x and training):
+
+def _bn_vjp(ctx: OpCtx, grad, needs, acc) -> None:
+    """Backward of both batch-norm ops, contributions in beta → gamma → x order.
+
+    The beta/gamma sums double as the mean statistics of the training-mode
+    input gradient (mean = sum / count, the exact op np.mean performs), so
+    each full-size product and reduction is computed once and shared.
+    """
+    x_hat, inv_std, g, shape, c, training = ctx.saved
+    need_x = needs[0]
+    grad_sum = None
+    if needs[2] or (need_x and training):
+        grad_sum = grad.sum(axis=(0, 2, 3), keepdims=True)
+    if needs[2]:
+        acc(2, grad_sum.reshape(c))
+    grad_xhat_sum = None
+    if needs[1] or (need_x and training):
+        if ctx.bufs is None:
             grad_xhat = grad * x_hat
-            grad_xhat_sum = grad_xhat.sum(axis=(0, 2, 3), keepdims=True)
-        if gamma.requires_grad:
-            gamma._accumulate(grad_xhat_sum.reshape(c))
-        if not need_x:
-            return
-        scale = gamma.data.reshape(shape) * inv_std
-        if not training:
-            x._accumulate(grad * scale)
-            return
-        # Full training-mode gradient: d/dx of ((x - mu(x)) / sigma(x)).
-        count = grad.shape[0] * grad.shape[2] * grad.shape[3]
-        grad_mean = grad_sum / count
-        grad_xhat_mean = grad_xhat_sum / count
-        x._accumulate(scale * (grad - grad_mean - x_hat * grad_xhat_mean))
+        else:
+            grad_xhat = np.multiply(grad, x_hat, out=ctx.buffer("gxh", grad.shape, grad.dtype))
+        grad_xhat_sum = grad_xhat.sum(axis=(0, 2, 3), keepdims=True)
+    if needs[1]:
+        acc(1, grad_xhat_sum.reshape(c))
+    if not need_x:
+        return
+    scale = g.reshape(shape) * inv_std
+    if not training:
+        acc(0, grad * scale)
+        return
+    # Full training-mode gradient: d/dx of ((x - mu(x)) / sigma(x)).
+    count = grad.shape[0] * grad.shape[2] * grad.shape[3]
+    grad_mean = grad_sum / count
+    grad_xhat_mean = grad_xhat_sum / count
+    if ctx.bufs is None:
+        acc(0, scale * (grad - grad_mean - x_hat * grad_xhat_mean))
+    else:
+        # The identical elementwise sequence as the expression above, staged
+        # through two persistent buffers (``gxh`` is dead once summed).
+        gx = np.subtract(grad, grad_mean, out=ctx.buffer("gx", grad.shape, grad.dtype))
+        term = np.multiply(x_hat, grad_xhat_mean, out=ctx.buffer("gxh", grad.shape, grad.dtype))
+        gx -= term
+        gx *= scale
+        acc(0, gx)
 
-    return Tensor._make(out_data, (x, gamma, beta), backward_fn, "batch_norm_2d")
 
-
-def _batch_norm_2d_legacy(
-    x: Tensor,
-    gamma: Tensor,
-    beta: Tensor,
-    mean: np.ndarray,
-    var: np.ndarray,
-    eps: float,
-    training: bool,
-) -> Tensor:
-    c = x.shape[1]
-    shape = (1, c, 1, 1)
-    mean_b = mean.reshape(shape).astype(x.data.dtype)
-    inv_std = (1.0 / np.sqrt(var + eps)).reshape(shape).astype(x.data.dtype)
-    x_hat = (x.data - mean_b) * inv_std
-    out_data = gamma.data.reshape(shape) * x_hat + beta.data.reshape(shape)
-    tap = getattr(_KERNEL_TAP, "fn", None)
-    if tap is not None:
-        tap("batch_norm_2d", out_data)
-
-    def backward_fn(grad: np.ndarray) -> None:
-        if beta.requires_grad:
-            beta._accumulate(grad.sum(axis=(0, 2, 3)))
-        if gamma.requires_grad:
-            gamma._accumulate((grad * x_hat).sum(axis=(0, 2, 3)))
-        if not x.requires_grad:
-            return
-        scale = gamma.data.reshape(shape) * inv_std
-        if not training:
-            x._accumulate(grad * scale)
-            return
-        grad_mean = grad.mean(axis=(0, 2, 3), keepdims=True)
-        grad_xhat_mean = (grad * x_hat).mean(axis=(0, 2, 3), keepdims=True)
-        x._accumulate(scale * (grad - grad_mean - x_hat * grad_xhat_mean))
-
-    return Tensor._make(out_data, (x, gamma, beta), backward_fn, "batch_norm_2d")
+_BATCH_NORM_2D = register_op("batch_norm_2d", _bn_apply, _bn_vjp)
 
 
 # ----------------------------------------------------------------------
@@ -1248,9 +1090,10 @@ def batch_norm_2d_train(x: Tensor, gamma: Tensor, beta: Tensor, bn) -> Tensor:
     """Training-mode batch norm as a single stateful op.
 
     Computes the batch statistics, updates ``bn``'s running buffers, and
-    applies the affine normalisation — the exact float sequence the
-    layer-plus-:func:`batch_norm_2d` pair performs, fused into one recordable
-    op.  ``bn`` is the owning :class:`~repro.nn.layers.BatchNorm2D` module.
+    applies the affine normalisation — the float sequence of
+    :func:`batch_norm_2d` with ``training=True`` fed the batch statistics,
+    fused into one recordable op.  ``bn`` is the owning
+    :class:`~repro.nn.layers.BatchNorm2D` module.
     """
     return run_op(_BATCH_NORM_2D_TRAIN, (x, gamma, beta), {"bn": bn})
 
@@ -1260,7 +1103,7 @@ def _bn_train_apply(ctx: OpCtx, inputs, kwargs) -> np.ndarray:
     bn = kwargs["bn"]
     c = x.shape[1]
     shape = (1, c, 1, 1)
-    # Batch statistics + running-buffer update, verbatim from the layer.
+    # Batch statistics + running-buffer update.
     mean = x.mean(axis=(0, 2, 3))
     if ctx.bufs is None:
         var = x.var(axis=(0, 2, 3))
@@ -1279,7 +1122,7 @@ def _bn_train_apply(ctx: OpCtx, inputs, kwargs) -> np.ndarray:
         var = np.true_divide(ssum, count, out=ssum, casting="unsafe")
     bn.running_mean[...] = (1 - bn.momentum) * bn.running_mean + bn.momentum * mean
     bn.running_var[...] = (1 - bn.momentum) * bn.running_var + bn.momentum * var
-    # Normalisation, verbatim from batch_norm_2d's fast body.
+    # Normalisation, verbatim from batch_norm_2d's apply.
     mean_b = mean.reshape(shape).astype(x.dtype)
     inv_std = (1.0 / np.sqrt(var + bn.eps)).reshape(shape).astype(x.dtype)
     if ctx.bufs is None:
@@ -1293,49 +1136,12 @@ def _bn_train_apply(ctx: OpCtx, inputs, kwargs) -> np.ndarray:
     tap = getattr(_KERNEL_TAP, "fn", None)
     if tap is not None:
         tap("batch_norm_2d", out_data)
-    ctx.saved = (x_hat, inv_std, g, shape, c)
+    ctx.saved = (x_hat, inv_std, g, shape, c, True)
     return out_data
 
 
-def _bn_train_vjp(ctx: OpCtx, grad, needs, acc) -> None:
-    x_hat, inv_std, g, shape, c = ctx.saved
-    # Same shared-sums backward as batch_norm_2d (training=True), with the
-    # same beta → gamma → x contribution order.
-    need_x = needs[0]
-    grad_sum = None
-    if needs[2] or need_x:
-        grad_sum = grad.sum(axis=(0, 2, 3), keepdims=True)
-    if needs[2]:
-        acc(2, grad_sum.reshape(c))
-    grad_xhat_sum = None
-    if needs[1] or need_x:
-        if ctx.bufs is None:
-            grad_xhat = grad * x_hat
-        else:
-            grad_xhat = np.multiply(grad, x_hat, out=ctx.buffer("gxh", grad.shape, grad.dtype))
-        grad_xhat_sum = grad_xhat.sum(axis=(0, 2, 3), keepdims=True)
-    if needs[1]:
-        acc(1, grad_xhat_sum.reshape(c))
-    if not need_x:
-        return
-    scale = g.reshape(shape) * inv_std
-    count = grad.shape[0] * grad.shape[2] * grad.shape[3]
-    grad_mean = grad_sum / count
-    grad_xhat_mean = grad_xhat_sum / count
-    if ctx.bufs is None:
-        acc(0, scale * (grad - grad_mean - x_hat * grad_xhat_mean))
-    else:
-        # The identical elementwise sequence as the expression above, staged
-        # through two persistent buffers (``gxh`` is dead once summed).
-        gx = np.subtract(grad, grad_mean, out=ctx.buffer("gx", grad.shape, grad.dtype))
-        term = np.multiply(x_hat, grad_xhat_mean, out=ctx.buffer("gxh", grad.shape, grad.dtype))
-        gx -= term
-        gx *= scale
-        acc(0, gx)
-
-
 _BATCH_NORM_2D_TRAIN = register_op(
-    "batch_norm_2d_train", _bn_train_apply, _bn_train_vjp, stateful=True
+    "batch_norm_2d_train", _bn_train_apply, _bn_vjp, stateful=True
 )
 
 

@@ -187,21 +187,13 @@ class BatchNorm2D(Module):
     def forward(self, x: Tensor) -> Tensor:
         if x.ndim != 4:
             raise ValueError(f"BatchNorm2D expects NCHW input; got shape {x.shape}")
-        if self.training and F.kernel_mode() != "legacy":
+        if self.training:
             # Stats + running-buffer update + normalisation fused into one
             # stateful registry op so a compiled replay re-runs all of it
-            # (same floats as the unfused pair below — see functional.py).
+            # (see functional.batch_norm_2d_train).
             return F.batch_norm_2d_train(x, self.gamma, self.beta, self)
-        if self.training:
-            mean = x.data.mean(axis=(0, 2, 3))
-            var = x.data.var(axis=(0, 2, 3))
-            self.running_mean[...] = (1 - self.momentum) * self.running_mean + self.momentum * mean
-            self.running_var[...] = (1 - self.momentum) * self.running_var + self.momentum * var
-        else:
-            mean = self.running_mean
-            var = self.running_var
         return F.batch_norm_2d(
-            x, self.gamma, self.beta, mean, var, self.eps, training=self.training
+            x, self.gamma, self.beta, self.running_mean, self.running_var, self.eps, training=False
         )
 
 

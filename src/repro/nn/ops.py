@@ -1,13 +1,13 @@
 """Declarative op registry for the record → plan → execute autodiff pipeline.
 
-Historically every ``Tensor`` op captured a ``backward_fn`` closure over its
-forward intermediates, which welds the backward pass to the Python frame that
-ran the forward pass.  This module splits each op into data (an :class:`OpDef`
-holding a pure ``apply`` and a pure ``vjp``) plus a per-call :class:`OpCtx`
-carrying the saved intermediates.  Eager mode still runs ops immediately —
-``Tensor.run_op`` calls ``apply`` and wraps ``vjp`` for the classic tape — but
-because the op is now *data*, a recorded step can be replayed without
-rebuilding the graph (see :mod:`repro.nn.compile`).
+The registry is the only autodiff mechanism in :mod:`repro.nn`: every
+differentiable op is data (an :class:`OpDef` holding a pure ``apply`` and a
+pure ``vjp``) plus a per-call :class:`OpCtx` carrying the saved
+intermediates.  Eager mode runs ops immediately — :func:`~repro.nn.tensor.run_op`
+calls ``apply`` and leaves ``(op, ctx, needs)`` on the output for
+``Tensor.backward`` to hand to ``vjp`` — and because the op is data, a
+recorded step can be replayed without rebuilding the graph (see
+:mod:`repro.nn.compile`).
 
 Bitwise contract
 ----------------
@@ -28,10 +28,12 @@ Contracts:
 ``vjp(ctx, grad, needs, acc)``
     Routes the output cotangent to the inputs: for each input ``i`` with
     ``needs[i]`` true, computes the gradient contribution and calls
-    ``acc(i, g)``.  The callback owns accumulation (``Tensor._accumulate`` in
-    eager mode, a preplanned gradient slot in compiled mode), so contribution
-    order — which fixes the bitwise result of ``+=`` chains — is identical in
-    both modes.
+    ``acc(i, g)``.  The callback owns accumulation (``Tensor._accumulate`` of
+    input ``i`` in eager mode, a preplanned gradient slot in compiled mode),
+    so contribution order — which fixes the bitwise result of ``+=`` chains —
+    is identical in both modes.  ``ctx`` must not refer back to the op's
+    output tensor: eager mode keeps ``ctx`` on that tensor, and the cycle
+    would leave every activation to the cyclic garbage collector.
 
 ``discard(ctx)``
     Optional cleanup for the not-recording eager path (returns workspace
@@ -51,10 +53,9 @@ class OpCtx:
     """Per-call context: saved intermediates plus optional persistent buffers.
 
     ``saved`` is whatever tuple the op's ``apply`` stashes for its ``vjp``.
-    ``bufs`` is ``None`` in eager mode (every call allocates, exactly as the
-    closure implementation did) and a dict in compiled execution, where the
-    same :class:`OpCtx` instance is reused every step so :meth:`buffer`
-    returns the same hot array each time.
+    ``bufs`` is ``None`` in eager mode (every call allocates) and a dict in
+    compiled execution, where the same :class:`OpCtx` instance is reused
+    every step so :meth:`buffer` returns the same hot array each time.
     """
 
     __slots__ = ("saved", "bufs")
@@ -100,8 +101,9 @@ class OpDef:
         return f"OpDef({self.name!r}{flag})"
 
 
-#: Every registered op, by name.  Populated by :mod:`repro.nn.tensor` (core
-#: arithmetic) and :mod:`repro.nn.functional` (kernel ops) at import time.
+#: Every registered op, by name.  Populated by :mod:`repro.nn.tensor` (tensor
+#: arithmetic, elementwise, reduction and shape ops) and
+#: :mod:`repro.nn.functional` (kernel ops) at import time.
 OP_REGISTRY: dict[str, OpDef] = {}
 
 

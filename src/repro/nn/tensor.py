@@ -3,9 +3,11 @@
 This module is the foundation of the :mod:`repro.nn` substrate: a tape-based
 ``Tensor`` that records the operations applied to it and can replay them
 backwards to accumulate gradients.  It deliberately mirrors the define-by-run
-semantics of mainstream frameworks (every forward op appends a node holding a
-backward closure), because the paper's five mitigation techniques are all
-expressed as modifications of a standard gradient-descent training loop.
+semantics of mainstream frameworks (every forward op runs a registry
+:class:`~repro.nn.ops.OpDef` through :func:`run_op`, and its output keeps the
+``(op, ctx, needs)`` record that ``backward`` hands to ``op.vjp``), because the
+paper's five mitigation techniques are all expressed as modifications of a
+standard gradient-descent training loop.
 
 Only the operator set needed by the reproduction is implemented, but each op
 handles full NumPy broadcasting so the layer implementations stay simple.
@@ -14,7 +16,7 @@ handles full NumPy broadcasting so the layer implementations stay simple.
 from __future__ import annotations
 
 import threading
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -95,15 +97,14 @@ class Tensor:
         :meth:`backward`.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward_fn", "_op")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_record")
 
     def __init__(
         self,
         data: "np.ndarray | float | int | Sequence",
         requires_grad: bool = False,
         _parents: tuple["Tensor", ...] = (),
-        _backward_fn: Callable[[np.ndarray], None] | None = None,
-        _op: str = "",
+        _record: "tuple[OpDef, OpCtx, tuple[bool, ...]] | None" = None,
     ) -> None:
         if isinstance(data, Tensor):  # defensive: wrapping a Tensor is a bug upstream
             raise TypeError("cannot wrap a Tensor inside a Tensor")
@@ -120,8 +121,10 @@ class Tensor:
         self.grad: np.ndarray | None = None
         self.requires_grad = bool(requires_grad)
         self._parents = _parents
-        self._backward_fn = _backward_fn
-        self._op = _op
+        # ``(op, ctx, needs)`` of the op that produced this tensor on the
+        # tape; ``None`` for leaves.  It never refers back to the tensor
+        # itself, so dropped activations are freed by refcount, not the GC.
+        self._record = _record
 
     # ------------------------------------------------------------------
     # Introspection helpers
@@ -141,6 +144,10 @@ class Tensor:
     @property
     def dtype(self) -> np.dtype:
         return self.data.dtype
+
+    @property
+    def _op(self) -> str:
+        return self._record[0].name if self._record is not None else ""
 
     def __len__(self) -> int:
         return len(self.data)
@@ -168,30 +175,15 @@ class Tensor:
     # ------------------------------------------------------------------
     # Tape machinery
     # ------------------------------------------------------------------
-    @staticmethod
-    def _make(
-        data: np.ndarray,
-        parents: tuple["Tensor", ...],
-        backward_fn: Callable[[np.ndarray], None],
-        op: str,
-    ) -> "Tensor":
-        """Create a non-leaf tensor, recording on the tape if enabled."""
-        requires = is_grad_enabled() and any(p.requires_grad for p in parents)
-        if not requires:
-            return Tensor(data)
-        return Tensor(
-            data,
-            requires_grad=True,
-            _parents=parents,
-            _backward_fn=backward_fn,
-            _op=op,
-        )
-
     def _accumulate(self, grad: np.ndarray) -> None:
         if self.grad is None:
             self.grad = grad.astype(self.data.dtype, copy=True)
         else:
             self.grad += grad
+
+    def _accumulate_parent(self, index: int, grad: np.ndarray) -> None:
+        """The ``acc`` callback ``op.vjp`` routes this node's input cotangents to."""
+        self._parents[index]._accumulate(grad)
 
     def backward(self, grad: np.ndarray | None = None) -> None:
         """Run reverse-mode differentiation from this tensor.
@@ -199,13 +191,16 @@ class Tensor:
         Parameters
         ----------
         grad:
-            Seed gradient.  Defaults to ones, which for the usual scalar loss
-            is the conventional ``dL/dL = 1``.
+            Seed gradient of exactly this tensor's shape.  Defaults to ones,
+            which for the usual scalar loss is the conventional ``dL/dL = 1``.
         """
         if not self.requires_grad:
             raise RuntimeError("backward() called on a tensor that does not require grad")
-        if grad is None:
-            grad = np.ones_like(self.data)
+        seed = np.ones_like(self.data) if grad is None else np.asarray(grad, dtype=self.data.dtype)
+        if seed.shape != self.shape:
+            raise ValueError(
+                f"seed gradient of shape {seed.shape} does not match tensor of shape {self.shape}"
+            )
 
         # Topological sort of the tape reachable from this tensor.
         topo: list[Tensor] = []
@@ -231,10 +226,11 @@ class Tensor:
         if tape is not None:
             tape.set_topo(topo, self)
 
-        self._accumulate(np.asarray(grad, dtype=self.data.dtype))
+        self._accumulate(seed)
         for node in reversed(topo):
-            if node._backward_fn is not None and node.grad is not None:
-                node._backward_fn(node.grad)
+            if node._record is not None and node.grad is not None:
+                op, ctx, needs = node._record
+                op.vjp(ctx, node.grad, needs, node._accumulate_parent)
 
     # ------------------------------------------------------------------
     # Arithmetic ops
@@ -246,23 +242,11 @@ class Tensor:
     __radd__ = __add__
 
     def __neg__(self) -> "Tensor":
-        def backward_fn(grad: np.ndarray) -> None:
-            if self.requires_grad:
-                self._accumulate(-grad)
-
-        return Tensor._make(-self.data, (self,), backward_fn, "neg")
+        return run_op(_NEG, (self,), _NO_KWARGS)
 
     def __sub__(self, other: "Tensor | float | np.ndarray") -> "Tensor":
         other_t = other if isinstance(other, Tensor) else Tensor(_as_array(other))
-        out_data = self.data - other_t.data
-
-        def backward_fn(grad: np.ndarray) -> None:
-            if self.requires_grad:
-                self._accumulate(_unbroadcast(grad, self.shape))
-            if other_t.requires_grad:
-                other_t._accumulate(_unbroadcast(-grad, other_t.shape))
-
-        return Tensor._make(out_data, (self, other_t), backward_fn, "sub")
+        return run_op(_SUB, (self, other_t), _NO_KWARGS)
 
     def __rsub__(self, other: "float | np.ndarray") -> "Tensor":
         return Tensor(_as_array(other)) - self
@@ -275,17 +259,7 @@ class Tensor:
 
     def __truediv__(self, other: "Tensor | float | np.ndarray") -> "Tensor":
         other_t = other if isinstance(other, Tensor) else Tensor(_as_array(other))
-        out_data = self.data / other_t.data
-
-        def backward_fn(grad: np.ndarray) -> None:
-            if self.requires_grad:
-                self._accumulate(_unbroadcast(grad / other_t.data, self.shape))
-            if other_t.requires_grad:
-                other_t._accumulate(
-                    _unbroadcast(-grad * self.data / (other_t.data**2), other_t.shape)
-                )
-
-        return Tensor._make(out_data, (self, other_t), backward_fn, "div")
+        return run_op(_DIV, (self, other_t), _NO_KWARGS)
 
     def __rtruediv__(self, other: "float | np.ndarray") -> "Tensor":
         return Tensor(_as_array(other)) / self
@@ -293,13 +267,7 @@ class Tensor:
     def __pow__(self, exponent: float) -> "Tensor":
         if not isinstance(exponent, (int, float)):
             raise TypeError("Tensor ** only supports scalar exponents")
-        out_data = self.data**exponent
-
-        def backward_fn(grad: np.ndarray) -> None:
-            if self.requires_grad:
-                self._accumulate(grad * exponent * self.data ** (exponent - 1))
-
-        return Tensor._make(out_data, (self,), backward_fn, "pow")
+        return run_op(_POW, (self,), {"exponent": exponent})
 
     def __matmul__(self, other: "Tensor") -> "Tensor":
         other_t = other if isinstance(other, Tensor) else Tensor(_as_array(other))
@@ -312,59 +280,26 @@ class Tensor:
         return run_op(_EXP, (self,), _NO_KWARGS)
 
     def log(self) -> "Tensor":
-        out_data = np.log(self.data)
-
-        def backward_fn(grad: np.ndarray) -> None:
-            if self.requires_grad:
-                self._accumulate(grad / self.data)
-
-        return Tensor._make(out_data, (self,), backward_fn, "log")
+        return run_op(_LOG, (self,), _NO_KWARGS)
 
     def sqrt(self) -> "Tensor":
         return self**0.5
 
     def abs(self) -> "Tensor":
-        out_data = np.abs(self.data)
-
-        def backward_fn(grad: np.ndarray) -> None:
-            if self.requires_grad:
-                self._accumulate(grad * np.sign(self.data))
-
-        return Tensor._make(out_data, (self,), backward_fn, "abs")
+        return run_op(_ABS, (self,), _NO_KWARGS)
 
     def clip(self, low: float, high: float) -> "Tensor":
         """Clamp values; gradient flows only through the unclipped region."""
-        out_data = np.clip(self.data, low, high)
-
-        def backward_fn(grad: np.ndarray) -> None:
-            if self.requires_grad:
-                mask = (self.data >= low) & (self.data <= high)
-                self._accumulate(grad * mask)
-
-        return Tensor._make(out_data, (self,), backward_fn, "clip")
+        return run_op(_CLIP, (self,), {"low": low, "high": high})
 
     def relu(self) -> "Tensor":
         return run_op(_RELU, (self,), _NO_KWARGS)
 
     def leaky_relu(self, negative_slope: float = 0.01) -> "Tensor":
-        mask = self.data > 0
-        scale = np.where(mask, 1.0, negative_slope).astype(self.data.dtype)
-        out_data = self.data * scale
-
-        def backward_fn(grad: np.ndarray) -> None:
-            if self.requires_grad:
-                self._accumulate(grad * scale)
-
-        return Tensor._make(out_data, (self,), backward_fn, "leaky_relu")
+        return run_op(_LEAKY_RELU, (self,), {"negative_slope": negative_slope})
 
     def sigmoid(self) -> "Tensor":
-        out_data = 1.0 / (1.0 + np.exp(-self.data))
-
-        def backward_fn(grad: np.ndarray) -> None:
-            if self.requires_grad:
-                self._accumulate(grad * out_data * (1.0 - out_data))
-
-        return Tensor._make(out_data, (self,), backward_fn, "sigmoid")
+        return run_op(_SIGMOID, (self,), _NO_KWARGS)
 
     def tanh(self) -> "Tensor":
         return run_op(_TANH, (self,), _NO_KWARGS)
@@ -384,22 +319,7 @@ class Tensor:
         return self.sum(axis=axis, keepdims=keepdims) * (1.0 / count)
 
     def max(self, axis: int | None = None, keepdims: bool = False) -> "Tensor":
-        out_data = self.data.max(axis=axis, keepdims=keepdims)
-
-        def backward_fn(grad: np.ndarray) -> None:
-            if not self.requires_grad:
-                return
-            g = grad
-            out = out_data
-            if axis is not None and not keepdims:
-                g = np.expand_dims(g, axis)
-                out = np.expand_dims(out, axis)
-            mask = (self.data == out).astype(self.data.dtype)
-            # Split gradient equally among ties to keep the op well-defined.
-            denom = mask.sum(axis=axis, keepdims=True) if axis is not None else mask.sum()
-            self._accumulate(g * mask / denom)
-
-        return Tensor._make(out_data, (self,), backward_fn, "max")
+        return run_op(_MAX, (self,), {"axis": axis, "keepdims": keepdims})
 
     def min(self, axis: int | None = None, keepdims: bool = False) -> "Tensor":
         """Minimum reduction (gradient split equally among ties)."""
@@ -427,15 +347,7 @@ class Tensor:
         tensors = tuple(tensors)
         if not tensors:
             raise ValueError("stack needs at least one tensor")
-        out_data = np.stack([t.data for t in tensors], axis=axis)
-
-        def backward_fn(grad: np.ndarray) -> None:
-            slices = np.moveaxis(grad, axis, 0)
-            for tensor, piece in zip(tensors, slices):
-                if tensor.requires_grad:
-                    tensor._accumulate(piece)
-
-        return Tensor._make(out_data, tensors, backward_fn, "stack")
+        return run_op(_STACK, tensors, {"axis": axis})
 
     # ------------------------------------------------------------------
     # Shape ops
@@ -447,55 +359,21 @@ class Tensor:
 
     def transpose(self, *axes: int) -> "Tensor":
         axes_t = tuple(axes) if axes else tuple(reversed(range(self.ndim)))
-        out_data = self.data.transpose(axes_t)
-        inverse = tuple(np.argsort(axes_t))
-
-        def backward_fn(grad: np.ndarray) -> None:
-            if self.requires_grad:
-                self._accumulate(grad.transpose(inverse))
-
-        return Tensor._make(out_data, (self,), backward_fn, "transpose")
+        return run_op(_TRANSPOSE, (self,), {"axes": axes_t})
 
     def __getitem__(self, index: object) -> "Tensor":
-        out_data = self.data[index]
-
-        def backward_fn(grad: np.ndarray) -> None:
-            if self.requires_grad:
-                full = np.zeros_like(self.data)
-                np.add.at(full, index, grad)
-                self._accumulate(full)
-
-        return Tensor._make(out_data, (self,), backward_fn, "getitem")
+        return run_op(_GETITEM, (self,), {"index": index})
 
     def pad2d(self, padding: int) -> "Tensor":
         """Zero-pad the two trailing spatial axes of an NCHW tensor."""
         if padding == 0:
             return self
-        pad_width = ((0, 0), (0, 0), (padding, padding), (padding, padding))
-        out_data = np.pad(self.data, pad_width)
-
-        def backward_fn(grad: np.ndarray) -> None:
-            if self.requires_grad:
-                self._accumulate(grad[:, :, padding:-padding, padding:-padding])
-
-        return Tensor._make(out_data, (self,), backward_fn, "pad2d")
+        return run_op(_PAD2D, (self,), {"padding": padding})
 
     @staticmethod
     def concatenate(tensors: "Iterable[Tensor]", axis: int = 0) -> "Tensor":
         """Concatenate tensors along ``axis`` with gradient routing."""
-        tensors = tuple(tensors)
-        out_data = np.concatenate([t.data for t in tensors], axis=axis)
-        sizes = [t.shape[axis] for t in tensors]
-        offsets = np.cumsum([0] + sizes)
-
-        def backward_fn(grad: np.ndarray) -> None:
-            for tensor, start, stop in zip(tensors, offsets[:-1], offsets[1:]):
-                if tensor.requires_grad:
-                    slicer: list[slice] = [slice(None)] * grad.ndim
-                    slicer[axis] = slice(start, stop)
-                    tensor._accumulate(grad[tuple(slicer)])
-
-        return Tensor._make(out_data, tensors, backward_fn, "concat")
+        return run_op(_CONCAT, tuple(tensors), {"axis": axis})
 
 
 # ----------------------------------------------------------------------
@@ -508,8 +386,8 @@ def run_op(op: OpDef, inputs: tuple["Tensor", ...], kwargs: dict) -> "Tensor":
     """Execute a registry op eagerly, recording it on the active tape.
 
     The eager twin of a compiled executor's inner loop: run ``apply``, and if
-    any input is on the tape wrap ``vjp`` into a classic ``backward_fn`` whose
-    accumulation callback is ``Tensor._accumulate`` — the identical ``apply``/
+    any input is on the tape keep ``(op, ctx, needs)`` on the output so
+    ``Tensor.backward`` can call the op's ``vjp`` — the identical ``apply``/
     ``vjp`` bodies later replayed by :class:`repro.nn.compile.CompiledStep`.
     """
     ctx = OpCtx()
@@ -527,17 +405,7 @@ def run_op(op: OpDef, inputs: tuple["Tensor", ...], kwargs: dict) -> "Tensor":
                 tape.record(op, inputs, out, kwargs)
         return out
     needs = tuple(t.requires_grad for t in inputs)
-
-    def backward_fn(grad: np.ndarray) -> None:
-        op.vjp(ctx, grad, needs, lambda i, g: inputs[i]._accumulate(g))
-
-    out = Tensor(
-        out_data,
-        requires_grad=True,
-        _parents=inputs,
-        _backward_fn=backward_fn,
-        _op=op.name,
-    )
+    out = Tensor(out_data, requires_grad=True, _parents=inputs, _record=(op, ctx, needs))
     tape = getattr(TAPE_STATE, "tape", None)
     if tape is not None:
         tape.record(op, inputs, out, kwargs)
@@ -547,9 +415,10 @@ def run_op(op: OpDef, inputs: tuple["Tensor", ...], kwargs: dict) -> "Tensor":
 # ----------------------------------------------------------------------
 # Core op definitions
 # ----------------------------------------------------------------------
-# Each apply keeps the original closure implementation verbatim on its
-# eager branch (``ctx.bufs is None``); the armed branch differs only by
-# computing into a persistent ``out=`` buffer — same ufunc, same values.
+# Where an apply/vjp has an armed branch (``ctx.bufs`` set by a compiled
+# replay), it differs from the eager branch only by computing into a
+# persistent ``out=`` buffer — same ufunc, same values.  Ops without one
+# allocate in both modes.
 
 
 def _add_apply(ctx: OpCtx, inputs, kwargs) -> np.ndarray:
@@ -722,6 +591,205 @@ def _reshape_vjp(ctx: OpCtx, grad, needs, acc) -> None:
         acc(0, grad.reshape(ctx.saved))
 
 
+def _neg_apply(ctx: OpCtx, inputs, kwargs) -> np.ndarray:
+    return -inputs[0]
+
+
+def _neg_vjp(ctx: OpCtx, grad, needs, acc) -> None:
+    if needs[0]:
+        acc(0, -grad)
+
+
+def _sub_apply(ctx: OpCtx, inputs, kwargs) -> np.ndarray:
+    a, b = inputs
+    ctx.saved = (a.shape, b.shape)
+    return a - b
+
+
+def _sub_vjp(ctx: OpCtx, grad, needs, acc) -> None:
+    a_shape, b_shape = ctx.saved
+    if needs[0]:
+        acc(0, _unbroadcast(grad, a_shape))
+    if needs[1]:
+        acc(1, _unbroadcast(-grad, b_shape))
+
+
+def _div_apply(ctx: OpCtx, inputs, kwargs) -> np.ndarray:
+    a, b = inputs
+    ctx.saved = (a, b)
+    return a / b
+
+
+def _div_vjp(ctx: OpCtx, grad, needs, acc) -> None:
+    a, b = ctx.saved
+    if needs[0]:
+        acc(0, _unbroadcast(grad / b, a.shape))
+    if needs[1]:
+        acc(1, _unbroadcast(-grad * a / (b**2), b.shape))
+
+
+def _pow_apply(ctx: OpCtx, inputs, kwargs) -> np.ndarray:
+    (a,) = inputs
+    exponent = kwargs["exponent"]
+    ctx.saved = (a, exponent)
+    return a**exponent
+
+
+def _pow_vjp(ctx: OpCtx, grad, needs, acc) -> None:
+    a, exponent = ctx.saved
+    if needs[0]:
+        acc(0, grad * exponent * a ** (exponent - 1))
+
+
+def _log_apply(ctx: OpCtx, inputs, kwargs) -> np.ndarray:
+    ctx.saved = inputs[0]
+    return np.log(inputs[0])
+
+
+def _log_vjp(ctx: OpCtx, grad, needs, acc) -> None:
+    if needs[0]:
+        acc(0, grad / ctx.saved)
+
+
+def _abs_apply(ctx: OpCtx, inputs, kwargs) -> np.ndarray:
+    ctx.saved = inputs[0]
+    return np.abs(inputs[0])
+
+
+def _abs_vjp(ctx: OpCtx, grad, needs, acc) -> None:
+    if needs[0]:
+        acc(0, grad * np.sign(ctx.saved))
+
+
+def _clip_apply(ctx: OpCtx, inputs, kwargs) -> np.ndarray:
+    (a,) = inputs
+    low, high = kwargs["low"], kwargs["high"]
+    ctx.saved = (a, low, high)
+    return np.clip(a, low, high)
+
+
+def _clip_vjp(ctx: OpCtx, grad, needs, acc) -> None:
+    a, low, high = ctx.saved
+    if needs[0]:
+        mask = (a >= low) & (a <= high)
+        acc(0, grad * mask)
+
+
+def _leaky_relu_apply(ctx: OpCtx, inputs, kwargs) -> np.ndarray:
+    (a,) = inputs
+    mask = a > 0
+    scale = np.where(mask, 1.0, kwargs["negative_slope"]).astype(a.dtype)
+    ctx.saved = scale
+    return a * scale
+
+
+def _leaky_relu_vjp(ctx: OpCtx, grad, needs, acc) -> None:
+    if needs[0]:
+        acc(0, grad * ctx.saved)
+
+
+def _sigmoid_apply(ctx: OpCtx, inputs, kwargs) -> np.ndarray:
+    out = 1.0 / (1.0 + np.exp(-inputs[0]))
+    ctx.saved = out
+    return out
+
+
+def _sigmoid_vjp(ctx: OpCtx, grad, needs, acc) -> None:
+    out = ctx.saved
+    if needs[0]:
+        acc(0, grad * out * (1.0 - out))
+
+
+def _max_apply(ctx: OpCtx, inputs, kwargs) -> np.ndarray:
+    (a,) = inputs
+    axis, keepdims = kwargs["axis"], kwargs["keepdims"]
+    out = a.max(axis=axis, keepdims=keepdims)
+    ctx.saved = (a, out, axis, keepdims)
+    return out
+
+
+def _max_vjp(ctx: OpCtx, grad, needs, acc) -> None:
+    if not needs[0]:
+        return
+    a, out, axis, keepdims = ctx.saved
+    g = grad
+    if axis is not None and not keepdims:
+        g = np.expand_dims(g, axis)
+        out = np.expand_dims(out, axis)
+    mask = (a == out).astype(a.dtype)
+    # Split gradient equally among ties to keep the op well-defined.
+    denom = mask.sum(axis=axis, keepdims=True) if axis is not None else mask.sum()
+    acc(0, g * mask / denom)
+
+
+def _stack_apply(ctx: OpCtx, inputs, kwargs) -> np.ndarray:
+    ctx.saved = kwargs["axis"]
+    return np.stack(inputs, axis=kwargs["axis"])
+
+
+def _stack_vjp(ctx: OpCtx, grad, needs, acc) -> None:
+    slices = np.moveaxis(grad, ctx.saved, 0)
+    for i, piece in enumerate(slices):
+        if needs[i]:
+            acc(i, piece)
+
+
+def _transpose_apply(ctx: OpCtx, inputs, kwargs) -> np.ndarray:
+    axes = kwargs["axes"]
+    ctx.saved = tuple(np.argsort(axes))
+    return inputs[0].transpose(axes)
+
+
+def _transpose_vjp(ctx: OpCtx, grad, needs, acc) -> None:
+    if needs[0]:
+        acc(0, grad.transpose(ctx.saved))
+
+
+def _getitem_apply(ctx: OpCtx, inputs, kwargs) -> np.ndarray:
+    (a,) = inputs
+    index = kwargs["index"]
+    ctx.saved = (a, index)
+    return a[index]
+
+
+def _getitem_vjp(ctx: OpCtx, grad, needs, acc) -> None:
+    a, index = ctx.saved
+    if needs[0]:
+        full = np.zeros_like(a)
+        np.add.at(full, index, grad)
+        acc(0, full)
+
+
+def _pad2d_apply(ctx: OpCtx, inputs, kwargs) -> np.ndarray:
+    padding = kwargs["padding"]
+    ctx.saved = padding
+    pad_width = ((0, 0), (0, 0), (padding, padding), (padding, padding))
+    return np.pad(inputs[0], pad_width)
+
+
+def _pad2d_vjp(ctx: OpCtx, grad, needs, acc) -> None:
+    padding = ctx.saved
+    if needs[0]:
+        acc(0, grad[:, :, padding:-padding, padding:-padding])
+
+
+def _concat_apply(ctx: OpCtx, inputs, kwargs) -> np.ndarray:
+    axis = kwargs["axis"]
+    out = np.concatenate(inputs, axis=axis)
+    sizes = [a.shape[axis] for a in inputs]
+    ctx.saved = (axis, np.cumsum([0] + sizes))
+    return out
+
+
+def _concat_vjp(ctx: OpCtx, grad, needs, acc) -> None:
+    axis, offsets = ctx.saved
+    for i, (start, stop) in enumerate(zip(offsets[:-1], offsets[1:])):
+        if needs[i]:
+            slicer: list[slice] = [slice(None)] * grad.ndim
+            slicer[axis] = slice(start, stop)
+            acc(i, grad[tuple(slicer)])
+
+
 _ADD = register_op("add", _add_apply, _add_vjp)
 _MUL = register_op("mul", _mul_apply, _mul_vjp)
 _MATMUL = register_op("matmul", _matmul_apply, _matmul_vjp)
@@ -730,3 +798,18 @@ _EXP = register_op("exp", _exp_apply, _exp_vjp)
 _TANH = register_op("tanh", _tanh_apply, _tanh_vjp)
 _SUM = register_op("sum", _sum_apply, _sum_vjp)
 _RESHAPE = register_op("reshape", _reshape_apply, _reshape_vjp)
+_NEG = register_op("neg", _neg_apply, _neg_vjp)
+_SUB = register_op("sub", _sub_apply, _sub_vjp)
+_DIV = register_op("div", _div_apply, _div_vjp)
+_POW = register_op("pow", _pow_apply, _pow_vjp)
+_LOG = register_op("log", _log_apply, _log_vjp)
+_ABS = register_op("abs", _abs_apply, _abs_vjp)
+_CLIP = register_op("clip", _clip_apply, _clip_vjp)
+_LEAKY_RELU = register_op("leaky_relu", _leaky_relu_apply, _leaky_relu_vjp)
+_SIGMOID = register_op("sigmoid", _sigmoid_apply, _sigmoid_vjp)
+_MAX = register_op("max", _max_apply, _max_vjp)
+_STACK = register_op("stack", _stack_apply, _stack_vjp)
+_TRANSPOSE = register_op("transpose", _transpose_apply, _transpose_vjp)
+_GETITEM = register_op("getitem", _getitem_apply, _getitem_vjp)
+_PAD2D = register_op("pad2d", _pad2d_apply, _pad2d_vjp)
+_CONCAT = register_op("concat", _concat_apply, _concat_vjp)

@@ -10,7 +10,7 @@ reuses the same hot pages batch after batch.
 
 Ownership discipline is strictly scoped: a kernel *acquires* a buffer, fully
 overwrites (or zero-fills) it, and *releases* it as soon as the values have
-been consumed — within the forward call, or within the backward closure right
+been consumed — within the forward call, or within the op's ``vjp`` right
 after the gradient has been accumulated.  Buffers that are never released are
 simply garbage-collected; the arena never hands out a buffer twice without an
 intervening release.

@@ -6,7 +6,8 @@ step it was recorded from — same floats in every weight and gradient, not
 merely close.  These tests pin that contract across every registered
 architecture, the direct ``compile_tape`` API, and each of the automatic
 eager-fallback paths (armed kernel tap, disabled grad mode, uncompilable
-tape), plus the telemetry the trainer emits about its decisions.
+tape), the op registry's parity with the closure formulas it replaced, plus
+the telemetry the trainer emits about its decisions.
 """
 
 from __future__ import annotations
@@ -18,12 +19,13 @@ from repro.models import build_model, model_names
 from repro.nn import (
     SGD,
     CrossEntropy,
+    NormalizedCrossEntropy,
     Tensor,
     Trainer,
     use_kernel_mode,
 )
-from repro.nn.compile import compile_tape
-from repro.nn.functional import kernel_tap_scope
+from repro.nn.compile import CompileError, compile_tape
+from repro.nn.functional import batch_norm_2d, kernel_tap_scope
 from repro.nn.tape import Tape, tape_scope
 from repro.nn.tensor import no_grad
 from repro.telemetry import RecordingTelemetry, telemetry_scope
@@ -115,17 +117,123 @@ class _TanhExpLoss(CrossEntropy):
         return super().__call__(logits, targets) + (logits.tanh() * 0.1).exp().mean() * 0.01
 
 
-class TestMigratedClosureOps:
-    """``tanh`` and ``exp`` live in the op registry now: tapes that route the
-    loss through them must compile (no per-shape fallback) and replay
-    bitwise-equal to eager."""
+class _MigratedOpsLoss(CrossEntropy):
+    """CE plus a term through the migrated elementwise and shape ops."""
 
+    def __call__(self, logits, targets):
+        left = logits[:, :2].sigmoid()
+        right = logits[:, 2:].leaky_relu(0.1).abs().clip(0.0, 2.0) ** 2.0
+        joined = Tensor.concatenate([left, right], axis=1)
+        ratio = joined / (joined.max(axis=1, keepdims=True) + 1.0)
+        both = Tensor.stack([ratio.transpose(), (1.0 - ratio).log().transpose()])
+        return super().__call__(logits, targets) + (-both.mean()) * 0.01
+
+
+def _bn_closure(g, x, gamma, beta, mean, var, training):
+    """The parent commit's ``batch_norm_2d`` closure formulas, in numpy."""
+    shape = (1, x.shape[1], 1, 1)
+    inv_std = (1.0 / np.sqrt(var + 1e-5)).reshape(shape).astype(x.dtype)
+    x_hat = (x - mean.reshape(shape).astype(x.dtype)) * inv_std
+    out = gamma.reshape(shape) * x_hat + beta.reshape(shape)
+    grad_sum = g.sum(axis=(0, 2, 3), keepdims=True)
+    grad_xhat_sum = (g * x_hat).sum(axis=(0, 2, 3), keepdims=True)
+    scale = gamma.reshape(shape) * inv_std
+    if training:
+        count = g.shape[0] * g.shape[2] * g.shape[3]
+        gx = scale * (g - grad_sum / count - x_hat * (grad_xhat_sum / count))
+    else:
+        gx = g * scale
+    return out, [gx, grad_xhat_sum.reshape(-1), grad_sum.reshape(-1)]
+
+
+def _getitem_closure(g, x):
+    full = np.zeros_like(x)
+    np.add.at(full, (slice(1, 3), [0, 2]), g)
+    return x[1:3, [0, 2]], [full]
+
+
+def _max_closure(g, x):
+    out = x.max(axis=1)
+    mask = (x == out[:, None]).astype(x.dtype)
+    return out, [g[:, None] * mask / mask.sum(axis=1, keepdims=True)]
+
+
+_rng = np.random.default_rng(0)
+_X = _rng.normal(size=(4, 3)).astype(np.float32)
+_Y = _rng.normal(size=(4, 3)).astype(np.float32)
+_POS = _rng.uniform(0.5, 2.0, size=(4, 3)).astype(np.float32)
+_ROW = _rng.normal(size=(3,)).astype(np.float32)
+_IMG = _rng.normal(size=(2, 3, 4, 4)).astype(np.float32)
+_CH = _rng.uniform(0.5, 2.0, size=(3,)).astype(np.float32)
+_BN_STATS = (_IMG.mean(axis=(0, 2, 3)), _IMG.var(axis=(0, 2, 3)))
+_LEAKY = np.where(_X > 0, 1.0, 0.1).astype(np.float32)
+_SIG = 1.0 / (1.0 + np.exp(-_X))
+
+#: op id -> (input arrays, op on tensors, closure formula (g, *arrays) -> (out, grads)).
+MIGRATED_OPS = {
+    "tanh": ([_X], lambda a: a.tanh(), lambda g, x: (np.tanh(x), [g * (1.0 - np.tanh(x) ** 2)])),
+    "exp": ([_X], lambda a: a.exp(), lambda g, x: (np.exp(x), [g * np.exp(x)])),
+    "neg": ([_X], lambda a: -a, lambda g, x: (-x, [-g])),
+    "sub": ([_X, _ROW], lambda a, b: a - b, lambda g, x, r: (x - r, [g, (-g).sum(axis=0)])),
+    "div": (
+        [_X, _POS],
+        lambda a, b: a / b,
+        lambda g, x, p: (x / p, [g / p, -g * x / (p**2)]),
+    ),
+    "pow": ([_POS], lambda a: a**3.0, lambda g, p: (p**3.0, [g * 3.0 * p ** (3.0 - 1)])),
+    "log": ([_POS], lambda a: a.log(), lambda g, p: (np.log(p), [g / p])),
+    "abs": ([_X], lambda a: a.abs(), lambda g, x: (np.abs(x), [g * np.sign(x)])),
+    "clip": (
+        [_X],
+        lambda a: a.clip(-0.5, 0.5),
+        lambda g, x: (np.clip(x, -0.5, 0.5), [g * ((x >= -0.5) & (x <= 0.5))]),
+    ),
+    "leaky_relu": ([_X], lambda a: a.leaky_relu(0.1), lambda g, x: (x * _LEAKY, [g * _LEAKY])),
+    "sigmoid": ([_X], lambda a: a.sigmoid(), lambda g, x: (_SIG, [g * _SIG * (1.0 - _SIG)])),
+    "max": ([_X], lambda a: a.max(axis=1), _max_closure),
+    "stack": (
+        [_X, _Y],
+        lambda a, b: Tensor.stack([a, b], axis=1),
+        lambda g, x, y: (np.stack([x, y], axis=1), list(np.moveaxis(g, 1, 0))),
+    ),
+    "transpose": ([_X], lambda a: a.transpose(), lambda g, x: (x.T, [g.transpose((1, 0))])),
+    "getitem": ([_X], lambda a: a[1:3, [0, 2]], _getitem_closure),
+    "pad2d": (
+        [_IMG],
+        lambda a: a.pad2d(1),
+        lambda g, x: (np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1))), [g[:, :, 1:-1, 1:-1]]),
+    ),
+    "concatenate": (
+        [_X, _Y],
+        lambda a, b: Tensor.concatenate([a, b], axis=0),
+        lambda g, x, y: (np.concatenate([x, y]), [g[:4], g[4:]]),
+    ),
+    "batch_norm_2d_eval": (
+        [_IMG, _CH, _ROW],
+        lambda x, gm, bt: batch_norm_2d(x, gm, bt, *_BN_STATS, 1e-5, training=False),
+        lambda g, x, gm, bt: _bn_closure(g, x, gm, bt, *_BN_STATS, training=False),
+    ),
+    "batch_norm_2d_train": (
+        [_IMG, _CH, _ROW],
+        lambda x, gm, bt: batch_norm_2d(x, gm, bt, *_BN_STATS, 1e-5, training=True),
+        lambda g, x, gm, bt: _bn_closure(g, x, gm, bt, *_BN_STATS, training=True),
+    ),
+}
+
+
+class TestMigratedClosureOps:
+    """Every op that used to carry a backward closure lives in the op
+    registry now: values and gradients match the old closure formulas
+    bit for bit, and tapes routed through them compile (no per-shape
+    fallback) and replay bitwise-equal to eager."""
+
+    @pytest.mark.parametrize("loss_cls", [_TanhExpLoss, _MigratedOpsLoss], ids=["tanh_exp", "ops"])
     @pytest.mark.parametrize("name", ["mlp", "convnet"])
-    def test_tanh_exp_tape_compiles_and_matches_eager(self, name):
-        fast = _fit(name, "fast", loss=_TanhExpLoss())
+    def test_tanh_exp_tape_compiles_and_matches_eager(self, name, loss_cls):
+        fast = _fit(name, "fast", loss=loss_cls())
         tel = RecordingTelemetry()
         with telemetry_scope(tel):
-            compiled = _fit(name, "compiled", loss=_TanhExpLoss())
+            compiled = _fit(name, "compiled", loss=loss_cls())
         _assert_bitwise_same(fast, compiled)
 
         assert not [e for e in tel.events if e.get("name") == "tape_compile_fallback"]
@@ -133,22 +241,17 @@ class TestMigratedClosureOps:
         assert fit_event["compiles"] == FEED_SHAPES
         assert fit_event["eager_steps"] == FEED_SHAPES  # the recording steps only
 
-    def test_tanh_exp_gradients_match_closure_formulas(self):
-        rng = np.random.default_rng(0)
-        x = rng.normal(size=(4, 3)).astype(np.float32)
-        g = rng.normal(size=(4, 3)).astype(np.float32)
-
-        t = Tensor(x, requires_grad=True)
-        out = t.tanh()
+    @pytest.mark.parametrize("op_id", sorted(MIGRATED_OPS))
+    def test_op_matches_closure_formula(self, op_id):
+        arrays, op, closure = MIGRATED_OPS[op_id]
+        tensors = [Tensor(a, requires_grad=True) for a in arrays]
+        out = op(*tensors)
+        g = np.random.default_rng(1).normal(size=out.shape).astype(np.float32)
         out.backward(g)
-        assert np.array_equal(out.data, np.tanh(x))
-        assert np.array_equal(t.grad, g * (1.0 - np.tanh(x) ** 2))
-
-        t = Tensor(x, requires_grad=True)
-        out = t.exp()
-        out.backward(g)
-        assert np.array_equal(out.data, np.exp(x))
-        assert np.array_equal(t.grad, g * np.exp(x))
+        expected_out, expected_grads = closure(g, *arrays)
+        assert np.array_equal(out.data, expected_out)
+        for tensor, expected in zip(tensors, expected_grads):
+            assert np.array_equal(tensor.grad, expected)
 
 
 class TestCompileApi:
@@ -211,16 +314,37 @@ class TestCompileApi:
             with pytest.raises(ValueError, match="feed shape"):
                 step.forward((x[:2], y[:2]))
 
-
-class _LegacyClosureLoss(CrossEntropy):
-    """CE plus a term routed through a legacy closure op (``Tensor.sigmoid``).
-
-    ``compile_tape`` refuses tapes whose loss depends on closure-backward
-    ops, so every step of a fit with this loss must fall back to eager.
-    """
-
-    def __call__(self, logits, targets):
-        return super().__call__(logits, targets) + logits.sigmoid().mean() * 0.01
+    @pytest.mark.parametrize(
+        "extra_term,reason",
+        [
+            # A graph node computed before the tape opened: the tape holds no
+            # entry that could recompute it, so a replay would freeze it.
+            (
+                lambda logits, yb, pre: (logits + pre).sum() * 0.0,
+                "input from op 'mul' was computed outside the recording scope",
+            ),
+            # A per-batch index array is an op argument, not a feed: a replay
+            # would keep indexing with the recorded batch's labels.
+            (
+                lambda logits, yb, pre: logits[np.arange(BATCH), yb.argmax(axis=1)].mean(),
+                "array argument 'index' of op 'getitem' cannot be proven step-invariant",
+            ),
+        ],
+        ids=["non_leaf_before_recording", "array_index"],
+    )
+    def test_unreplayable_loss_is_refused(self, extra_term, reason):
+        _, x, y = _data("convnet")
+        xb, yb = x[:BATCH], y[:BATCH]
+        model, _, loss_fn = self._make()
+        pre = Tensor(np.zeros(NUM_CLASSES, dtype=np.float32), requires_grad=True) * 2.0
+        tape = Tape()
+        with tape_scope(tape):
+            logits = model(Tensor(xb))
+            loss = loss_fn(logits, yb) + extra_term(logits, yb, pre)
+            loss.backward()
+        with pytest.raises(CompileError) as excinfo:
+            compile_tape(tape, loss, logits, (xb, yb))
+        assert str(excinfo.value) == reason
 
 
 class TestEagerFallbacks:
@@ -246,15 +370,20 @@ class TestEagerFallbacks:
         assert fit_event["compiles"] == 0
 
     def test_uncompilable_tape_falls_back_per_shape(self):
-        fast = _fit("convnet", "fast", loss=_LegacyClosureLoss())
+        # NCE's log_softmax subtracts an (N, 1) row-max constant the planner
+        # cannot prove step-invariant, so each feed shape is refused once.
+        fast = _fit("convnet", "fast", loss=NormalizedCrossEntropy())
         tel = RecordingTelemetry()
         with telemetry_scope(tel):
-            compiled = _fit("convnet", "compiled", loss=_LegacyClosureLoss())
+            compiled = _fit("convnet", "compiled", loss=NormalizedCrossEntropy())
         _assert_bitwise_same(fast, compiled)
 
         fallbacks = [e for e in tel.events if e.get("name") == "tape_compile_fallback"]
-        assert len(fallbacks) == FEED_SHAPES  # one refusal per feed shape, then cached
-        assert all(e["reason"] for e in fallbacks)
+        # One refusal per feed shape, then cached.
+        assert [e["reason"] for e in fallbacks] == [
+            f"non-scalar constant of shape ({n}, 1) cannot be proven step-invariant"
+            for n in (BATCH, N % BATCH)
+        ]
         (fit_event,) = [e for e in tel.events if e.get("name") == "compiled_fit"]
         assert fit_event["compiled_steps"] == 0
         assert fit_event["compile_fallbacks"] == FEED_SHAPES

@@ -5,8 +5,6 @@ buffers, direct pooling scatters) must be *bitwise* interchangeable with the
 ``reference`` composition — the study archive comparator
 (:func:`repro.experiments.persistence.results_equivalent`) uses exact float
 equality, so anything weaker would make kernel choice visible in results.
-The ``legacy`` (seed) kernels use a different GEMM layout and only agree to
-float tolerance.
 """
 
 from __future__ import annotations
@@ -68,12 +66,15 @@ class TestKernelModeControls:
             set_kernel_mode(prev)
 
     def test_invalid_mode_rejected(self):
-        with pytest.raises(ValueError, match="kernel mode"):
-            set_kernel_mode("turbo")
+        # "legacy" named the deleted seed kernels; it is now just unknown.
+        for mode in ("turbo", "legacy"):
+            with pytest.raises(ValueError, match=r"choices: \('fast', 'reference', 'compiled'\)"):
+                set_kernel_mode(mode)
+        assert kernel_mode() == "fast"
 
     def test_context_manager_restores_mode(self):
-        with use_kernel_mode("legacy"):
-            assert kernel_mode() == "legacy"
+        with use_kernel_mode("reference"):
+            assert kernel_mode() == "reference"
         assert kernel_mode() == "fast"
 
 
@@ -89,18 +90,6 @@ class TestConvEquivalence:
         assert np.array_equal(fast[0], ref[0])
         for g_fast, g_ref in zip(fast[1], ref[1]):
             assert np.array_equal(g_fast, g_ref)
-
-    @pytest.mark.parametrize("x_shape,w_shape,kwargs", CONV_CASES)
-    def test_fast_matches_legacy_to_tolerance(self, x_shape, w_shape, kwargs):
-        rng = np.random.default_rng(12)
-        x = rng.normal(size=x_shape).astype(np.float32)
-        w = rng.normal(size=w_shape).astype(np.float32)
-        b = rng.normal(size=(w_shape[0],)).astype(np.float32)
-        fast = _run("fast", conv2d, [x, w, b], **kwargs)
-        legacy = _run("legacy", conv2d, [x, w, b], **kwargs)
-        np.testing.assert_allclose(fast[0], legacy[0], rtol=1e-5, atol=1e-5)
-        for g_fast, g_legacy in zip(fast[1], legacy[1]):
-            np.testing.assert_allclose(g_fast, g_legacy, rtol=1e-4, atol=1e-5)
 
     def test_no_bias_conv_equivalent(self):
         rng = np.random.default_rng(13)
@@ -145,28 +134,6 @@ class TestPoolEquivalence:
         ref = _run("reference", op, [x], **kwargs)
         assert np.array_equal(fast[0], ref[0])
         assert np.array_equal(fast[1][0], ref[1][0])
-
-    @pytest.mark.parametrize("x_shape,kwargs", POOL_CASES)
-    def test_max_pool_matches_legacy_bitwise(self, x_shape, kwargs):
-        # Max selection is layout-independent, so even the seed kernels
-        # agree exactly for max pooling.
-        rng = np.random.default_rng(32)
-        x = rng.normal(size=x_shape).astype(np.float32)
-        fast = _run("fast", max_pool2d, [x], **kwargs)
-        legacy = _run("legacy", max_pool2d, [x], **kwargs)
-        assert np.array_equal(fast[0], legacy[0])
-        assert np.array_equal(fast[1][0], legacy[1][0])
-
-    @pytest.mark.parametrize("x_shape,kwargs", POOL_CASES)
-    def test_avg_pool_matches_legacy_to_tolerance(self, x_shape, kwargs):
-        # The seed layout sums window elements in a different order, so the
-        # window means can differ in the last ulp.
-        rng = np.random.default_rng(33)
-        x = rng.normal(size=x_shape).astype(np.float32)
-        fast = _run("fast", avg_pool2d, [x], **kwargs)
-        legacy = _run("legacy", avg_pool2d, [x], **kwargs)
-        np.testing.assert_allclose(fast[0], legacy[0], rtol=1e-6, atol=1e-7)
-        np.testing.assert_allclose(fast[1][0], legacy[1][0], rtol=1e-6, atol=1e-7)
 
 
 class TestFusedLossEquivalence:

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -300,6 +303,33 @@ class TestBackwardMachinery:
         (t * 2.0).backward()
         t.zero_grad()
         assert t.grad is None
+
+    @pytest.mark.parametrize(
+        "op,seed_shape",
+        [(lambda x: x.relu(), (3,)), (lambda x: x * 2.0, (1,))],
+        ids=["broadcastable", "size_one"],
+    )
+    def test_backward_rejects_mismatched_seed(self, op, seed_shape):
+        # Before the check, (3,) silently broadcast into a (4, 3) gradient
+        # and (1,) died inside _unbroadcast with a reshape error.
+        x = Tensor(np.ones((4, 3), dtype=np.float32), requires_grad=True)
+        with pytest.raises(ValueError, match=rf"shape \({seed_shape[0]},\) .* shape \(4, 3\)"):
+            op(x).backward(np.ones(seed_shape))
+        assert x.grad is None
+
+    def test_dropped_graph_is_freed_without_the_cycle_collector(self):
+        # A node's (op, ctx, needs) record never refers back to the node, so
+        # dropping the output frees every activation by refcount alone.
+        x = Tensor(np.ones((2, 3), dtype=np.float32), requires_grad=True)
+        gc.disable()
+        try:
+            mid = (x - 0.5).sigmoid()
+            out = (mid / 2.0).max(axis=1)
+            refs = [weakref.ref(mid.data), weakref.ref(out.data)]
+            del mid, out
+            assert [r() for r in refs] == [None, None]
+        finally:
+            gc.enable()
 
     def test_diamond_graph_accumulates_once_per_path(self):
         t = Tensor([2.0], requires_grad=True)
