@@ -37,10 +37,11 @@ from .telemetry import (
     ProgressReporter,
     TraceError,
     export_chrome_trace,
+    get_metrics,
+    metrics_scope,
     read_trace,
     render_trace_summary,
     repair_trace,
-    set_metrics,
     summarize_trace,
 )
 from .experiments import (
@@ -50,6 +51,7 @@ from .experiments import (
     ParallelExecutor,
     RetryPolicy,
     StudyCheckpoint,
+    StudyFailedError,
     ad_panel,
     combined_fault_analysis,
     fig3_panels,
@@ -571,10 +573,6 @@ def _run_study_command(runner: ExperimentRunner, args: argparse.Namespace) -> in
         logger.info("[parallel: %d worker processes]", args.jobs)
     if args.trace:
         logger.info("[tracing to %s]", args.trace)
-        # Live metrics ride along with tracing: per-unit snapshots funnel to
-        # the collector and the final registry lands in the trace as a
-        # metrics_snapshot event (rendered by 'repro-study trace').
-        set_metrics(MetricsRegistry())
 
     # With --progress the live reporter owns the stderr status line;
     # otherwise keep the historical one-line-per-cell diagnostics.
@@ -594,21 +592,25 @@ def _run_study_command(runner: ExperimentRunner, args: argparse.Namespace) -> in
         progress = None
         on_failure = None
 
-    report = run_resilient_study(
-        runner,
-        models=args.models,
-        datasets=args.datasets,
-        fault_types=tuple(FaultType(f) for f in args.faults),
-        rates=args.rates,
-        techniques=list(args.techniques) if args.techniques else None,
-        checkpoint=checkpoint,
-        retry=RetryPolicy(max_attempts=args.max_attempts),
-        executor=executor,
-        progress=progress,
-        on_failure=on_failure,
-        trace=args.trace,
-        on_outcome=reporter,
-    )
+    # Live metrics ride along with tracing: per-unit snapshots funnel to the
+    # collector and the final registry lands in the trace as a
+    # metrics_snapshot event (rendered by 'repro-study trace').
+    with metrics_scope(MetricsRegistry() if args.trace else get_metrics()):
+        report = run_resilient_study(
+            runner,
+            models=args.models,
+            datasets=args.datasets,
+            fault_types=tuple(FaultType(f) for f in args.faults),
+            rates=args.rates,
+            techniques=list(args.techniques) if args.techniques else None,
+            checkpoint=checkpoint,
+            retry=RetryPolicy(max_attempts=args.max_attempts),
+            executor=executor,
+            progress=progress,
+            on_failure=on_failure,
+            trace=args.trace,
+            on_outcome=reporter,
+        )
     if reporter is not None:
         reporter.finish()
     print(report.summary())
@@ -666,6 +668,7 @@ def _run_hardware_faults_command(args: argparse.Namespace) -> int:
             )
             return 2
 
+    failures = []
     try:
         results = hardware_fault_study(
             models=args.models,
@@ -688,13 +691,18 @@ def _run_hardware_faults_command(args: argparse.Namespace) -> int:
     except (KeyError, ValueError, CheckpointError) as exc:
         logger.error("error: %s", exc)
         return 2
+    except StudyFailedError as exc:
+        # Every other unit ran and is journaled: report them, then exit 1.
+        results, failures = exc.report.results, exc.report.failures
     print(render_hardware_table(results))
+    for failure in failures:
+        logger.error("FAILED %s", failure.describe())
     if args.out is not None:
         payload = hardware_campaign_payload(results, scale_name=scale.name)
         with open(args.out, "w") as fh:
             json.dump(payload, fh, indent=2)
         logger.info("[archived %d campaign units to %s]", len(results), args.out)
-    return 0
+    return 1 if failures else 0
 
 
 def _run_serve_command(args: argparse.Namespace) -> int:
@@ -745,43 +753,43 @@ def _run_serve_command(args: argparse.Namespace) -> int:
         logger.info("[tracing to %s]", args.trace)
     # Serving always runs with live metrics enabled: the /metrics endpoint
     # scrapes the process-global registry, which the backend adopts.
-    set_metrics(MetricsRegistry())
-    if args.replicas >= 2:
-        try:
-            fleet_settings = FleetSettings(
-                replicas=args.replicas,
-                backend=args.replica_backend,
-                max_queue=args.max_queue,
-                shed_policy=args.shed_policy,
-                client_rate=args.client_rate,
-                client_burst=args.client_burst,
-                replica_deadline_s=args.replica_deadline,
-                batch=settings,
+    with metrics_scope(MetricsRegistry()):
+        if args.replicas >= 2:
+            try:
+                fleet_settings = FleetSettings(
+                    replicas=args.replicas,
+                    backend=args.replica_backend,
+                    max_queue=args.max_queue,
+                    shed_policy=args.shed_policy,
+                    client_rate=args.client_rate,
+                    client_burst=args.client_burst,
+                    replica_deadline_s=args.replica_deadline,
+                    batch=settings,
+                )
+            except ValueError as exc:
+                logger.error("error: %s", exc)
+                return 2
+            backend = ServingFleet(registry, fleet_settings, telemetry=telemetry).start()
+            logger.info(
+                "[fleet: %d %s replicas, max-queue %d, shed-policy %s]",
+                args.replicas, backend.settings.resolved_backend(),
+                args.max_queue, args.shed_policy,
             )
-        except ValueError as exc:
-            logger.error("error: %s", exc)
-            return 2
-        backend = ServingFleet(registry, fleet_settings, telemetry=telemetry).start()
-        logger.info(
-            "[fleet: %d %s replicas, max-queue %d, shed-policy %s]",
-            args.replicas, backend.settings.resolved_backend(),
-            args.max_queue, args.shed_policy,
-        )
-    else:
-        backend = ServingEngine(registry, settings, telemetry=telemetry).start()
-    try:
-        logger.info(
-            "[serving %d model(s) at http://%s:%d — POST /predict, POST /shutdown]",
-            len(registry), args.host, args.port,
-        )
-        serve_forever(
-            backend, host=args.host, port=args.port, verbose=args.verbose,
-            request_timeout_s=args.request_timeout if args.request_timeout > 0 else None,
-        )
-    finally:
-        backend.close()
-        if telemetry is not None:
-            telemetry.close()
+        else:
+            backend = ServingEngine(registry, settings, telemetry=telemetry).start()
+        try:
+            logger.info(
+                "[serving %d model(s) at http://%s:%d — POST /predict, POST /shutdown]",
+                len(registry), args.host, args.port,
+            )
+            serve_forever(
+                backend, host=args.host, port=args.port, verbose=args.verbose,
+                request_timeout_s=args.request_timeout if args.request_timeout > 0 else None,
+            )
+        finally:
+            backend.close()
+            if telemetry is not None:
+                telemetry.close()
     return 0
 
 

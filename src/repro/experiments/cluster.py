@@ -11,14 +11,15 @@ on any host, connect and pull work:
 Every message is a *length-prefixed pickle frame*: a 4-byte big-endian
 payload length followed by the pickled tuple.  Frames compose the exact
 objects the process-pool path already ships through ``ProcessPoolExecutor``
-(:class:`~repro.experiments.plan.WorkUnit` out,
-:class:`~repro.experiments.resilience.CellOutcome` back — telemetry events
+(a :class:`~repro.experiments.executors.PlanUnit` out — a study cell or a
+hardware-campaign unit — and a
+:class:`~repro.experiments.resilience.CellOutcome` back, telemetry events
 and metrics snapshots riding along), and workers execute them through the
 same ``_execute_unit_in_worker`` entry point, so serial, ``--jobs N``, and
 cluster runs produce identical checkpoints, traces, and merged counters for
 the same plan.  Determinism needs no cooperation from the scheduler: each
-cell's result is a pure function of its :attr:`WorkUnit.fingerprint` (the
-CRC32 seed chain), never of which worker ran it.
+unit's result is a pure function of the unit (the CRC32 seed chain), never
+of which worker ran it.
 
 Crash safety is lease-based.  A dispatched unit is a *lease* with a
 deadline; workers refresh it with heartbeats (sent from a side thread, so a
@@ -49,8 +50,7 @@ from collections import deque
 from typing import Iterator
 
 from ..log import get_logger
-from .executors import ExecutionSettings, _execute_unit_in_worker
-from .plan import WorkUnit
+from .executors import ExecutionSettings, PlanUnit, _execute_unit_in_worker
 from .resilience import CellOutcome
 
 logger = get_logger("experiments.cluster")
@@ -141,7 +141,7 @@ class _WorkerConn:
 
 
 class ClusterExecutor:
-    """Lease :class:`WorkUnit`\\ s to socket-connected workers on any host.
+    """Lease plan units to socket-connected workers on any host.
 
     The constructor binds and listens immediately (so ``address`` is known
     before workers launch); the coordinator event loop runs inline in
@@ -201,7 +201,7 @@ class ClusterExecutor:
             "pid": os.getpid(), **attrs,
         })
 
-    def _dispatch(self, conn: _WorkerConn, pending: deque, units: "list[WorkUnit]") -> None:
+    def _dispatch(self, conn: _WorkerConn, pending: deque, units: "list[PlanUnit]") -> None:
         if not conn.ready or not pending:
             return
         index = pending.popleft()
@@ -215,7 +215,7 @@ class ClusterExecutor:
         conn.ready = False
 
     def map(
-        self, units: "list[WorkUnit]", settings: ExecutionSettings
+        self, units: "list[PlanUnit]", settings: ExecutionSettings
     ) -> Iterator[tuple[int, CellOutcome]]:
         units = list(units)
         if not units:
@@ -318,7 +318,7 @@ class ClusterExecutor:
         message,
         settings: ExecutionSettings,
         pending: deque,
-        units: "list[WorkUnit]",
+        units: "list[PlanUnit]",
         done: "list[bool]",
         completed: "list[tuple[int, CellOutcome]]",
     ) -> None:

@@ -1,7 +1,9 @@
-"""Study execution — schedule WorkUnits serially or across processes.
+"""Study execution — schedule plan units serially or across processes.
 
 The *schedule/execute/collect* stages of the experiments pipeline
-(:mod:`repro.experiments.plan` is the *plan* stage):
+(:mod:`repro.experiments.plan` is the *plan* stage) — the package's only
+such path: study grids, ``full_study`` and hardware-fault campaigns all run
+here, their units behind the small :class:`PlanUnit` protocol.
 
 - :class:`Executor` — the scheduling protocol: ``map(units, settings)``
   yields ``(index, CellOutcome)`` pairs as cells finish.  Every future scale
@@ -20,7 +22,7 @@ The *schedule/execute/collect* stages of the experiments pipeline
   journal records).
 
 Resilience (PR 1's checkpoint/retry/quarantine machinery) composes as
-middleware around any executor: each unit runs under
+middleware around any executor: each study cell runs under
 :func:`~repro.experiments.resilience.run_cell_with_retry` *inside* its worker
 (so learning-rate halving and reseeding happen next to the training loop),
 and the collector records successes/failures exactly as the serial driver
@@ -36,7 +38,7 @@ import os
 import socket
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Protocol, runtime_checkable
+from typing import Callable, ClassVar, Iterable, Iterator, Protocol, runtime_checkable
 
 from ..log import get_logger
 from ..telemetry import (
@@ -50,15 +52,13 @@ from ..telemetry import (
     metrics_scope,
     telemetry_scope,
 )
-from .config import scale_fingerprint
-from .plan import WorkUnit
+from .config import ScaleSettings, scale_fingerprint
 from .resilience import (
     CellFailure,
     CellOutcome,
     RetryPolicy,
     StudyCheckpoint,
     StudyReport,
-    run_cell_with_retry,
 )
 from .runner import ExperimentResult, ExperimentRunner
 
@@ -66,12 +66,31 @@ logger = get_logger("experiments.executors")
 
 __all__ = [
     "ExecutionSettings",
+    "PlanUnit",
     "Executor",
     "SerialExecutor",
     "ParallelExecutor",
     "execute_unit",
     "run_study_plan",
 ]
+
+
+class PlanUnit(Protocol):
+    """A schedulable unit: a study :class:`~repro.experiments.plan.WorkUnit`
+    or a :class:`~repro.faults.hardware.campaign.HardwareCampaignUnit`.
+
+    ``trace_spans`` names the root and per-unit spans of its trace;
+    ``execute`` never raises (interrupts excepted) — a failure comes back as
+    a :class:`~repro.experiments.resilience.CellFailure`.
+    """
+
+    trace_spans: ClassVar[tuple[str, str]]
+    key: str
+    scale: ScaleSettings
+
+    def span_attrs(self) -> dict: ...
+
+    def execute(self, runner: ExperimentRunner, retry: "RetryPolicy | None") -> CellOutcome: ...
 
 
 @dataclass(frozen=True)
@@ -103,23 +122,24 @@ class ExecutionSettings:
 
 def execute_unit(
     runner: ExperimentRunner,
-    unit: WorkUnit,
+    unit: PlanUnit,
     retry: "RetryPolicy | None" = None,
     trace: bool = False,
     metrics: bool = False,
 ) -> CellOutcome:
-    """Run one unit on ``runner`` under the retry middleware; never raises
+    """Run one unit on ``runner`` (``unit.execute``); never raises
     (interrupts excepted) — failures degrade to a recorded
     :class:`~repro.experiments.resilience.CellFailure`.
 
-    With ``trace=True`` the whole cell runs under a scoped
-    :class:`~repro.telemetry.RecordingTelemetry`, wrapped in a ``unit`` span;
-    the recorded batch rides back on ``outcome.events``.  Serial and worker
+    With ``trace=True`` the whole unit runs under a scoped
+    :class:`~repro.telemetry.RecordingTelemetry`, wrapped in the unit type's
+    span (``unit`` for study cells, ``hw_unit`` for campaign units); the
+    recorded batch rides back on ``outcome.events``.  Serial and worker
     execution share this exact path, so traces are structurally identical
     regardless of the executor (the collector re-parents each batch onto its
-    study span).
+    root span).
 
-    With ``metrics=True`` the cell additionally runs under an enabled
+    With ``metrics=True`` the unit additionally runs under an enabled
     metrics registry (the installed process-global one if any — the serial
     case — else a fresh per-unit registry, the worker case after fork) and
     its snapshot rides back on ``outcome.metrics`` for the collector to
@@ -128,29 +148,12 @@ def execute_unit(
     """
     recorder = RecordingTelemetry() if trace else NULL
 
-    def _run() -> CellOutcome:
-        return run_cell_with_retry(
-            runner,
-            unit.dataset,
-            unit.model,
-            unit.technique,
-            unit.fault,
-            policy=retry,
-            key=unit.key,
-            repeats=unit.repeats,
-            technique_kwargs=dict(unit.technique_kwargs) or None,
-            clean_fraction=unit.clean_fraction,
-        )
-
     def _run_traced() -> CellOutcome:
         if not trace:
-            return _run()
+            return unit.execute(runner, retry)
         with telemetry_scope(recorder):
-            with recorder.span(
-                "unit", key=unit.key, dataset=unit.dataset, model=unit.model,
-                technique=unit.technique, fault=unit.fault_label, rate=unit.rate,
-            ) as span:
-                outcome = _run()
+            with recorder.span(unit.trace_spans[1], **unit.span_attrs()) as span:
+                outcome = unit.execute(runner, retry)
                 if not outcome.ok:
                     span.set(outcome="failed")
         return outcome
@@ -180,7 +183,7 @@ def execute_unit(
 _WORKER_RUNNERS: dict[tuple[str, "str | None"], ExperimentRunner] = {}
 
 
-def _worker_runner(unit: WorkUnit, settings: ExecutionSettings) -> ExperimentRunner:
+def _worker_runner(unit: PlanUnit, settings: ExecutionSettings) -> ExperimentRunner:
     key = (scale_fingerprint(unit.scale), settings.cache_dir)
     runner = _WORKER_RUNNERS.get(key)
     if runner is None:
@@ -205,7 +208,7 @@ def _apply_worker_settings(settings: ExecutionSettings) -> None:
         set_ddp(settings.ddp)
 
 
-def _execute_unit_in_worker(unit: WorkUnit, settings: ExecutionSettings) -> CellOutcome:
+def _execute_unit_in_worker(unit: PlanUnit, settings: ExecutionSettings) -> CellOutcome:
     """Top-level (hence picklable) entry point run inside pool workers."""
     _apply_worker_settings(settings)
     return execute_unit(
@@ -220,7 +223,7 @@ def _execute_unit_in_worker(unit: WorkUnit, settings: ExecutionSettings) -> Cell
 
 @runtime_checkable
 class Executor(Protocol):
-    """Schedules WorkUnits and streams their outcomes back.
+    """Schedules plan units and streams their outcomes back.
 
     ``map`` yields ``(index, outcome)`` pairs — ``index`` into the submitted
     unit list — in *completion* order; the collector reorders into plan
@@ -230,7 +233,7 @@ class Executor(Protocol):
     jobs: int
 
     def map(
-        self, units: "list[WorkUnit]", settings: ExecutionSettings
+        self, units: "list[PlanUnit]", settings: ExecutionSettings
     ) -> Iterator[tuple[int, CellOutcome]]: ...
 
 
@@ -248,7 +251,7 @@ class SerialExecutor:
         self.runner = runner
 
     def map(
-        self, units: "list[WorkUnit]", settings: ExecutionSettings
+        self, units: "list[PlanUnit]", settings: ExecutionSettings
     ) -> Iterator[tuple[int, CellOutcome]]:
         units = list(units)
         if not units:
@@ -280,7 +283,7 @@ class ParallelExecutor:
         self.mp_context = mp_context
 
     def map(
-        self, units: "list[WorkUnit]", settings: ExecutionSettings
+        self, units: "list[PlanUnit]", settings: ExecutionSettings
     ) -> Iterator[tuple[int, CellOutcome]]:
         units = list(units)
         if not units:
@@ -305,7 +308,7 @@ class ParallelExecutor:
 # ----------------------------------------------------------------------
 
 def run_study_plan(
-    plan: Iterable[WorkUnit],
+    plan: Iterable[PlanUnit],
     executor: "Executor | None" = None,
     checkpoint: "StudyCheckpoint | str | os.PathLike | None" = None,
     retry: "RetryPolicy | None" = None,
@@ -313,7 +316,7 @@ def run_study_plan(
     on_failure: "Callable[[CellFailure], None] | None" = None,
     cache_dir: "str | None" = None,
     trace: "Telemetry | str | os.PathLike | None" = None,
-    on_outcome: "Callable[[int, WorkUnit, CellOutcome], None] | None" = None,
+    on_outcome: "Callable[[int, PlanUnit, CellOutcome], None] | None" = None,
 ) -> StudyReport:
     """Execute a plan and collect a :class:`StudyReport` in plan order.
 
@@ -336,9 +339,14 @@ def run_study_plan(
     enables study telemetry: each unit executes under a recording handle in
     its worker, the batch rides back on the outcome, and this function —
     the single writer — merges batches into one ordered JSONL trace wrapped
-    in a ``study`` span, with ``checkpoint_skip`` counters for replayed
-    cells.  Serial and parallel sweeps therefore produce structurally
+    in the unit type's root span (``study``, or ``hw_campaign`` for a
+    hardware campaign), with ``checkpoint_skip`` counters for replayed
+    units.  Serial and parallel sweeps therefore produce structurally
     identical traces.
+
+    ``checkpoint`` given as a path journals study-cell results; callers with
+    another result type (:func:`~repro.faults.hardware.campaign.run_campaign`)
+    pass a :class:`StudyCheckpoint` built with their codec.
     """
     plan = list(plan)
     executor = executor or SerialExecutor()
@@ -366,8 +374,9 @@ def run_study_plan(
 
     outcomes: dict[int, CellOutcome] = {}
     try:
-        with tel.span("study", cells=len(plan), jobs=executor.jobs) as study_span:
-            pending: list[tuple[int, WorkUnit]] = []
+        root_span = plan[0].trace_spans[0] if plan else "study"
+        with tel.span(root_span, cells=len(plan), jobs=executor.jobs) as study_span:
+            pending: list[tuple[int, PlanUnit]] = []
             for index, unit in enumerate(plan):
                 if ckpt is not None and unit.key in ckpt:
                     outcome = CellOutcome(

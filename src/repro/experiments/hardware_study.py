@@ -9,10 +9,13 @@ mitigation also reduce silent data corruption?  The grid crosses
 
 plans one :class:`~repro.faults.hardware.campaign.HardwareCampaignUnit` per
 cell (validated at plan time, before any training), and runs them through
-:func:`~repro.faults.hardware.campaign.run_campaign` — checkpoint/resume,
-``--jobs N`` fan-out, and merged telemetry traces included.  The rendered
-table and the ``BENCH_hardware_faults.json`` payload are the CLI's
-``repro-study hardware-faults`` output.
+:func:`~repro.faults.hardware.campaign.run_campaign` — the study collector
+(:func:`~repro.experiments.executors.run_study_plan`) with checkpoint/resume,
+``--jobs N`` fan-out, and merged telemetry traces included.  A failed unit
+is journaled and the campaign raises
+:class:`~repro.experiments.resilience.StudyFailedError` after the rest ran.
+The rendered table and the ``BENCH_hardware_faults.json`` payload are the
+CLI's ``repro-study hardware-faults`` output.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ from ..faults.spec import spec_from_label
 from ..mitigation.registry import validate_techniques
 from ..models.registry import model_names
 from .config import ScaleSettings, resolve_scale
+from .runner import single_network_technique
 
 __all__ = [
     "plan_hardware_study",
@@ -52,7 +56,8 @@ def plan_hardware_study(
     bit: "int | None" = None,
     scale: "ScaleSettings | str | None" = None,
 ) -> list[HardwareCampaignUnit]:
-    """Plan the cross-axis grid; fails fast on any invalid name or label.
+    """Plan the cross-axis grid; fails fast on any invalid name or label, and
+    on a technique with no single network to inject into (``ensemble``).
 
     Deterministic nested-loop order (dataset ▸ model ▸ technique ▸ data
     fault ▸ hw type ▸ target ▸ rate), so unit keys, trial seeds, and result
@@ -61,6 +66,8 @@ def plan_hardware_study(
     if not isinstance(scale, ScaleSettings):
         scale = resolve_scale(scale)
     validate_techniques(list(techniques))
+    for technique in techniques:
+        single_network_technique(technique)
     known_models = model_names(include_extensions=True)
     unknown = [m for m in models if m not in known_models]
     if unknown:

@@ -10,19 +10,20 @@ results bitwise-identical to the serial path, because everything that affects
 a cell's outcome (fingerprint, per-repetition seeds, fault spec) derives from
 the unit's own fields via pure functions.
 
-Execution lives in :mod:`repro.experiments.executors`; this module depends
-only on leaf modules (``faults.spec``, ``mitigation.registry``, ``config``)
-so every other experiments layer can import it freely.
+Scheduling and collection live in :mod:`repro.experiments.executors`; a
+unit only knows how to run itself (:meth:`WorkUnit.execute`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import ClassVar, Iterator
 
 from ..faults.spec import FaultSpec, FaultType, single_fault
 from ..mitigation.registry import technique_names, validate_techniques
 from .config import ScaleSettings, derive_repetition_seed, resolve_scale, scale_fingerprint
+from .resilience import CellOutcome, RetryPolicy, run_cell_with_retry
+from .runner import ExperimentRunner
 
 __all__ = ["WorkUnit", "plan_study", "iter_grid", "techniques_for"]
 
@@ -70,6 +71,9 @@ class WorkUnit:
     functions of the fields, so a worker process reconstructs the exact
     serial-path behaviour from the unit alone.
     """
+
+    #: Root and per-unit span names of a study trace.
+    trace_spans: ClassVar[tuple[str, str]] = ("study", "unit")
 
     dataset: str
     model: str
@@ -127,6 +131,19 @@ class WorkUnit:
         return (
             f"{self.dataset}/{self.model}/{self.technique}/{self.fault_label}"
             f" x{self.effective_repeats} ({self.scale.name})"
+        )
+
+    def span_attrs(self) -> dict:
+        """Attributes of this cell's ``unit`` trace span."""
+        return dict(key=self.key, dataset=self.dataset, model=self.model,
+                    technique=self.technique, fault=self.fault_label, rate=self.rate)
+
+    def execute(self, runner: ExperimentRunner, retry: "RetryPolicy | None") -> CellOutcome:
+        """Run the cell on ``runner`` under :func:`run_cell_with_retry`."""
+        return run_cell_with_retry(
+            runner, self.dataset, self.model, self.technique, self.fault, policy=retry,
+            key=self.key, repeats=self.repeats, clean_fraction=self.clean_fraction,
+            technique_kwargs=dict(self.technique_kwargs) or None,
         )
 
 

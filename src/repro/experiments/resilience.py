@@ -16,7 +16,8 @@ training pipeline.  This module wraps the grid drivers in three layers:
    continues; failures are summarized at the end instead of aborting the grid.
 
 Entry points: :func:`run_resilient_study` (returns a :class:`StudyReport`)
-and ``full_study(..., checkpoint=..., retry=...)`` which delegates here.
+and ``full_study``, which always delegates here and raises
+:class:`StudyFailedError` once every cell is journaled if any failed.
 """
 
 from __future__ import annotations
@@ -52,6 +53,7 @@ __all__ = [
     "CheckpointLockError",
     "RetryPolicy",
     "StudyCheckpoint",
+    "StudyFailedError",
     "StudyReport",
     "cell_key",
     "run_cell_with_retry",
@@ -162,7 +164,8 @@ class CellFailure:
 
 @dataclass
 class CellOutcome:
-    """What happened to one cell: a result, or a failure, never both.
+    """What happened to one unit: a result (an :class:`ExperimentResult`, or
+    a campaign unit's own result type), or a failure, never both.
 
     When tracing is on, ``events`` carries the cell's recorded telemetry
     batch (plain picklable dicts) back from wherever it executed — worker
@@ -557,6 +560,16 @@ class StudyReport:
         for failure in self.failures:
             lines.append(f"  FAILED {failure.describe()}")
         return "\n".join(lines)
+
+
+class StudyFailedError(RuntimeError):
+    """Raised by ``full_study`` and ``run_campaign`` after every cell ran and
+    was journaled, if any failed; ``report`` holds results and failures."""
+
+    def __init__(self, report: StudyReport) -> None:
+        self.report = report
+        keys = ", ".join(failure.key for failure in report.failures)
+        super().__init__(f"{len(report.failures)} cell(s) failed: {keys}")
 
 
 def run_resilient_study(

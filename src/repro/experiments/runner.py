@@ -25,11 +25,11 @@ import numpy as np
 from ..data.dataset import ArrayDataset, stratified_indices
 from ..data.registry import load_dataset
 from ..faults.injector import inject
-from ..faults.spec import CombinedFaultSpec, FaultSpec
+from ..faults.spec import CombinedFaultSpec, FaultSpec, spec_from_label
 from ..metrics.overhead import RuntimeCost
 from ..metrics.reliability import ReliabilityResult, compare_models
 from ..metrics.stats import MeanWithCI, mean_confidence_interval
-from ..mitigation.base import FittedModel, TrainingBudget
+from ..mitigation.base import FittedModel, MitigationTechnique, SingleModelFitted, TrainingBudget
 from ..mitigation.registry import build_technique
 from ..telemetry import NULL, NULL_METRICS, get_telemetry, metrics_scope, telemetry_scope
 from .cache import CellCache
@@ -41,7 +41,7 @@ from .config import (
     scale_fingerprint,
 )
 
-__all__ = ["ExperimentResult", "ExperimentRunner", "prepare_faulty_train"]
+__all__ = ["ExperimentResult", "ExperimentRunner", "prepare_faulty_train", "refit_cell_network"]
 
 
 def prepare_faulty_train(
@@ -70,6 +70,43 @@ def prepare_faulty_train(
         return faulty
     faulty, _ = inject(train, fault, rng=injection_rng)
     return faulty
+
+
+def single_network_technique(name: str) -> MitigationTechnique:
+    """Build technique ``name``; raise ``ValueError`` unless it fits one
+    network (a fact of its class), which serving and hardware campaigns need."""
+    technique = build_technique(name)
+    if not technique.single_network:
+        raise ValueError(
+            f"technique {name!r} does not produce a single servable network "
+            f"({type(technique).__name__} trains several); serve its members instead"
+        )
+    return technique
+
+
+def refit_cell_network(
+    scale: ScaleSettings, dataset: str, model: str, technique: str, fault_label: str,
+    repetition: int = 0, clean_fraction: float = 0.1,
+) -> tuple[SingleModelFitted, ArrayDataset]:
+    """Re-fit one study cell's network; returns ``(fitted, test split)``.
+
+    The runner's seed chain for a first-attempt fit — load the data, take
+    the seed from :func:`~repro.experiments.config.derive_repetition_seed`,
+    inject at ``seed + 0x5EED``, fit at ``seed + 1`` — so the network is
+    byte-for-byte the one the study measured.  Serving re-fits and hardware
+    campaigns share it; multi-network techniques fail before any data loads.
+    """
+    fitter = single_network_technique(technique)
+    train, test = load_dataset(
+        dataset, *scale.sizes_for(dataset), image_size=scale.image_size, seed=scale.seed
+    )
+    seed = derive_repetition_seed(scale.seed, dataset, model, repetition)
+    faulty_train = prepare_faulty_train(
+        train, spec_from_label(fault_label), technique, clean_fraction,
+        np.random.default_rng(seed + 0x5EED),
+    )
+    fitted = fitter.fit(faulty_train, model, scale.budget(dataset), np.random.default_rng(seed + 1))
+    return fitted, test
 
 
 @dataclass

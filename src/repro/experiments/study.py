@@ -14,7 +14,9 @@ from ..faults.spec import FaultSpec, FaultType, mislabelling, removal, repetitio
 from ..metrics.overhead import OverheadResult, RuntimeCost, relative_overhead
 from ..metrics.stats import MeanWithCI, statistically_similar
 from ..mitigation.registry import technique_names
+from .executors import ParallelExecutor
 from .plan import iter_grid, techniques_for
+from .resilience import StudyFailedError, run_resilient_study
 from .runner import ExperimentResult, ExperimentRunner
 
 __all__ = [
@@ -322,15 +324,17 @@ def full_study(
     ``progress`` (if given) is called with each completed
     :class:`ExperimentResult`.
 
-    Passing ``checkpoint`` (a journal path or
-    :class:`~repro.experiments.resilience.StudyCheckpoint`) and/or ``retry``
-    (a :class:`~repro.experiments.resilience.RetryPolicy`) routes the sweep
-    through the fault-tolerant driver: already-journaled cells replay without
-    retraining, failing cells are retried and then recorded instead of
-    aborting, and only the successful results are returned.  Use
-    :func:`~repro.experiments.resilience.run_resilient_study` directly for
-    the full :class:`~repro.experiments.resilience.StudyReport` (including
-    failures).
+    Every call runs through the fault-tolerant driver
+    (:func:`~repro.experiments.resilience.run_resilient_study`) with one
+    retry policy — ``retry``, by default a
+    :class:`~repro.experiments.resilience.RetryPolicy` (two attempts,
+    reseeded, learning rate halved on divergence).  ``checkpoint`` (a
+    journal path or :class:`~repro.experiments.resilience.StudyCheckpoint`)
+    replays already-journaled cells without retraining.  A cell that
+    exhausts its retries does not abort the sweep: the remaining cells run
+    and are journaled, then
+    :class:`~repro.experiments.resilience.StudyFailedError` is raised with
+    the full :class:`~repro.experiments.resilience.StudyReport`.
 
     ``executor`` (an :class:`~repro.experiments.executors.Executor`) or
     ``jobs`` (> 1, shorthand for
@@ -344,36 +348,23 @@ def full_study(
     a merged study trace — summarize it with ``repro-study trace <file>``.
     """
     if executor is None and jobs is not None and jobs > 1:
-        from .executors import ParallelExecutor
-
         executor = ParallelExecutor(jobs=jobs)
-    if checkpoint is not None or retry is not None or executor is not None or trace is not None:
-        from .resilience import run_resilient_study
-
-        report = run_resilient_study(
-            runner,
-            models=models,
-            datasets=datasets,
-            fault_types=fault_types,
-            rates=rates,
-            techniques=techniques,
-            checkpoint=checkpoint,
-            retry=retry,
-            progress=progress,
-            executor=executor,
-            trace=trace,
-        )
-        return report.results
-
-    results: list[ExperimentResult] = []
-    for dataset, model, technique, fault_type, rate in study_grid(
-        models, datasets, fault_types, rates, techniques
-    ):
-        result = runner.run(dataset, model, technique, _make_fault(fault_type, rate))
-        results.append(result)
-        if progress is not None:
-            progress(result)
-    return results
+    report = run_resilient_study(
+        runner,
+        models=models,
+        datasets=datasets,
+        fault_types=fault_types,
+        rates=rates,
+        techniques=techniques,
+        checkpoint=checkpoint,
+        retry=retry,
+        progress=progress,
+        executor=executor,
+        trace=trace,
+    )
+    if not report.ok:
+        raise StudyFailedError(report)
+    return report.results
 
 
 def motivating_example(

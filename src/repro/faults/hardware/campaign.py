@@ -6,41 +6,33 @@ mitigation technique, training-data fault) and one
 :class:`~repro.faults.hardware.spec.HardwareFaultSpec`, and measures how the
 cell's trained network degrades when that fault strikes at inference time.
 
-Per unit the runner fits the cell's model deterministically (the same seed
-chain as :meth:`repro.serve.registry.ModelRegistry.refit_cell`), records
+Per unit the runner fits the cell's model deterministically (the study's
+seed chain, :func:`repro.experiments.runner.refit_cell_network`), records
 clean test-set predictions, then runs ``trials`` injected inference passes —
 each armed with :class:`~repro.faults.hardware.injector.hardware_fault_injection`
 under a CRC32-derived trial seed — and reports accuracy and SDC rate (the
 fraction of predictions that silently changed versus the clean pass).
 
-Execution reuses the study harness's resilience machinery: results journal
-through :class:`~repro.experiments.resilience.StudyCheckpoint` (with this
-module's codec), ``--jobs N`` fans units across worker processes with
-bitwise-identical results to the serial path, and telemetry batches funnel
-back to a single-writer merged trace.
+A unit is a plan unit like a study cell: it runs on
+:func:`~repro.experiments.executors.run_study_plan` with any executor
+(serial, ``--jobs N``, or a cluster), which journals results through
+:class:`~repro.experiments.resilience.StudyCheckpoint` (with this module's
+codec) and merges telemetry into one trace.  Results are bitwise-identical
+whichever executor runs them.
 """
 
 from __future__ import annotations
 
 import os
 import zlib
-from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Iterable
+from typing import TYPE_CHECKING, Callable, ClassVar, Iterable
 
 import numpy as np
 
 from ...log import get_logger
 from ...metrics.stats import MeanWithCI, mean_confidence_interval
-from ...telemetry import (
-    FileTelemetry,
-    NULL,
-    NullTelemetry,
-    RecordingTelemetry,
-    Telemetry,
-    telemetry_scope,
-)
-from ..spec import spec_from_label
+from ...telemetry import get_telemetry
 from .injector import hardware_fault_injection
 from .spec import HardwareFaultSpec
 
@@ -49,7 +41,9 @@ from .spec import HardwareFaultSpec
 # mitigation.fault_aware pull it in), so a top-level import would cycle.
 if TYPE_CHECKING:
     from ...experiments.config import ScaleSettings
-    from ...experiments.resilience import StudyCheckpoint
+    from ...experiments.resilience import CellOutcome, RetryPolicy, StudyCheckpoint
+    from ...experiments.runner import ExperimentRunner
+    from ...telemetry import Telemetry
 
 logger = get_logger("faults.hardware.campaign")
 
@@ -75,6 +69,9 @@ class HardwareCampaignUnit:
     worker processes; :attr:`spec` reconstructs the
     :class:`HardwareFaultSpec` on either side of the process boundary.
     """
+
+    #: Root and per-unit span names of a campaign trace.
+    trace_spans: ClassVar[tuple[str, str]] = ("hw_campaign", "hw_unit")
 
     dataset: str
     model: str
@@ -121,6 +118,28 @@ class HardwareCampaignUnit:
 
         raw = f"{scale_fingerprint(self.scale)}|{self.key}|{trial}".encode()
         return zlib.crc32(raw) & 0x7FFFFFFF
+
+    def span_attrs(self) -> dict:
+        """Attributes of this unit's ``hw_unit`` trace span."""
+        return dict(key=self.key, dataset=self.dataset, model=self.model,
+                    technique=self.technique, data_fault=self.data_fault,
+                    hw_fault=self.spec.label)
+
+    def execute(self, runner: "ExperimentRunner", retry: "RetryPolicy | None") -> "CellOutcome":
+        """Run the unit once; any exception becomes a ``CellFailure``, so a
+        bad unit never kills its worker.  No retry: a reseeded re-fit would
+        not be the study's network."""
+        from ...experiments.resilience import CellFailure, CellOutcome
+
+        try:
+            return CellOutcome(result=run_campaign_unit(self))
+        except Exception as exc:
+            get_telemetry().counter("cell_failure", key=self.key, attempts=1)
+            logger.warning("campaign unit %s failed: %r", self.key, exc)
+            return CellOutcome(failure=CellFailure.from_errors(
+                self.key, self.dataset, self.model, self.technique,
+                f"{self.data_fault}|{self.spec.label}", [exc],
+            ))
 
 
 @dataclass
@@ -205,16 +224,12 @@ _TESTSET_CACHE: dict[tuple, object] = {}
 def _fitted_cell(unit: HardwareCampaignUnit):
     """Deterministically (re-)fit the unit's study cell; memoized per process.
 
-    Mirrors :meth:`repro.serve.registry.ModelRegistry.refit_cell`'s seed
-    chain exactly — scale seed → ``derive_repetition_seed`` → injection RNG
-    at ``seed + 0x5EED`` → fit RNG at ``seed + 1`` — so the measured network
+    Goes through :func:`repro.experiments.runner.refit_cell_network`, the
+    seed chain the serving registry's re-fits share, so the measured network
     is byte-for-byte the one the data-fault study trained.
     """
-    from ...data.registry import load_dataset
-    from ...experiments.config import derive_repetition_seed, scale_fingerprint
-    from ...experiments.runner import prepare_faulty_train
-    from ...mitigation.base import SingleModelFitted
-    from ...mitigation.registry import build_technique
+    from ...experiments.config import scale_fingerprint
+    from ...experiments.runner import refit_cell_network
 
     cell = (
         scale_fingerprint(unit.scale), unit.dataset, unit.model, unit.technique,
@@ -223,35 +238,11 @@ def _fitted_cell(unit: HardwareCampaignUnit):
     cached = _FITTED_CACHE.get(cell)
     if cached is not None:
         return cached
-
-    settings = unit.scale
-    train_size, test_size = settings.sizes_for(unit.dataset)
-    data_key = (scale_fingerprint(settings), unit.dataset)
-    train, test = load_dataset(
-        unit.dataset,
-        train_size=train_size,
-        test_size=test_size,
-        image_size=settings.image_size,
-        seed=settings.seed,
+    fitted, test = refit_cell_network(
+        unit.scale, unit.dataset, unit.model, unit.technique, unit.data_fault,
+        unit.repetition, unit.clean_fraction,
     )
-    _TESTSET_CACHE[data_key] = test
-    fault = spec_from_label(unit.data_fault)
-    seed = derive_repetition_seed(settings.seed, unit.dataset, unit.model, unit.repetition)
-    faulty_train = prepare_faulty_train(
-        train, fault, unit.technique, unit.clean_fraction,
-        np.random.default_rng(seed + 0x5EED),
-    )
-    technique = build_technique(unit.technique)
-    fitted = technique.fit(
-        faulty_train, unit.model, settings.budget(unit.dataset),
-        np.random.default_rng(seed + 1),
-    )
-    if not isinstance(fitted, SingleModelFitted):
-        raise ValueError(
-            f"technique {unit.technique!r} does not produce a single network "
-            f"(got {type(fitted).__name__}); hardware campaigns need one model "
-            "to inject into"
-        )
+    _TESTSET_CACHE[(scale_fingerprint(unit.scale), unit.dataset)] = test
     entry = (fitted.model.eval(), float(fitted.cost.training_s))
     _FITTED_CACHE[cell] = entry
     return entry
@@ -343,35 +334,6 @@ def run_campaign_unit(unit: HardwareCampaignUnit) -> HardwareCampaignResult:
     )
 
 
-def _execute_unit(unit: HardwareCampaignUnit, trace: bool) -> tuple:
-    """Run one unit, optionally under a recording telemetry scope.
-
-    Returns ``(result, events)`` — the recorded batch rides back to the
-    parent collector, the single writer of the merged trace (the same
-    funnel pattern as :func:`repro.experiments.executors.execute_unit`).
-    """
-    if not trace:
-        return run_campaign_unit(unit), []
-    recorder = RecordingTelemetry()
-    with telemetry_scope(recorder):
-        with recorder.span(
-            "hw_unit", key=unit.key, dataset=unit.dataset, model=unit.model,
-            technique=unit.technique, data_fault=unit.data_fault,
-            hw_fault=unit.spec.label,
-        ):
-            result = run_campaign_unit(unit)
-    return result, recorder.drain()
-
-
-def _execute_unit_in_worker(unit: HardwareCampaignUnit, trace: bool) -> tuple:
-    """Top-level (hence picklable) pool-worker entry point."""
-    return _execute_unit(unit, trace)
-
-
-# ----------------------------------------------------------------------
-# The campaign collector
-# ----------------------------------------------------------------------
-
 def run_campaign(
     units: Iterable[HardwareCampaignUnit],
     jobs: int = 1,
@@ -379,79 +341,34 @@ def run_campaign(
     trace: "Telemetry | str | os.PathLike | None" = None,
     progress: "Callable[[HardwareCampaignResult], None] | None" = None,
 ) -> list[HardwareCampaignResult]:
-    """Run campaign units; returns results in unit order.
+    """Run campaign units on :func:`~repro.experiments.executors.run_study_plan`;
+    returns results in unit order.
 
-    ``checkpoint`` journals completed units through
-    :class:`~repro.experiments.resilience.StudyCheckpoint` with this module's
-    result codec — a resumed campaign replays journaled units without
-    re-fitting.  ``jobs > 1`` fans pending units across worker processes;
-    per-unit determinism makes the parallel results bitwise-identical to
-    serial.  ``trace`` (path or telemetry handle) merges per-unit telemetry
-    batches into one ordered JSONL trace under a ``hw_campaign`` root span.
+    ``checkpoint`` journals units with an ``hw|<scale fingerprint>`` header
+    and this module's codec, so a resumed campaign re-fits nothing;
+    ``jobs > 1`` fans out with bitwise-identical results; ``trace`` merges
+    unit batches under a ``hw_campaign`` root span.  A failed unit is
+    journaled, the rest still run, then ``StudyFailedError`` is raised.
     """
     from ...experiments.config import scale_fingerprint
-    from ...experiments.resilience import StudyCheckpoint
+    from ...experiments.executors import ParallelExecutor, SerialExecutor, run_study_plan
+    from ...experiments.resilience import StudyCheckpoint, StudyFailedError
 
     units = list(units)
-
-    tel: "Telemetry | NullTelemetry" = NULL
-    owns_trace = False
-    if isinstance(trace, (Telemetry, NullTelemetry)):
-        tel = trace
-    elif trace is not None:
-        tel = FileTelemetry(trace)
-        owns_trace = True
-
-    ckpt = checkpoint
-    if ckpt is not None and not isinstance(ckpt, StudyCheckpoint):
-        fingerprint = f"hw|{scale_fingerprint(units[0].scale)}" if units else None
-        ckpt = StudyCheckpoint(
-            ckpt,
-            fingerprint=fingerprint,
-            encode=lambda r: r.to_dict(),
+    if checkpoint is not None and not isinstance(checkpoint, StudyCheckpoint):
+        checkpoint = StudyCheckpoint(
+            checkpoint,
+            fingerprint=f"hw|{scale_fingerprint(units[0].scale)}" if units else None,
+            encode=HardwareCampaignResult.to_dict,
             decode=HardwareCampaignResult.from_dict,
         )
-
-    results: dict[int, HardwareCampaignResult] = {}
-    try:
-        with tel.span("hw_campaign", units=len(units), jobs=jobs) as root:
-            pending: list[tuple[int, HardwareCampaignUnit]] = []
-            for index, unit in enumerate(units):
-                if ckpt is not None and unit.key in ckpt:
-                    results[index] = ckpt.completed[unit.key]
-                    tel.counter("checkpoint_skip", key=unit.key)
-                    if progress is not None:
-                        progress(results[index])
-                else:
-                    pending.append((index, unit))
-
-            def _collect(index: int, result: HardwareCampaignResult, events: list) -> None:
-                results[index] = result
-                if events:
-                    tel.write_batch(events, parent=root.id)
-                if ckpt is not None:
-                    ckpt.record_success(units[index].key, result)
-                if progress is not None:
-                    progress(result)
-
-            if pending and jobs > 1:
-                pool = ProcessPoolExecutor(max_workers=min(jobs, len(pending)))
-                try:
-                    futures = {
-                        pool.submit(_execute_unit_in_worker, unit, tel.enabled): index
-                        for index, unit in pending
-                    }
-                    for future in as_completed(futures):
-                        result, events = future.result()
-                        _collect(futures[future], result, events)
-                finally:
-                    pool.shutdown(wait=True, cancel_futures=True)
-            else:
-                for index, unit in pending:
-                    result, events = _execute_unit(unit, tel.enabled)
-                    _collect(index, result, events)
-    finally:
-        if owns_trace:
-            tel.close()
-
-    return [results[index] for index in range(len(units))]
+    report = run_study_plan(
+        units,
+        executor=ParallelExecutor(jobs) if jobs > 1 else SerialExecutor(),
+        checkpoint=checkpoint,
+        trace=trace,
+        progress=progress,
+    )
+    if not report.ok:
+        raise StudyFailedError(report)
+    return report.results

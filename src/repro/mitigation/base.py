@@ -116,6 +116,9 @@ class MitigationTechnique:
     name = "technique"
     #: Paper abbreviation used in tables, e.g. ``"LS"``.
     abbreviation = "?"
+    #: Whether :meth:`fit` returns one network (a :class:`SingleModelFitted`)
+    #: that can be served or injected into, rather than several voting ones.
+    single_network = True
 
     def fit(
         self,

@@ -62,6 +62,7 @@ class CoTeachingTechnique(MitigationTechnique):
 
     name = "co_teaching"
     abbreviation = "CoT"
+    single_network = False
 
     def __init__(self, forget_rate: float = 0.2, warmup_epochs: int | None = None) -> None:
         if not 0.0 <= forget_rate < 1.0:

@@ -73,6 +73,7 @@ class EnsembleTechnique(MitigationTechnique):
 
     name = "ensemble"
     abbreviation = "Ens"
+    single_network = False
 
     def __init__(self, members: tuple[str, ...] = PAPER_ENSEMBLE_MEMBERS) -> None:
         if len(members) < 1:

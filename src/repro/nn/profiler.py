@@ -20,6 +20,7 @@ fraction of the step the op table explains).
 
 from __future__ import annotations
 
+import gc
 import time
 from dataclasses import dataclass
 
@@ -164,11 +165,20 @@ def profile_model_step(
 
         profile = step.enable_profile()
         profile.reset()
-        t0 = time.perf_counter()
-        for _ in range(steps):
-            step.forward((x, y))
-            step.backward()
-        wall_s = time.perf_counter() - t0
+        # No cyclic-GC pass inside the timed window (as in timeit): when one
+        # lands there depends on what the process allocated before, and its
+        # pause is neither op time nor schedule overhead.
+        gc_was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            t0 = time.perf_counter()
+            for _ in range(steps):
+                step.forward((x, y))
+                step.backward()
+            wall_s = time.perf_counter() - t0
+        finally:
+            if gc_was_enabled:
+                gc.enable()
         step.disable_profile()
 
     return StepProfileReport(

@@ -28,12 +28,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..data.registry import DATASETS, load_dataset
-from ..experiments.config import ExperimentConfig, derive_repetition_seed, resolve_scale
-from ..experiments.runner import prepare_faulty_train
-from ..faults.spec import spec_from_label
-from ..mitigation.base import FittedModel, SingleModelFitted
-from ..mitigation.registry import build_technique
+from ..data.registry import DATASETS
+from ..experiments.config import ExperimentConfig, resolve_scale
+from ..experiments.runner import refit_cell_network
 from ..models.registry import build_model
 from ..nn import Module, Tensor, load_into, no_grad
 from ..nn.functional import row_stable_inference, softmax_np
@@ -237,44 +234,18 @@ class ModelRegistry:
 
         ``config`` is an :class:`~repro.experiments.config.ExperimentConfig`
         (or its dict form from a results archive).  The re-fit replays the
-        runner's Fig. 2 steps with the same derived seeds: load the dataset at
-        the cell's scale, inject the cell's fault with the repetition's
-        injection RNG, and fit the technique under the scale's budget — so the
+        runner's Fig. 2 steps with the same derived seeds
+        (:func:`~repro.experiments.runner.refit_cell_network`), so the
         registered model is byte-for-byte the network whose predictions the
-        archive records.  Only single-model techniques are servable; ensembles
-        raise ``ValueError``.
+        archive records.  Only single-network techniques are servable;
+        ensembles and co-teaching raise ``ValueError`` before any training.
         """
         if isinstance(config, dict):
             config = ExperimentConfig(**config)
-        settings = resolve_scale(config.scale)
-        train_size, test_size = settings.sizes_for(config.dataset)
-        train, _ = load_dataset(
-            config.dataset,
-            train_size=train_size,
-            test_size=test_size,
-            image_size=settings.image_size,
-            seed=settings.seed,
+        fitted, _ = refit_cell_network(
+            resolve_scale(config.scale), config.dataset, config.model,
+            config.technique, config.fault_label, repetition, clean_fraction,
         )
-        fault = spec_from_label(config.fault_label)
-        seed = derive_repetition_seed(
-            settings.seed, config.dataset, config.model, repetition
-        )
-        injection_rng = np.random.default_rng(seed + 0x5EED)
-        faulty_train = prepare_faulty_train(
-            train, fault, config.technique, clean_fraction, injection_rng
-        )
-        technique = build_technique(config.technique)
-        fitted: FittedModel = technique.fit(
-            faulty_train,
-            config.model,
-            settings.budget(config.dataset),
-            np.random.default_rng(seed + 1),
-        )
-        if not isinstance(fitted, SingleModelFitted):
-            raise ValueError(
-                f"technique {config.technique!r} does not produce a single servable "
-                f"network (got {type(fitted).__name__}); serve its members instead"
-            )
         key = ModelKey(
             model=config.model,
             dataset=config.dataset,

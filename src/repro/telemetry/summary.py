@@ -28,6 +28,9 @@ TALLY_COUNTERS = (
     "golden_cache_miss",
 )
 
+#: Per-unit span names: study cells and hardware-campaign units.
+UNIT_SPANS = ("unit", "hw_unit")
+
 
 @dataclass
 class TraceSummary:
@@ -128,7 +131,7 @@ def summarize_trace(
     for root in span_tree(events):
         summary.total_s += root.dur_s
         for node in root.walk():
-            if node.name != "unit":
+            if node.name not in UNIT_SPANS:
                 continue
             units.append((str(node.attrs.get("key", "?")), node.dur_s))
             cell = (str(node.attrs.get("technique", "?")), str(node.attrs.get("dataset", "?")))

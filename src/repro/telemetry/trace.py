@@ -26,8 +26,11 @@ __all__ = [
 
 #: Span names whose *subtrees* are schedule-dependent by design: golden
 #: models are memoized per process, so whether a unit trains one depends on
-#: which worker ran it first.  Cross-schedule comparisons exclude them.
-SCHEDULE_DEPENDENT_SPANS = ("golden_fit",)
+#: which worker ran it first.  The same holds for a hardware unit's
+#: ``hw_fit``: the per-process fitted-cell memo decides whether the span
+#: holds a training run or a memo hit.  Cross-schedule comparisons exclude
+#: them.
+SCHEDULE_DEPENDENT_SPANS = ("golden_fit", "hw_fit")
 
 
 class TraceError(ValueError):

@@ -74,6 +74,9 @@ class TestPlan:
             plan_hardware_study(hw_types=("gamma_ray",), scale=SCALE)
         with pytest.raises(ValueError):
             plan_hardware_study(targets=("bus",), scale=SCALE)
+        for several_networks in (("ensemble",), ("co_teaching",)):
+            with pytest.raises(ValueError, match="single servable"):
+                plan_hardware_study(techniques=several_networks, scale=SCALE)
 
 
 def fake_result(key: str = "hw|k", sdc: float = 0.1) -> HardwareCampaignResult:

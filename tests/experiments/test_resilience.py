@@ -14,6 +14,7 @@ from repro.experiments.resilience import (
     CheckpointError,
     RetryPolicy,
     StudyCheckpoint,
+    StudyFailedError,
     cell_key,
     run_cell_with_retry,
     run_resilient_study,
@@ -485,6 +486,28 @@ class TestResilientStudy:
         assert [r.accuracy_delta.mean for r in again] == [
             r.accuracy_delta.mean for r in results
         ]
+
+    @pytest.mark.parametrize("traced", [False, True])
+    def test_full_study_retries_a_diverging_cell_on_every_path(self, tmp_path, traced):
+        cell = ("pneumonia", "convnet", "baseline", "mislabelling@10%")
+        runner = StubRunner(fail_plan={cell: [DivergenceError(0, 3, float("nan"))]})
+        trace = tmp_path / "trace.jsonl" if traced else None
+        results = full_study(runner, trace=trace, **GRID)
+        assert len(results) == 4
+        retried = [c for c in runner.calls if c[:4] == cell]
+        assert [c[4] for c in retried] == [1.0, 0.5]  # lr halved after divergence
+
+    def test_full_study_raises_once_every_cell_is_journaled(self, tmp_path):
+        bad = ("pneumonia", "convnet", "baseline", "removal@30%")
+        runner = StubRunner(fail_plan={bad: [RuntimeError("boom")] * 2})
+        path = tmp_path / "study.jsonl"
+        with pytest.raises(StudyFailedError, match="removal@30%") as info:
+            full_study(runner, checkpoint=path, **GRID)
+        report = info.value.report
+        assert len(report.results) == 3
+        assert [f.fault_label for f in report.failures] == ["removal@30%"]
+        journal = StudyCheckpoint(path)
+        assert len(journal.completed) == 3 and set(journal.failures) == {report.failures[0].key}
 
     def test_cell_key_includes_scale_and_repeats(self):
         runner = StubRunner()

@@ -1,18 +1,29 @@
-"""Hardware campaigns: determinism, serial==parallel, checkpoint resume."""
+"""Hardware campaigns: determinism, serial==parallel==cluster, checkpoint resume."""
 
 from __future__ import annotations
+
+import json
+import re
 
 import numpy as np
 import pytest
 
-from repro.experiments.config import ScaleSettings
+from repro.experiments.cluster import ClusterExecutor
+from repro.experiments.config import ExperimentConfig, ScaleSettings, resolve_scale
+from repro.experiments.executors import run_study_plan
+from repro.experiments.resilience import StudyFailedError
 from repro.faults.hardware import (
     HardwareCampaignResult,
     HardwareCampaignUnit,
+    campaign,
     hardware_results_equivalent,
     run_campaign,
     run_campaign_unit,
 )
+from repro.serve import ModelRegistry
+from repro.telemetry import hierarchy_signature, read_trace, validate_trace
+
+from ..experiments.test_cluster import _spawn_workers
 
 #: Tiny scale: each cell fits in a couple of seconds.
 SCALE = ScaleSettings(
@@ -125,6 +136,85 @@ class TestRunCampaign:
         assert stats["spans"] > 0
         names = {event.get("name") for event in events}
         assert {"hw_campaign", "hw_unit", "hw_fit", "hw_trial"} <= names
+
+
+class TestExecutorEquivalence:
+    """Serial, ``jobs=2`` and a 2-worker cluster run the same collector."""
+
+    @pytest.fixture(scope="class")
+    def runs(self, tmp_path_factory):
+        tmp = tmp_path_factory.mktemp("hw-executors")
+        units = [unit(rate=1e-3), unit(rate=1e-2)]
+        serial = run_campaign(units, trace=tmp / "serial.jsonl")
+        parallel = run_campaign(units, jobs=2, trace=tmp / "parallel.jsonl")
+        executor = ClusterExecutor(lease_timeout=120.0, poll_interval=0.05)
+        procs = _spawn_workers(executor.address, 2)
+        report = run_study_plan(units, executor=executor, trace=tmp / "cluster.jsonl")
+        for proc in procs:
+            proc.join(timeout=30)
+        assert [proc.exitcode for proc in procs] == [0, 0]
+        assert report.ok and report.executed == 2
+        return {
+            "serial": (serial, tmp / "serial.jsonl"),
+            "parallel": (parallel, tmp / "parallel.jsonl"),
+            "cluster": (report.results, tmp / "cluster.jsonl"),
+        }
+
+    @pytest.mark.parametrize("schedule", ["parallel", "cluster"])
+    def test_results_bitwise_equal_to_serial(self, runs, schedule):
+        serial, _ = runs["serial"]
+        other, _ = runs[schedule]
+        assert [r.key for r in other] == [r.key for r in serial]
+        for a, b in zip(serial, other):
+            assert hardware_results_equivalent(a, b)
+
+    @pytest.mark.parametrize("schedule", ["parallel", "cluster"])
+    def test_trace_hierarchy_matches_serial(self, runs, schedule):
+        serial_events = read_trace(runs["serial"][1])
+        other_events = read_trace(runs[schedule][1])
+        validate_trace(other_events)
+        assert hierarchy_signature(other_events) == hierarchy_signature(serial_events)
+
+
+class TestFailedUnit:
+    def test_failure_is_journaled_and_raised(self, tmp_path, monkeypatch):
+        bad, good = unit(rate=1e-3), unit(rate=1e-2)
+        fitted_cell = campaign._fitted_cell
+
+        def fail_one(u):
+            if u.key == bad.key:
+                raise RuntimeError("fit exploded")
+            return fitted_cell(u)
+
+        monkeypatch.setattr(campaign, "_fitted_cell", fail_one)
+        journal = tmp_path / "hw.jsonl"
+        with pytest.raises(StudyFailedError, match=re.escape(bad.key)) as info:
+            run_campaign([bad, good], checkpoint=journal)
+        records = [json.loads(line) for line in journal.read_text().splitlines()]
+        assert [(r["kind"], r.get("key") or r["failure"]["key"]) for r in records[1:]] == [
+            ("failure", bad.key), ("cell", good.key),
+        ]
+        report = info.value.report
+        assert [r.key for r in report.results] == [good.key]
+        assert report.failures[0].error_type == "RuntimeError"
+
+
+class TestSharedSeedChain:
+    def test_fitted_cell_matches_registry_refit(self, monkeypatch):
+        monkeypatch.setenv("REPRO_EPOCHS", "2")
+        hw_unit = HardwareCampaignUnit(
+            dataset="pneumonia", model="convnet", scale=resolve_scale("smoke"),
+            data_fault="mislabelling@30%",
+        )
+        module, _ = campaign._fitted_cell(hw_unit)
+        servable = ModelRegistry().refit_cell(ExperimentConfig(
+            dataset="pneumonia", model="convnet", technique="baseline",
+            fault_label="mislabelling@30%", repeats=1, scale="smoke",
+        ))
+        state_a, state_b = module.state_dict(), servable.module.state_dict()
+        assert set(state_a) == set(state_b)
+        for name in state_a:
+            np.testing.assert_array_equal(state_a[name], state_b[name])
 
 
 class TestCompiledKernelMode:

@@ -37,6 +37,25 @@ def _study_trace():
     return events
 
 
+def _campaign_trace():
+    """Synthetic two-unit hardware campaign (``hw_campaign ▸ hw_unit``)."""
+    tel = RecordingTelemetry()
+    with tel.span("hw_campaign", cells=2):
+        for key, technique, seconds in (("hw|a", "baseline", 3.0),
+                                        ("hw|b", "fault_aware", 5.0)):
+            with tel.span("hw_unit", key=key, technique=technique, dataset="pneumonia"):
+                with tel.span("hw_fit", key=key):
+                    pass
+                with tel.span("hw_trial", key=key, trial=0):
+                    pass
+    events = tel.drain()
+    durations = iter([1.0, 1.0, 3.0, 2.0, 2.0, 5.0, 8.0])  # span_end file order
+    for event in events:
+        if event["ev"] == "span_end":
+            event["dur_s"] = next(durations)
+    return events
+
+
 class TestSummarizeTrace:
     def test_phase_totals_and_tallies(self):
         summary = summarize_trace(_study_trace())
@@ -58,6 +77,17 @@ class TestSummarizeTrace:
             ("ensembles", "gtsrb"): 4.0,
             ("baseline", "gtsrb"): 4.0,
         }
+
+    def test_campaign_units_are_cells(self):
+        summary = summarize_trace(_campaign_trace())
+        assert summary.slowest_units == [("hw|b", 5.0), ("hw|a", 3.0)]
+        assert summary.technique_dataset_s == {
+            ("baseline", "pneumonia"): 3.0,
+            ("fault_aware", "pneumonia"): 5.0,
+        }
+        text = render_trace_summary(summary)
+        assert "slowest cells:" in text
+        assert "technique x dataset wall-clock:" in text
 
     def test_reads_from_file(self, tmp_path):
         path = tmp_path / "t.jsonl"

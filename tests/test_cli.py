@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.cli import build_parser, main
+from repro.telemetry import NULL_METRICS, get_metrics
 
 
 class TestParser:
@@ -229,6 +230,7 @@ class TestMain:
             "--trace", str(trace),
         ]
         assert main(argv) == 0
+        assert get_metrics() is NULL_METRICS
         first = capsys.readouterr()
         assert "tracing to" in first.err
         assert trace.exists()
@@ -406,6 +408,25 @@ class TestMain:
         assert payload["benchmark"] == "hardware_faults"
         assert payload["units"] == 1
         assert payload["summary"][0]["sdc_rate"] >= 0.0
+
+    def test_hardware_faults_failed_unit_is_exit_1(self, tmp_path, capsys, monkeypatch):
+        from repro.faults.hardware import campaign
+
+        def broken_fit(unit):
+            raise RuntimeError("fit exploded")
+
+        monkeypatch.setattr(campaign, "_fitted_cell", broken_fit)
+        journal = tmp_path / "hw.jsonl"
+        argv = [
+            "hardware-faults",
+            "--models", "convnet", "--datasets", "pneumonia",
+            "--techniques", "baseline", "--data-faults", "none",
+            "--hw-rates", "1e-2", "--trials", "1",
+            "--checkpoint", str(journal),
+        ]
+        assert main(argv) == 1
+        assert "FAILED pneumonia/convnet/baseline" in capsys.readouterr().err
+        assert '"kind": "failure"' in journal.read_text()
 
     def test_study_progress_smoke(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("REPRO_EPOCHS", "2")
