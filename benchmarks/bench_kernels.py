@@ -3,10 +3,15 @@
 Times the vectorized (``fast``) kernels against their baselines and writes
 ``benchmarks/results/BENCH_kernel_perf.json``:
 
-* ``im2col`` — window-view gather vs the seed ``im2col_reference`` loop
-  (gated: must be >= 1.2x on every conv shape);
-* ``col2im`` — new-layout fold vs ``col2im_reference`` (report-only: the
-  scatter-accumulate is a strided loop in both, only the layout differs);
+* ``im2col`` — the fast-mode gather vs the seed ``im2col_reference`` loop
+  (gated: must be >= 1.2x on every shape).  Wide maps take the window-view
+  copy; maps whose output rows are shorter than ``_NARROW_ROW`` (the deep
+  layers' 2x2 and 4x4 maps, and 2x2/s2 pooling of an 8x8 map) take the
+  cached flat-index gather;
+* ``col2im`` — the fast-mode fold vs ``col2im_reference`` (report-only):
+  wide maps run the same strided offset loop as the seed, only the layout
+  differs; narrow maps take the flat-index fold, which here includes the
+  copy of ``cols`` into a zero-column buffer that the backward passes skip;
 * ``fused_loss`` — fused softmax-CE vs the composed log-softmax expression
   (gated).
 
@@ -37,11 +42,16 @@ from repro.nn.functional import (
 
 GATE_MIN_SPEEDUP = 1.2
 
-# (label, (n, c, h, w), (kh, kw), stride, padding) — VGG/ResNet conv geometries.
+# (label, (n, c, h, w), (kh, kw), stride, padding) — VGG/ResNet conv geometries,
+# then the narrow maps the study's ensemble members reach at 16x16 inputs.
 CONV_SHAPES = [
     ("conv3x3_early", (32, 8, 32, 32), (3, 3), 1, 1),
     ("conv3x3_mid", (32, 32, 16, 16), (3, 3), 1, 1),
     ("conv3x3_late", (32, 64, 8, 8), (3, 3), 1, 1),
+    ("conv3x3_2x2_c96", (32, 96, 2, 2), (3, 3), 1, 1),
+    ("conv3x3_2x2_c32", (32, 32, 2, 2), (3, 3), 1, 1),
+    ("conv3x3_4x4_c16", (32, 16, 4, 4), (3, 3), 1, 1),
+    ("pool2x2_s2_8x8", (64, 16, 8, 8), (2, 2), 2, 0),
 ]
 
 

@@ -8,9 +8,10 @@ cell's trained network degrades when that fault strikes at inference time.
 
 Per unit the runner fits the cell's model deterministically (the study's
 seed chain, :func:`repro.experiments.runner.refit_cell_network`), records
-clean test-set predictions, then runs ``trials`` injected inference passes —
-each armed with :class:`~repro.faults.hardware.injector.hardware_fault_injection`
-under a CRC32-derived trial seed — and reports accuracy and SDC rate (the
+clean test-set predictions (both once per cell and process), then runs
+``trials`` injected inference passes — each armed with
+:class:`~repro.faults.hardware.injector.hardware_fault_injection` under a
+CRC32-derived trial seed — and reports accuracy and SDC rate (the
 fraction of predictions that silently changed versus the clean pass).
 
 A unit is a plan unit like a study cell: it runs on
@@ -214,11 +215,21 @@ def hardware_results_equivalent(
 # Per-process memoization
 # ----------------------------------------------------------------------
 
-#: Trained (module, training_s) per cell identity — a worker process fits
-#: each study cell at most once across all its campaign units.
-_FITTED_CACHE: dict[tuple, tuple] = {}
+#: Per cell identity, ``[module, training_s, clean labels or None]`` — a
+#: worker process fits each study cell, and takes its clean test-set pass,
+#: at most once across all its campaign units.
+_FITTED_CACHE: dict[tuple, list] = {}
 #: Loaded test sets per (scale fingerprint, dataset).
 _TESTSET_CACHE: dict[tuple, object] = {}
+
+
+def _cell_key(unit: HardwareCampaignUnit) -> tuple:
+    from ...experiments.config import scale_fingerprint
+
+    return (
+        scale_fingerprint(unit.scale), unit.dataset, unit.model, unit.technique,
+        unit.data_fault, unit.repetition, unit.clean_fraction,
+    )
 
 
 def _fitted_cell(unit: HardwareCampaignUnit):
@@ -226,26 +237,40 @@ def _fitted_cell(unit: HardwareCampaignUnit):
 
     Goes through :func:`repro.experiments.runner.refit_cell_network`, the
     seed chain the serving registry's re-fits share, so the measured network
-    is byte-for-byte the one the data-fault study trained.
+    is byte-for-byte the one the data-fault study trained.  Returns
+    ``(module, training_s)``.
     """
     from ...experiments.config import scale_fingerprint
     from ...experiments.runner import refit_cell_network
 
-    cell = (
-        scale_fingerprint(unit.scale), unit.dataset, unit.model, unit.technique,
-        unit.data_fault, unit.repetition, unit.clean_fraction,
-    )
+    cell = _cell_key(unit)
     cached = _FITTED_CACHE.get(cell)
     if cached is not None:
-        return cached
+        return cached[0], cached[1]
     fitted, test = refit_cell_network(
         unit.scale, unit.dataset, unit.model, unit.technique, unit.data_fault,
         unit.repetition, unit.clean_fraction,
     )
     _TESTSET_CACHE[(scale_fingerprint(unit.scale), unit.dataset)] = test
-    entry = (fitted.model.eval(), float(fitted.cost.training_s))
-    _FITTED_CACHE[cell] = entry
-    return entry
+    module, training_s = fitted.model.eval(), float(fitted.cost.training_s)
+    _FITTED_CACHE[cell] = [module, training_s, None]
+    return module, training_s
+
+
+def _clean_labels(unit: HardwareCampaignUnit, module, images: np.ndarray) -> np.ndarray:
+    """The cell's clean test-set predictions, taken once per fitted cell.
+
+    Every unit of a cell measures the same module on the same test split,
+    and the injector restores weights bitwise on exit, so the first clean
+    pass stands for all of them.  It is kept in the cell's
+    :data:`_FITTED_CACHE` entry, so clearing that memo drops it too.
+    """
+    entry = _FITTED_CACHE.get(_cell_key(unit))
+    if entry is None or entry[0] is not module:
+        return _predict_labels(module, images)
+    if entry[2] is None:
+        entry[2] = _predict_labels(module, images)
+    return entry[2]
 
 
 def _test_set(unit: HardwareCampaignUnit):
@@ -284,10 +309,11 @@ def _predict_labels(module, images: np.ndarray) -> np.ndarray:
 def run_campaign_unit(unit: HardwareCampaignUnit) -> HardwareCampaignResult:
     """Fit the unit's cell, then measure it under ``unit.trials`` injections.
 
-    Clean predictions are taken outside any injection context; each trial
-    arms :class:`~repro.faults.hardware.injector.hardware_fault_injection`
-    with :meth:`HardwareCampaignUnit.trial_seed` around one full test-set
-    pass.  Deterministic per unit — not per schedule — so serial and worker
+    Clean predictions are taken outside any injection context, once per
+    fitted cell (see :func:`_clean_labels`); each trial arms
+    :class:`~repro.faults.hardware.injector.hardware_fault_injection` with
+    :meth:`HardwareCampaignUnit.trial_seed` around one full test-set pass.
+    Deterministic per unit — not per schedule — so serial and worker
     execution yield identical results.
     """
     from ...telemetry import get_telemetry
@@ -297,7 +323,7 @@ def run_campaign_unit(unit: HardwareCampaignUnit) -> HardwareCampaignResult:
         module, training_s = _fitted_cell(unit)
         span.set(training_s=round(training_s, 3))
     test = _test_set(unit)
-    clean = _predict_labels(module, test.images)
+    clean = _clean_labels(unit, module, test.images)
     clean_accuracy = float((clean == test.labels).mean())
     spec = unit.spec
     trials = []

@@ -11,9 +11,10 @@ The hot-path kernels come in three selectable modes (see
 :func:`set_kernel_mode`):
 
 ``fast`` (default)
-    Vectorised patch extraction via ``numpy.lib.stride_tricks.sliding_window_view``,
-    the fused :func:`softmax_cross_entropy` tape node, and scratch-buffer reuse
-    through :mod:`repro.nn.workspace`.
+    Vectorised patch extraction — a flat-index gather on narrow maps and
+    ``numpy.lib.stride_tricks.sliding_window_view`` on wide ones (see
+    :func:`im2col`) — the fused :func:`softmax_cross_entropy` tape node, and
+    scratch-buffer reuse through :mod:`repro.nn.workspace`.
 ``reference``
     The loop-based patch extraction and the composed (unfused) loss, with no
     buffer reuse.  ``reference`` and ``fast`` share every GEMM shape and every
@@ -42,6 +43,7 @@ layout-equivalence tests and of ``benchmarks/bench_kernels.py``.
 
 from __future__ import annotations
 
+import functools
 import os
 import threading
 
@@ -352,6 +354,106 @@ def conv_output_size(size: int, kernel: int, stride: int, padding: int) -> int:
 # ----------------------------------------------------------------------
 # Patch extraction (im2col / col2im)
 # ----------------------------------------------------------------------
+#: Output rows shorter than this take the flat-index path of :func:`im2col`
+#: and :func:`col2im` in the fast modes.  NumPy's strided copies run an inner
+#: loop one output row long, which costs several ns per element on the 1x1 to
+#: 4x4 maps of a deep layer; a flat-index gather costs ~1 ns on any map.  The
+#: measured crossover is 8 columns.
+_NARROW_ROW = 8
+
+
+def _narrow(out_w: int) -> bool:
+    """Whether a gather with ``out_w``-long output rows takes the flat index."""
+    return out_w < _NARROW_ROW and _KERNEL_MODE in _FAST_LIKE
+
+
+@functools.lru_cache(maxsize=128)
+def _unfold_index(c: int, h: int, w: int, kh: int, kw: int, stride: int, padding: int):
+    """Source column of every patch element, in :func:`im2col`'s layout.
+
+    Indexes a row of ``C*H*W + 1`` values: one flattened image plus a zero
+    column, which every padding position points at.  The cache is bounded and
+    its read-only arrays are shared by every caller of the geometry, at any
+    batch size and on any thread (``lru_cache`` is thread-safe; a race at
+    worst builds an index twice).
+    """
+    out_h = conv_output_size(h, kh, stride, padding)
+    out_w = conv_output_size(w, kw, stride, padding)
+    ch = np.arange(c)[:, None, None, None, None]
+    y = np.arange(kh)[:, None, None, None] + stride * np.arange(out_h)[:, None] - padding
+    x = np.arange(kw)[:, None, None] + stride * np.arange(out_w) - padding
+    inside = (y >= 0) & (y < h) & (x >= 0) & (x < w)
+    index = np.where(inside, (ch * h + y) * w + x, c * h * w).ravel()
+    index.flags.writeable = False
+    return index
+
+
+@functools.lru_cache(maxsize=128)
+def _fold_index(c: int, h: int, w: int, kh: int, kw: int, stride: int, padding: int):
+    """Patch elements each pixel sums, as ``(M, C*H*W)`` blocks for :func:`col2im`.
+
+    Indexes a row of ``C*KH*KW*OH*OW + 1`` patch gradients whose last column
+    is zero.  Block ``j`` holds, per pixel, the ``j``-th kernel offset (in the
+    offset loop's ``(ky, kx)`` order) whose window covers it; pixels with
+    fewer covering offsets read the zero column.  ``M`` is the most offsets
+    any pixel has — 4 rather than 9 for a 3x3 kernel on a 2x2 map or at
+    stride 2.  Read-only and shared like :func:`_unfold_index`.
+    """
+    out_h = conv_output_size(h, kh, stride, padding)
+    out_w = conv_output_size(w, kw, stride, padding)
+    ky = np.arange(kh)[:, None, None, None, None]
+    kx = np.arange(kw)[:, None, None, None]
+    ch = np.arange(c)[:, None, None]
+    oy, ry = np.divmod(np.arange(h)[:, None] + padding - ky, stride)
+    ox, rx = np.divmod(np.arange(w) + padding - kx, stride)
+    covered = (ry == 0) & (oy >= 0) & (oy < out_h) & (rx == 0) & (ox >= 0) & (ox < out_w)
+    source = (((ch * kh + ky) * kw + kx) * out_h + oy) * out_w + ox
+    index = np.where(covered, source, c * kh * kw * out_h * out_w).reshape(kh * kw, -1)
+    covered = np.broadcast_to(covered, source.shape).reshape(kh * kw, -1)
+    # A stable sort per pixel moves the covering offsets to the front in
+    # (ky, kx) order; rows past the largest cover count are all zero column.
+    order = np.argsort(~covered, axis=0, kind="stable")
+    index = np.take_along_axis(index, order, axis=0)[: covered.sum(axis=0).max()].ravel()
+    index.flags.writeable = False
+    return index
+
+
+def _gather_patches(
+    images: np.ndarray, index: np.ndarray, out: np.ndarray, rows: np.ndarray | None
+) -> np.ndarray:
+    """Narrow-map unfold: fill ``out`` with one ``np.take`` through ``index``.
+
+    ``index`` comes from :func:`_unfold_index`.  ``rows`` is the
+    ``(N, C*H*W + 1)`` buffer with a zero last column that padded geometries
+    gather from (compiled replay keeps one per site); without padding no
+    position reads the zero column and ``rows`` is ``None``.  Every index is
+    in range by construction: ``mode="clip"`` only spares the bounds check
+    and the temporary copy NumPy makes of ``out`` under ``mode="raise"``.
+    """
+    n = len(images)
+    src = images.reshape(n, -1)
+    if rows is not None:
+        rows[:, :-1] = src
+        src = rows
+    np.take(src, index, axis=1, mode="clip", out=out.reshape(n, index.size))
+    return out
+
+
+def _fold_rows(
+    rows: np.ndarray, index: np.ndarray, blocks: np.ndarray, grad: np.ndarray
+) -> np.ndarray:
+    """Narrow-map fold of zero-column patch rows into ``grad`` (N, C*H*W).
+
+    ``blocks`` (N, ``index.size``) receives the blocks of :func:`_fold_index`,
+    which are then added into the zeroed ``grad`` in block order.
+    """
+    np.take(rows, index, axis=1, mode="clip", out=blocks)
+    grad.fill(0)
+    for block in blocks.reshape(len(grad), -1, grad.shape[1]).transpose(1, 0, 2):
+        grad += block
+    return grad
+
+
 def im2col(
     images: np.ndarray,
     kernel_h: int,
@@ -363,10 +465,17 @@ def im2col(
 ) -> np.ndarray:
     """Unfold NCHW image patches into matrices of shape ``(N, C*KH*KW, OH*OW)``.
 
-    In ``fast`` mode stride-1 gathers are a single strided-view transpose copy
-    via ``sliding_window_view``; strided gathers and the other modes use a
-    per-kernel-offset copy loop that writes the same elements.  All paths
-    perform pure copies, so their outputs are bitwise-identical.
+    Three paths write the same elements, all by pure copies, so their
+    outputs are bitwise-identical:
+
+    * narrow maps in the fast modes (output rows shorter than
+      ``_NARROW_ROW``): the input is copied into an ``(N, C*H*W + 1)`` row
+      buffer whose last column is zero, and one ``np.take`` through a flat
+      index cached per geometry fills the patches — padding positions read
+      the zero column, so no pad buffer is built;
+    * other stride-1 gathers in the fast modes: one strided-view transpose
+      copy via ``sliding_window_view``;
+    * strided gathers and ``reference`` mode: a per-kernel-offset copy loop.
 
     ``out``, when given, must be a ``(N, C*KH*KW, OH*OW)`` C-contiguous buffer
     of the image dtype (e.g. from the :mod:`repro.nn.workspace` arena); it is
@@ -374,10 +483,17 @@ def im2col(
     ``padding > 0``, is a persistent pad buffer whose border is already zero
     (compiled replay arms one per conv site): only the interior is written, so
     the border stays zero and the per-step pad allocation + memset disappear.
+    The narrow path has no pad buffer and ignores it.
     """
     n, c, h, w = images.shape
     out_h = conv_output_size(h, kernel_h, stride, padding)
     out_w = conv_output_size(w, kernel_w, stride, padding)
+    if out is None:
+        out = np.empty((n, c * kernel_h * kernel_w, out_h * out_w), dtype=images.dtype)
+    if _narrow(out_w):
+        rows = np.zeros((n, c * h * w + 1), images.dtype) if padding > 0 else None
+        index = _unfold_index(c, h, w, kernel_h, kernel_w, stride, padding)
+        return _gather_patches(images, index, out, rows)
     if padding > 0:
         if padded_out is not None:
             padded = padded_out
@@ -386,8 +502,6 @@ def im2col(
         padded[:, :, padding:-padding, padding:-padding] = images
         images = padded
 
-    if out is None:
-        out = np.empty((n, c * kernel_h * kernel_w, out_h * out_w), dtype=images.dtype)
     cols = out.reshape(n, c, kernel_h, kernel_w, out_h, out_w)
     if _KERNEL_MODE in _FAST_LIKE and stride == 1:
         # The six-axis window-view copy wins for dense (stride-1) convolution
@@ -419,12 +533,33 @@ def col2im(
     """Fold ``(N, C*KH*KW, OH*OW)`` patch matrices back to NCHW, accumulating overlaps.
 
     This is the adjoint of :func:`im2col` and therefore exactly the gradient
-    routing a convolution backward pass needs.  The scatter-accumulate stays a
-    per-kernel-offset loop in every mode: each iteration is a fully vectorised
-    strided add over ``(N, C, OH, OW)``, and the windowed alternative measures
-    ~4× slower on disjoint (pooling) windows because of its extra indexing.
+    routing a convolution backward pass needs.  Two paths:
 
-    When ``workspace`` is given, the padded accumulator is drawn from it; the
+    * wide maps, and every map in ``reference`` mode: a per-kernel-offset
+      loop of strided adds into a zeroed padded accumulator.  Each iteration
+      is a fully vectorised add over ``(N, C, OH, OW)``; the windowed
+      alternative measures ~4x slower on disjoint (pooling) windows because
+      of its extra indexing.
+    * narrow maps in the fast modes (output rows shorter than
+      ``_NARROW_ROW``): the patches sit in an ``(N, C*KH*KW*OH*OW + 1)`` row
+      buffer whose last column is zero (the conv and pooling backward passes
+      write theirs there directly; a caller's ``cols`` is copied in).  One
+      ``np.take`` through a cached index (:func:`_fold_index`) gathers
+      ``(N, C*H*W)`` blocks: block ``j`` holds each pixel's ``j``-th covering
+      kernel offset in the loop's ``(ky, kx)`` order, or the zero column once
+      a pixel has no more.  The blocks are added into a zeroed accumulator
+      in block order.
+
+    Both paths are bitwise-identical: every pixel receives the same float
+    adds in the same order, the narrow path's extra trailing terms being
+    ``+0.0``.  Adding ``+0.0`` is exact for every value except ``-0.0``, and
+    a sum that starts at ``+0.0`` is never ``-0.0`` (round-to-nearest gives
+    ``x + -x == +0.0``).  A NaN sum stays NaN on both paths; which operand's
+    sign ``NaN + NaN`` keeps depends on NumPy's add loop, so NaN sign bits
+    are outside the contract.
+
+    ``workspace`` and ``padded_out`` serve the offset loop.  When
+    ``workspace`` is given, the padded accumulator is drawn from it; the
     caller owns releasing the returned array's base buffer after consuming the
     values.  ``padded_out``, when given, is a persistent accumulator (compiled
     replay arms one per site) that is zero-filled in place instead — same
@@ -433,6 +568,14 @@ def col2im(
     n, c, h, w = input_shape
     out_h = conv_output_size(h, kernel_h, stride, padding)
     out_w = conv_output_size(w, kernel_w, stride, padding)
+    if _narrow(out_w):
+        size = cols.size // n
+        rows = np.zeros((n, size + 1), cols.dtype)
+        rows[:, :-1] = cols.reshape(n, size)
+        index = _fold_index(c, h, w, kernel_h, kernel_w, stride, padding)
+        blocks = np.empty((n, index.size), cols.dtype)
+        grad = np.empty((n, c * h * w), cols.dtype)
+        return _fold_rows(rows, index, blocks, grad).reshape(input_shape)
     cols6 = cols.reshape(n, c, kernel_h, kernel_w, out_h, out_w)
 
     padded_shape = (n, c, h + 2 * padding, w + 2 * padding)
@@ -505,14 +648,59 @@ def col2im_reference(
     return padded
 
 
-def _release_folded(workspace: Workspace | None, folded: np.ndarray) -> None:
-    """Return a col2im result's backing buffer to the workspace.
+def _scratch(ctx: OpCtx, ws: Workspace | None, key: str, shape, dtype) -> np.ndarray:
+    """An uninitialised buffer: pooled in fast eager mode, persistent when armed."""
+    return ws.acquire(shape, dtype) if ws is not None else ctx.buffer(key, shape, dtype)
 
-    ``col2im`` returns the unpadded interior view when padding > 0; the pooled
-    buffer is then its base.
+
+def _fold_patch_grads(
+    ctx: OpCtx, ws: Workspace | None, acc, x_shape, kh: int, kw: int, stride: int,
+    padding: int, ckk: int, dtype, fill,
+) -> None:
+    """Route patch gradients to input 0: ``acc(0, col2im(fill(gcols)))``.
+
+    ``fill(gcols)`` overwrites the ``(N, C*KH*KW, OH*OW)`` patch gradients.
+    On narrow maps ``gcols`` is the body of the zero-column row buffer the
+    flat-index fold gathers from (see :func:`col2im`), so the gradients land
+    there without a copy; an armed ctx keeps those buffers and the index as
+    a plan.  Otherwise the offset loop folds them.  Every workspace buffer
+    is released once ``acc`` has consumed the values.
     """
-    if workspace is not None:
-        workspace.release(folded if folded.base is None else folded.base)
+    plan = None if ctx.bufs is None else ctx.bufs.get("fold_plan")
+    if plan is None or plan[0] != x_shape:
+        n, c, h, w = x_shape
+        out_h = conv_output_size(h, kh, stride, padding)
+        out_w = conv_output_size(w, kw, stride, padding)
+        ohw = out_h * out_w
+        if not _narrow(out_w):
+            gcols = _scratch(ctx, ws, "gcols", (n, ckk, ohw), dtype)
+            fill(gcols)
+            fold = None
+            if ctx.bufs is not None:
+                fold = ctx.buffer("fold", (n, c, h + 2 * padding, w + 2 * padding), dtype)
+            grad_img = col2im(
+                gcols, x_shape, kh, kw, stride, padding, workspace=ws, padded_out=fold
+            )
+            acc(0, grad_img)
+            if ws is not None:
+                # With padding, col2im returns the interior view of the pooled buffer.
+                ws.release(gcols)
+                ws.release(grad_img if grad_img.base is None else grad_img.base)
+            return
+        rows = _scratch(ctx, ws, "fold_rows", (n, ckk * ohw + 1), dtype)
+        rows[:, -1] = 0
+        index = _fold_index(c, h, w, kh, kw, stride, padding)
+        blocks = _scratch(ctx, ws, "fold_blocks", (n, index.size), dtype)
+        grad = _scratch(ctx, ws, "fold_sum", (n, c * h * w), dtype)
+        plan = (x_shape, rows, rows[:, :-1].reshape(n, ckk, ohw), index, blocks, grad)
+        if ctx.bufs is not None:
+            ctx.bufs["fold_plan"] = plan
+    _, rows, gcols, index, blocks, grad = plan
+    fill(gcols)
+    acc(0, _fold_rows(rows, index, blocks, grad).reshape(x_shape))
+    if ws is not None:
+        for buf in (rows, blocks, grad):
+            ws.release(buf)
 
 
 def _ctx_pad_zeros(ctx: OpCtx, key: str, x_shape, padding: int, dtype) -> np.ndarray | None:
@@ -536,12 +724,24 @@ def _armed_im2col(
 ) -> np.ndarray:
     """:func:`im2col` into an armed cols buffer, with plan-cached strided views.
 
-    For the stride-1 fast path the sliding-window source view and the target
-    six-axis view are pure functions of the (persistent) pad buffer and cols
-    buffer, so they are built once and cached on the ctx; steady-state steps
-    run exactly two copies — pad interior and window gather — the identical
-    element movement :func:`im2col` performs, minus its per-call view setup.
+    Narrow maps keep the flat index and a zero-column row buffer on the ctx
+    and gather with one ``np.take``.  For the stride-1 window path the
+    sliding-window source view and the target six-axis view are pure
+    functions of the (persistent) pad buffer and cols buffer, so they are
+    built once and cached on the ctx; steady-state steps run exactly two
+    copies — pad interior and window gather — the identical element
+    movement :func:`im2col` performs, minus its per-call view setup.
     """
+    n, c, h, w = x.shape
+    plan = ctx.bufs.get("gather")
+    if plan is None or plan[0] != x.shape:
+        index = rows = None
+        if _narrow(conv_output_size(w, kw, stride, padding)):
+            index = _unfold_index(c, h, w, kh, kw, stride, padding)
+            rows = np.zeros((n, c * h * w + 1), x.dtype) if padding > 0 else None
+        plan = ctx.bufs["gather"] = (x.shape, index, rows)
+    if plan[1] is not None:
+        return _gather_patches(x, plan[1], cols, plan[2])
     if stride != 1:
         return im2col(
             x,
@@ -561,7 +761,6 @@ def _armed_im2col(
     plan = ctx.bufs.get("i2c")
     if plan is None or plan[0] is not src or plan[2].base is not cols:
         windows = np.lib.stride_tricks.sliding_window_view(src, (kh, kw), axis=(2, 3))
-        n, c = x.shape[0], x.shape[1]
         out_h, out_w = windows.shape[2], windows.shape[3]
         cols6 = cols.reshape(n, c, kh, kw, out_h, out_w)
         plan = ctx.bufs["i2c"] = (src, windows.transpose(0, 1, 4, 5, 2, 3), cols6)
@@ -661,26 +860,10 @@ def _conv2d_vjp(ctx: OpCtx, grad, needs, acc) -> None:
             grad_w = gw3.sum(axis=0, out=ctx.buffer("gw", (c_out, ckk), grad.dtype))
         acc(1, grad_w.reshape(w_shape))
     if needs[0]:
-        if ctx.bufs is not None:
-            gcols = ctx.buffer("gcols", (n, ckk, ohw), grad.dtype)
-        elif ws is not None:
-            gcols = ws.acquire((n, ckk, ohw), grad.dtype)
-        else:
-            gcols = np.empty((n, ckk, ohw), dtype=grad.dtype)
-        np.matmul(flat_weight.T, grad3, out=gcols)  # (N, C*KH*KW, OH*OW)
-        fold = None
-        if ctx.bufs is not None:
-            nx, cx, hx, wx = x_shape
-            fold = ctx.buffer(
-                "fold", (nx, cx, hx + 2 * padding, wx + 2 * padding), grad.dtype
-            )
-        grad_img = col2im(
-            gcols, x_shape, kh, kw, stride, padding, workspace=ws, padded_out=fold
+        _fold_patch_grads(
+            ctx, ws, acc, x_shape, kh, kw, stride, padding, ckk, grad.dtype,
+            lambda gcols: np.matmul(flat_weight.T, grad3, out=gcols),
         )
-        acc(0, grad_img)
-        if ws is not None:
-            ws.release(gcols)
-        _release_folded(ws, grad_img)
     if ws is not None:
         ws.release(cols)
 
@@ -759,26 +942,12 @@ def _depthwise_vjp(ctx: OpCtx, grad, needs, acc) -> None:
         grad_w = np.einsum("ncp,nckp->ck", grad3, cols4)
         acc(1, grad_w.reshape(w_shape))
     if needs[0]:
-        if ctx.bufs is not None:
-            gcols = ctx.buffer("gcols", (n, c * kk, ohw), grad.dtype)
-        elif ws is not None:
-            gcols = ws.acquire((n, c * kk, ohw), grad.dtype)
-        else:
-            gcols = np.empty((n, c * kk, ohw), dtype=grad.dtype)
-        np.einsum("ncp,ck->nckp", grad3, flat_weight, out=gcols.reshape(n, c, kk, ohw))
-        fold = None
-        if ctx.bufs is not None:
-            nx, cx, hx, wx = x_shape
-            fold = ctx.buffer(
-                "fold", (nx, cx, hx + 2 * padding, wx + 2 * padding), grad.dtype
-            )
-        grad_img = col2im(
-            gcols, x_shape, kh, kw, stride, padding, workspace=ws, padded_out=fold
+        _fold_patch_grads(
+            ctx, ws, acc, x_shape, kh, kw, stride, padding, c * kk, grad.dtype,
+            lambda gcols: np.einsum(
+                "ncp,ck->nckp", grad3, flat_weight, out=gcols.reshape(n, c, kk, ohw)
+            ),
         )
-        acc(0, grad_img)
-        if ws is not None:
-            ws.release(gcols)
-        _release_folded(ws, grad_img)
     if ws is not None:
         ws.release(cols)
 
@@ -871,24 +1040,14 @@ def _max_pool2d_vjp(ctx: OpCtx, grad, needs, acc) -> None:
         np.put_along_axis(grad_img, flat, grad3, axis=2)
         acc(0, grad_img.reshape(n, c, h, w))
         return
-    if ctx.bufs is not None:
-        gcols = ctx.buffer("gcols", (n, c * kk, ohw), x_dtype)
+
+    def fill(gcols):
         gcols.fill(0)
-        fold = ctx.buffer("fold", (n, c, h, w), x_dtype)
-    elif ws is not None:
-        gcols = ws.acquire_zeros((n, c * kk, ohw), x_dtype)
-        fold = None
-    else:
-        gcols = np.zeros((n, c * kk, ohw), dtype=x_dtype)
-        fold = None
-    np.put_along_axis(
-        gcols.reshape(n, c, kk, ohw), argmax[:, :, None, :], grad3[:, :, None, :], axis=2
-    )
-    grad_img = col2im(gcols, x_shape, kernel, kernel, stride, 0, workspace=ws, padded_out=fold)
-    acc(0, grad_img)
-    if ws is not None:
-        ws.release(gcols)
-    _release_folded(ws, grad_img)
+        np.put_along_axis(
+            gcols.reshape(n, c, kk, ohw), argmax[:, :, None, :], grad3[:, :, None, :], axis=2
+        )
+
+    _fold_patch_grads(ctx, ws, acc, x_shape, kernel, kernel, stride, 0, c * kk, x_dtype, fill)
 
 
 _MAX_POOL2D = register_op("max_pool2d", _max_pool2d_apply, _max_pool2d_vjp)
@@ -964,21 +1123,10 @@ def _avg_pool2d_vjp(ctx: OpCtx, grad, needs, acc) -> None:
                 ] = spread
         acc(0, grad_img)
         return
-    if ctx.bufs is not None:
-        gcols = ctx.buffer("gcols", (n, c * kk, ohw), x_dtype)
-        fold = ctx.buffer("fold", (n, c, h, w), x_dtype)
-    elif ws is not None:
-        gcols = ws.acquire((n, c * kk, ohw), x_dtype)
-        fold = None
-    else:
-        gcols = np.empty((n, c * kk, ohw), dtype=x_dtype)
-        fold = None
-    np.divide(grad3[:, :, None, :], kk, out=gcols.reshape(n, c, kk, ohw))
-    grad_img = col2im(gcols, x_shape, kernel, kernel, stride, 0, workspace=ws, padded_out=fold)
-    acc(0, grad_img)
-    if ws is not None:
-        ws.release(gcols)
-    _release_folded(ws, grad_img)
+    _fold_patch_grads(
+        ctx, ws, acc, x_shape, kernel, kernel, stride, 0, c * kk, x_dtype,
+        lambda gcols: np.divide(grad3[:, :, None, :], kk, out=gcols.reshape(n, c, kk, ohw)),
+    )
 
 
 _AVG_POOL2D = register_op("avg_pool2d", _avg_pool2d_apply, _avg_pool2d_vjp)

@@ -176,6 +176,46 @@ class TestExecutorEquivalence:
         assert hierarchy_signature(other_events) == hierarchy_signature(serial_events)
 
 
+class TestCleanPassMemo:
+    def test_clean_pass_runs_once_per_cell(self, monkeypatch):
+        # Two units of one cell share the fitted module and the test split,
+        # so only the first takes the clean pass; the trials stay armed.
+        units = [unit(rate=1e-3), unit(rate=1e-2)]
+        armed, unarmed_calls = [False], []
+        predict = campaign._predict_labels
+        injection = campaign.hardware_fault_injection
+
+        def counting_predict(module, images):
+            if not armed[0]:
+                unarmed_calls.append(len(images))
+            return predict(module, images)
+
+        class FlaggedInjection(injection):
+            def __enter__(self):
+                injector = super().__enter__()
+                armed[0] = True
+                return injector
+
+            def __exit__(self, *exc_info):
+                armed[0] = False
+                return super().__exit__(*exc_info)
+
+        monkeypatch.setattr(campaign, "_predict_labels", counting_predict)
+        monkeypatch.setattr(campaign, "hardware_fault_injection", FlaggedInjection)
+        campaign._FITTED_CACHE.clear()
+        memoized = run_campaign(units)
+        assert len(unarmed_calls) == 1
+
+        fresh = []
+        for u in units:
+            campaign._FITTED_CACHE.clear()
+            fresh.append(run_campaign_unit(u))
+        assert len(unarmed_calls) == 3
+        for a, b in zip(memoized, fresh):
+            assert hardware_results_equivalent(a, b)
+            assert a.clean_accuracy == b.clean_accuracy
+
+
 class TestFailedUnit:
     def test_failure_is_journaled_and_raised(self, tmp_path, monkeypatch):
         bad, good = unit(rate=1e-3), unit(rate=1e-2)

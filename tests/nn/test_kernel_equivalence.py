@@ -9,10 +9,16 @@ equality, so anything weaker would make kernel choice visible in results.
 
 from __future__ import annotations
 
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
 
+from repro.models import build_model
 from repro.nn import Tensor, kernel_mode, set_kernel_mode, use_kernel_mode
+from repro.nn import functional as F
 from repro.nn.functional import (
     avg_pool2d,
     col2im,
@@ -26,20 +32,47 @@ from repro.nn.functional import (
     softmax_cross_entropy,
 )
 
+#: Output rows shorter than this take the flat-index patch path.
+NARROW = F._NARROW_ROW
+
 # (input shape, kernel kwargs) grids deliberately include stride 2, padding,
-# non-square kernels, non-square images, and batch size 1.
+# non-square kernels, non-square images, and batch size 1.  The second block
+# is the geometries the study's ensemble members (paper §III-B5) train on at
+# 16x16 inputs, batch 32, plus the rows either side of the narrow-map
+# threshold; every case with output rows shorter than NARROW runs the
+# flat-index gather, and its backward the flat-index fold wherever it folds
+# (disjoint pooling windows scatter instead).
 CONV_CASES = [
     ((2, 3, 9, 9), (4, 3, 3, 3), dict(stride=1, padding=1)),
     ((2, 3, 9, 9), (4, 3, 3, 3), dict(stride=2, padding=1)),
     ((1, 2, 8, 7), (3, 2, 3, 2), dict(stride=2, padding=1)),  # non-square kernel
     ((1, 1, 5, 5), (2, 1, 1, 1), dict(stride=1, padding=0)),  # 1x1 kernel
     ((3, 2, 11, 11), (2, 2, 5, 5), dict(stride=3, padding=2)),
+    ((32, 16, 1, 1), (16, 16, 3, 3), dict(stride=1, padding=1)),  # VGG16 deepest maps
+    ((32, 16, 2, 2), (32, 16, 3, 3), dict(stride=1, padding=1)),
+    ((32, 8, 4, 4), (16, 8, 3, 3), dict(stride=1, padding=1)),
+    ((32, 16, 2, 2), (24, 16, 1, 1), dict(stride=1, padding=0)),  # MobileNet pointwise
+    ((32, 8, 8, 8), (16, 8, 3, 3), dict(stride=2, padding=1)),  # ResNet downsampling
+    ((32, 4, 16, 16), (8, 4, 3, 3), dict(stride=1, padding=1)),  # wide: window copy
+    ((4, 3, NARROW - 1, NARROW - 1), (4, 3, 3, 3), dict(stride=1, padding=1)),
+    ((4, 3, NARROW, NARROW), (4, 3, 3, 3), dict(stride=1, padding=1)),
+]
+DEPTHWISE_CASES = [
+    ((2, 3, 9, 9), dict(stride=1, padding=1)),
+    ((1, 4, 8, 7), dict(stride=2, padding=1)),
+    ((2, 2, 7, 7), dict(stride=3, padding=0)),
+    ((32, 16, 4, 4), dict(stride=1, padding=1)),  # MobileNet depthwise
+    ((4, 3, NARROW - 1, NARROW - 1), dict(stride=1, padding=1)),
+    ((4, 3, NARROW, NARROW), dict(stride=1, padding=1)),
 ]
 POOL_CASES = [
     ((2, 3, 8, 8), dict(kernel=2, stride=2)),  # disjoint (fast scatter path)
     ((1, 2, 8, 7), dict(kernel=3, stride=2)),  # overlapping windows
     ((2, 1, 9, 9), dict(kernel=3, stride=3)),
     ((1, 4, 7, 7), dict(kernel=2, stride=3)),  # gaps between windows
+    ((32, 8, 8, 8), dict(kernel=2, stride=2)),  # study models' pooling
+    ((2, 3, 2 * NARROW - 1, 2 * NARROW - 1), dict(kernel=3, stride=2)),  # overlap, narrow
+    ((2, 3, 2 * NARROW + 1, 2 * NARROW + 1), dict(kernel=3, stride=2)),  # overlap, wide
 ]
 
 
@@ -103,14 +136,7 @@ class TestConvEquivalence:
 
 
 class TestDepthwiseEquivalence:
-    @pytest.mark.parametrize(
-        "x_shape,kwargs",
-        [
-            ((2, 3, 9, 9), dict(stride=1, padding=1)),
-            ((1, 4, 8, 7), dict(stride=2, padding=1)),
-            ((2, 2, 7, 7), dict(stride=3, padding=0)),
-        ],
-    )
+    @pytest.mark.parametrize("x_shape,kwargs", DEPTHWISE_CASES)
     def test_fast_matches_reference_bitwise(self, x_shape, kwargs):
         rng = np.random.default_rng(21)
         c = x_shape[1]
@@ -134,6 +160,26 @@ class TestPoolEquivalence:
         ref = _run("reference", op, [x], **kwargs)
         assert np.array_equal(fast[0], ref[0])
         assert np.array_equal(fast[1][0], ref[1][0])
+
+
+class TestNarrowPathSelection:
+    @pytest.mark.parametrize("mode", ["fast", "reference"])
+    def test_flat_index_path_runs_on_narrow_maps_in_fast_mode_only(self, mode, monkeypatch):
+        # The grids above compare fast against reference; that only checks
+        # the flat-index kernels if fast takes them on narrow maps and
+        # reference never does.
+        calls = []
+        gather, fold = F._gather_patches, F._fold_rows
+        monkeypatch.setattr(F, "_gather_patches", lambda *a: calls.append("gather") or gather(*a))
+        monkeypatch.setattr(F, "_fold_rows", lambda *a: calls.append("fold") or fold(*a))
+        rng = np.random.default_rng(71)
+        for size in (NARROW - 1, NARROW):
+            x = rng.normal(size=(2, 3, size, size)).astype(np.float32)
+            w = rng.normal(size=(4, 3, 3, 3)).astype(np.float32)
+            calls.clear()
+            _run(mode, conv2d, [x, w, None], stride=1, padding=1)
+            narrow = mode == "fast" and size < NARROW
+            assert calls == (["gather", "fold"] if narrow else [])
 
 
 class TestFusedLossEquivalence:
@@ -263,3 +309,103 @@ class TestModelLevelEquivalence:
         assert loss_fast == loss_ref
         for p_fast, p_ref in zip(params_fast, params_ref):
             assert np.array_equal(p_fast, p_ref)
+
+    @pytest.mark.parametrize("name", ["convnet", "mobilenet", "resnet18", "vgg11", "vgg16"])
+    def test_ensemble_member_training_step_is_bitwise_identical(self, name):
+        # The paper's five-member ensemble at the study's 16x16 inputs: the
+        # deep layers convolve 1x1 to 4x4 maps, so most of their patch
+        # gathers and folds take the narrow-map path in fast mode.
+        from repro.nn import SGD
+        from repro.nn.losses import CrossEntropy
+
+        def step(mode):
+            rng = np.random.default_rng(17)
+            x = rng.normal(size=(32, 3, 16, 16)).astype(np.float32)
+            y = np.eye(10, dtype=np.float32)[rng.integers(0, 10, 32)]
+            with use_kernel_mode(mode):
+                model = build_model(name, (3, 16, 16), 10, seed=17)
+                model.train()
+                opt = SGD(model.parameters(), lr=0.05)
+                loss = CrossEntropy()(model(Tensor(x)), y)
+                model.zero_grad()
+                loss.backward()
+                opt.step()
+                return float(loss.data), [p.data.copy() for p in model.parameters()]
+
+        loss_fast, params_fast = step("fast")
+        loss_ref, params_ref = step("reference")
+        assert loss_fast == loss_ref
+        assert len(params_fast) == len(params_ref)
+        for p_fast, p_ref in zip(params_fast, params_ref):
+            assert np.array_equal(p_fast, p_ref)
+
+
+class TestNarrowPathThreads:
+    def test_concurrent_narrow_kernels_match_serial(self):
+        # Serving runs inference on worker threads, so the cached patch
+        # indices are built and read concurrently.  A 1 us switch interval
+        # interleaves the threads inside index construction and the gathers;
+        # every thread's output and gradients must equal a serial run's.
+        geometries = [
+            ((4, 8, 2, 2), (8, 8, 3, 3), 1, 1),
+            ((4, 4, 4, 4), (6, 4, 3, 3), 1, 1),
+            ((4, 6, 1, 1), (4, 6, 3, 3), 1, 1),
+            ((4, 4, 8, 8), (4, 4, 3, 3), 2, 1),
+            ((4, 8, 2, 2), (4, 8, 1, 1), 1, 0),
+            ((4, 3, 5, 5), (5, 3, 2, 2), 1, 0),
+        ]
+        rng = np.random.default_rng(61)
+        cases = [
+            (
+                rng.normal(size=x_shape).astype(np.float32),
+                rng.normal(size=w_shape).astype(np.float32),
+                stride,
+                padding,
+            )
+            for x_shape, w_shape, stride, padding in geometries
+        ]
+
+        def run_case(case):
+            # Fast is the default mode; switching it is process-global, so
+            # the threads never touch it.
+            x, w, stride, padding = case
+            tx, tw = Tensor(x, requires_grad=True), Tensor(w, requires_grad=True)
+            out = conv2d(tx, tw, None, stride=stride, padding=padding)
+            out.backward(np.ones_like(out.data))
+            return out.data, [tx.grad, tw.grad]
+
+        assert kernel_mode() == "fast"
+        expected = [run_case(case) for case in cases]
+        F._unfold_index.cache_clear()
+        F._fold_index.cache_clear()
+        mismatches, errors = [], []
+        deadline = time.monotonic() + 3.0
+
+        def worker(offset):
+            try:
+                for i in range(4 * len(cases)):
+                    if time.monotonic() > deadline:
+                        return
+                    k = (offset + i) % len(cases)
+                    out, grads = run_case(cases[k])
+                    want_out, want_grads = expected[k]
+                    if not np.array_equal(out, want_out) or not all(
+                        np.array_equal(g, e) for g, e in zip(grads, want_grads)
+                    ):
+                        mismatches.append(k)
+            except Exception as exc:  # pragma: no cover - reported below
+                errors.append(exc)
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(t,)) for t in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(previous)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert mismatches == []

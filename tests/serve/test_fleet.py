@@ -195,8 +195,12 @@ class TestChaos:
             # slot must come back at a new generation with a new pid.
             out = fleet.predict(KEY, inputs[4:10], timeout=30.0)
             assert np.array_equal(out, reference[4:10])
+            # SIGKILL is asynchronous: the old handle can still report
+            # alive() right after the kill, so wait for the respawn itself.
             deadline = time.monotonic() + 15
-            while fleet.healthy_replicas() < 2 and time.monotonic() < deadline:
+            while (
+                victim_pid in fleet.replica_pids() or fleet.healthy_replicas() < 2
+            ) and time.monotonic() < deadline:
                 time.sleep(0.05)
             assert fleet.healthy_replicas() == 2
             assert victim_pid not in fleet.replica_pids()
