@@ -28,6 +28,17 @@ def get_logger(name: str) -> logging.Logger:
     return logging.getLogger(f"{ROOT_LOGGER}.{name}")
 
 
+class _CurrentStderrHandler(logging.StreamHandler):
+    """Writes to whatever ``sys.stderr`` is at emit time, never a stale one."""
+
+    def __init__(self) -> None:
+        logging.Handler.__init__(self)
+
+    @property
+    def stream(self) -> "IO[str]":  # type: ignore[override]
+        return sys.stderr
+
+
 def setup_cli_logging(
     verbose: bool = False,
     quiet: bool = False,
@@ -36,7 +47,8 @@ def setup_cli_logging(
     """Configure the ``repro`` root logger for a CLI invocation.
 
     Idempotent: reconfigures (rather than stacks) the CLI handler, so tests
-    calling ``main()`` repeatedly never duplicate output lines.
+    calling ``main()`` repeatedly never duplicate output lines.  Without a
+    ``stream`` the handler writes to the current ``sys.stderr`` at each emit.
     """
     logger = logging.getLogger(ROOT_LOGGER)
     if verbose:
@@ -49,7 +61,9 @@ def setup_cli_logging(
     for handler in list(logger.handlers):
         if getattr(handler, "_repro_cli", False):
             logger.removeHandler(handler)
-    handler = logging.StreamHandler(stream if stream is not None else sys.stderr)
+    handler = (
+        logging.StreamHandler(stream) if stream is not None else _CurrentStderrHandler()
+    )
     handler.setFormatter(logging.Formatter(fmt))
     handler._repro_cli = True  # type: ignore[attr-defined]
     logger.addHandler(handler)

@@ -13,10 +13,10 @@ the replica states, never of scheduling.
 Two interchangeable backends execute those semantics:
 
 - ``"process"`` — rank 0 *is* the trainer's process; ranks 1..N-1 are
-  forked worker processes exchanging shards and flat gradients over one
-  ``multiprocessing.shared_memory`` block (parameters are re-broadcast
-  through the same block every step, so workers track the optimizer
-  exactly).  This is the throughput path for the big nets.
+  forked workers exchanging shards and flat gradients through the
+  :class:`~repro.nn.shared.SharedBlock` mapping they inherited (parameters
+  are re-broadcast through it every step, so workers track the optimizer
+  exactly).  A dead worker raises ``RuntimeError("ddp worker {rank} ...")``.
 - ``"inproc"`` — the same shard loop run serially in one process, swapping
   per-replica state (batch-norm running buffers, dropout rng streams) in
   and out of the live model between shards.  This is the executable
@@ -42,12 +42,12 @@ from __future__ import annotations
 import math
 import os
 from contextlib import contextmanager
-from multiprocessing import shared_memory
 from typing import Iterator
 
 import multiprocessing
 import numpy as np
 
+from .shared import SharedBlock
 from .tensor import Tensor
 
 __all__ = [
@@ -325,7 +325,7 @@ class DataParallelGroup:
         self._replicas: "list[_ReplicaState | None]" = []
         self._flat_bufs: "list[np.ndarray]" = []
         # process backend state
-        self._shm: "shared_memory.SharedMemory | None" = None
+        self._block: "SharedBlock | None" = None
         self._conns: list = []
         self._procs: list = []
         self._views: list = []
@@ -359,48 +359,20 @@ class DataParallelGroup:
             self._start_processes()
         self._started = True
 
-    def _shm_layout(self):
-        """Byte offsets into the one shared block, per worker rank (1-based)."""
-        feat_size = int(np.prod(self._feat, dtype=np.int64)) if self._feat else 1
-        x_bytes = self._cap_shard * feat_size * 4
-        y_bytes = self._cap_shard * self._classes * 4
-        grads_bytes = self._nparams * 4
-        per_worker = grads_bytes + x_bytes + y_bytes + y_bytes + 8
-        param_bytes = self._nparams * 4
-        return feat_size, x_bytes, y_bytes, grads_bytes, per_worker, param_bytes
-
-    def _worker_views(self, buf, rank: int):
-        """(grads, x_flat, y_flat, logits_flat, loss) views for worker ``rank``."""
-        feat_size, x_bytes, y_bytes, grads_bytes, per_worker, param_bytes = (
-            self._shm_layout()
-        )
-        base = param_bytes + (rank - 1) * per_worker
-        grads = np.ndarray(self._nparams, np.float32, buffer=buf, offset=base)
-        x = np.ndarray(
-            self._cap_shard * feat_size, np.float32, buffer=buf,
-            offset=base + grads_bytes,
-        )
-        y = np.ndarray(
-            self._cap_shard * self._classes, np.float32, buffer=buf,
-            offset=base + grads_bytes + x_bytes,
-        )
-        logits = np.ndarray(
-            self._cap_shard * self._classes, np.float32, buffer=buf,
-            offset=base + grads_bytes + x_bytes + y_bytes,
-        )
-        loss = np.ndarray(
-            1, np.float64, buffer=buf,
-            offset=base + grads_bytes + x_bytes + y_bytes + y_bytes,
-        )
-        return grads, x, y, logits, loss
-
     def _start_processes(self) -> None:
-        _, _, _, _, per_worker, param_bytes = self._shm_layout()
-        nbytes = max(1, param_bytes + (self.world - 1) * per_worker)
-        self._shm = shared_memory.SharedMemory(create=True, size=nbytes)
-        self._param_view = np.ndarray(
-            self._nparams, np.float32, buffer=self._shm.buf
-        )
+        flat = ((self._nparams,), np.float32)
+        rows = ((self._cap_shard, self._classes), np.float32)
+        regions = {"params": flat}
+        for rank in range(1, self.world):
+            regions.update({
+                f"grads{rank}": flat,
+                f"x{rank}": ((self._cap_shard,) + self._feat, np.float32),
+                f"y{rank}": rows,
+                f"logits{rank}": rows,
+                f"loss{rank}": ((1,), np.float64),
+            })
+        self._block = SharedBlock(regions)
+        self._param_view = self._block.view("params")
         ctx = multiprocessing.get_context("fork")
         for rank in range(1, self.world):
             parent_conn, child_conn = ctx.Pipe()
@@ -414,16 +386,21 @@ class DataParallelGroup:
             child_conn.close()
             self._conns.append(parent_conn)
             self._procs.append(proc)
-            self._views.append(self._worker_views(self._shm.buf, rank))
+            self._views.append(self._rank_views(rank))
+
+    def _rank_views(self, rank: int) -> tuple:
+        """Worker ``rank``'s ``(grads, x, y, logits, loss)`` views."""
+        regions = ("grads", "x", "y", "logits", "loss")
+        return tuple(self._block.view(f"{region}{rank}") for region in regions)
 
     def close(self) -> None:
         """Stop workers and release the shared block (idempotent)."""
         for conn in self._conns:
             try:
                 conn.send(("stop",))
-                conn.close()
-            except (BrokenPipeError, OSError):
+            except OSError:  # the worker is already gone
                 pass
+            conn.close()
         for proc in self._procs:
             proc.join(timeout=10)
             if proc.is_alive():  # pragma: no cover - stuck worker safety net
@@ -434,13 +411,8 @@ class DataParallelGroup:
         self._views = []
         self._param_view = None
         self._grad_views = []
-        if self._shm is not None:
-            self._shm.close()
-            try:
-                self._shm.unlink()
-            except FileNotFoundError:  # pragma: no cover
-                pass
-            self._shm = None
+        if self._block is not None:
+            self._block.close()
 
     def __enter__(self) -> "DataParallelGroup":
         return self
@@ -513,17 +485,19 @@ class DataParallelGroup:
         return self._finish(flats, losses, lens, logits_parts)
 
     def _step_process(self, xb, yb, active):
-        feat_size = int(np.prod(self._feat, dtype=np.int64)) if self._feat else 1
         # Broadcast current parameters, then dispatch worker shards before
         # computing our own, so replicas run concurrently with rank 0.
         for p, (offset, size, _) in zip(self._params, self._layout):
             self._param_view[offset : offset + size] = p.data.ravel()
         for r, sl in active[1:]:
-            grads, x, y, logits_v, loss_v = self._views[r - 1]
+            _, x, y, _, _ = self._views[r - 1]
             n_s = sl.stop - sl.start
-            x[: n_s * feat_size] = xb[sl].ravel()
-            y[: n_s * self._classes] = yb[sl].ravel()
-            self._conns[r - 1].send(("step", n_s))
+            x[:n_s] = xb[sl]
+            y[:n_s] = yb[sl]
+            try:
+                self._conns[r - 1].send(("step", n_s))
+            except OSError as exc:  # BrokenPipeError: the worker is gone
+                raise RuntimeError(f"ddp worker {r} died: {exc!r}") from exc
         _, sl0 = active[0]
         loss0, logits0 = _shard_step(
             self.model, self.loss_fn, self._params, self._layout,
@@ -534,19 +508,18 @@ class DataParallelGroup:
         lens = [sl0.stop - sl0.start]
         logits_parts = [logits0]
         for r, sl in active[1:]:
-            reply = self._conns[r - 1].recv()
+            try:
+                reply = self._conns[r - 1].recv()
+            except (EOFError, OSError) as exc:
+                raise RuntimeError(f"ddp worker {r} died mid-step") from exc
             if reply[0] != "ok":
                 raise RuntimeError(f"ddp worker {r} failed: {reply[1]}")
-            grads, x, y, logits_v, loss_v = self._views[r - 1]
+            grads, _, _, logits_v, loss_v = self._views[r - 1]
             n_s = sl.stop - sl.start
             flats.append(grads)
             losses.append(float(loss_v[0]))
             lens.append(n_s)
-            logits_parts.append(
-                logits_v[: n_s * self._classes]
-                .reshape(n_s, self._classes)
-                .copy()
-            )
+            logits_parts.append(logits_v[:n_s].copy())
         return self._finish(flats, losses, lens, logits_parts)
 
 
@@ -554,18 +527,15 @@ def _worker_main(group: DataParallelGroup, rank: int, conn) -> None:
     """Forked shard worker: loop over ``("step", n)`` commands until stopped.
 
     Runs the identical :func:`_shard_step` on the forked model copy; only
-    parameters are re-synced (from the shared block) each step — running
-    statistics and rng streams stay replica-local by construction.
+    parameters are re-synced (from the shared block, through the mapping
+    inherited at fork) each step — running statistics and rng streams stay
+    replica-local by construction.
     """
-    shm = shared_memory.SharedMemory(name=group._shm.name)
+    model, loss_fn = group.model, group.loss_fn
+    params, layout = group._params, group._layout
+    param_view = group._param_view
+    grads, x, y, logits_v, loss_v = group._rank_views(rank)
     try:
-        model, loss_fn = group.model, group.loss_fn
-        params, layout = group._params, group._layout
-        feat = group._feat
-        feat_size = int(np.prod(feat, dtype=np.int64)) if feat else 1
-        classes = group._classes
-        param_view = np.ndarray(group._nparams, np.float32, buffer=shm.buf)
-        grads, x, y, logits_v, loss_v = group._worker_views(shm.buf, rank)
         while True:
             try:
                 msg = conn.recv()
@@ -577,19 +547,16 @@ def _worker_main(group: DataParallelGroup, rank: int, conn) -> None:
             try:
                 for p, (offset, size, shape) in zip(params, layout):
                     p.data[...] = param_view[offset : offset + size].reshape(shape)
-                xb = x[: n_s * feat_size].reshape((n_s,) + feat)
-                yb = y[: n_s * classes].reshape(n_s, classes)
                 loss_value, logits = _shard_step(
-                    model, loss_fn, params, layout, xb, yb, grads
+                    model, loss_fn, params, layout, x[:n_s], y[:n_s], grads
                 )
-                logits_v[: n_s * classes] = logits.ravel()
+                logits_v[:n_s] = logits
                 loss_v[0] = loss_value
                 conn.send(("ok",))
             except BaseException as exc:  # ship the failure, don't hang rank 0
                 try:
                     conn.send(("err", f"{type(exc).__name__}: {exc}"))
-                except (BrokenPipeError, OSError):
+                except OSError:
                     break
     finally:
-        shm.close()
         conn.close()

@@ -9,9 +9,10 @@ of any response.
 
 At fleet scale, a :class:`ServingFleet` runs N health-checked replicas
 (threads or forked processes) over a single shared-memory copy of every
-model's weights (:class:`SharedWeights`), behind a :class:`Router` that
-does bounded admission, per-client token-bucket fairness, priorities,
-least-outstanding dispatch, and exactly-once failover when replicas die.
+model's weights (one :class:`~repro.nn.shared.SharedBlock` per model, the
+packer DDP uses too), behind a :class:`Router` that does bounded
+admission, per-client token-bucket fairness, priorities, least-outstanding
+dispatch, and exactly-once failover when replicas die.
 An optional stdlib-only HTTP front-end (:class:`ServingServer`) exposes
 either an engine or a fleet as a JSON endpoint for the ``repro-study
 serve`` CLI subcommand (429 + ``Retry-After`` on shed, ``/fleet`` status).
@@ -23,7 +24,6 @@ from .fleet import (
     FleetSettings,
     ProcessReplica,
     ServingFleet,
-    SharedWeights,
     ThreadReplica,
 )
 from .registry import ModelKey, ModelRegistry, ServableModel
@@ -46,7 +46,6 @@ __all__ = [
     "SHED_POLICIES",
     "ServingFleet",
     "FleetSettings",
-    "SharedWeights",
     "ThreadReplica",
     "ProcessReplica",
     "REPLICA_BACKENDS",

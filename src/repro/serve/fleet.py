@@ -4,15 +4,16 @@ One :class:`ServingFleet` turns a template :class:`~repro.serve.registry.ModelRe
 into ``N`` replicas behind a :class:`~repro.serve.router.Router`:
 
 - **Weights are stored once.**  Every registered model's parameters and
-  buffers are packed into a single ``multiprocessing.shared_memory`` block
-  (:class:`SharedWeights` — the same block machinery the PR 9 allreduce
-  uses), and every replica's module attaches *read-only views* into that
-  block.  N replicas of a 10M-parameter model cost one copy of the arrays,
-  whether the replicas are threads in this process or forked children.
+  buffers are packed into one :class:`~repro.nn.shared.SharedBlock` — the
+  packer DDP's gradient allreduce uses too — and every replica's module
+  attaches *read-only views* into that block.  N replicas of a
+  10M-parameter model cost one copy of the arrays, whether the replicas
+  are threads in this process or forked children.  Closing the fleet
+  unlinks every block and unmaps it once no replica view is left.
 - **Replicas are disposable.**  Each replica runs its own micro-batching
   :class:`~repro.serve.engine.ServingEngine` — in-process
-  (:class:`ThreadReplica`) or in a forked child that re-attaches the shared
-  block by name (:class:`ProcessReplica`).  A health monitor evicts a
+  (:class:`ThreadReplica`) or in a forked child that attaches the block
+  mapping it inherited (:class:`ProcessReplica`).  A health monitor evicts a
   replica whose process died, whose engine closed, or whose oldest
   dispatched request overran ``replica_deadline_s``, requeues everything it
   held (the router guarantees exactly-once answers), and respawns a fresh
@@ -38,10 +39,10 @@ import signal
 import threading
 import time
 from dataclasses import dataclass, field
-from multiprocessing import shared_memory
 
 import numpy as np
 
+from ..nn.shared import SharedBlock
 from ..telemetry import (
     LATENCY_BUCKETS_S,
     NULL,
@@ -54,135 +55,38 @@ from .registry import ModelKey, ModelRegistry, ServableModel
 from .router import Chunk, ReplicaGone, Router, ShedError
 
 __all__ = [
-    "SharedWeights",
     "FleetSettings",
     "ThreadReplica",
     "ProcessReplica",
     "ServingFleet",
 ]
 
-#: Replica backends: ``process`` forks children re-attaching the shared
-#: block; ``thread`` keeps replicas in-process; ``auto`` prefers ``process``
-#: where ``fork`` exists.
+#: Replica backends: ``process`` forks children attaching the inherited
+#: shared blocks; ``thread`` keeps replicas in-process; ``auto`` prefers
+#: ``process`` where ``fork`` exists.
 REPLICA_BACKENDS = ("auto", "process", "thread")
 
 
-# ----------------------------------------------------------------------
-# Shared-memory weight blocks
-# ----------------------------------------------------------------------
-
-#: Handles of closed blocks, pinned so their mappings survive until process
-#: exit (see :meth:`SharedWeights.close`).
-_RETIRED_MAPPINGS: "list[shared_memory.SharedMemory]" = []
-
-
-def _assign_buffer(root, dotted: str, view: np.ndarray) -> None:
-    """Replace the buffer at ``dotted`` (e.g. ``features.3.running_mean``)."""
-    obj = root
-    parts = dotted.split(".")
-    for part in parts[:-1]:
-        obj = obj[int(part)] if isinstance(obj, (list, tuple)) else getattr(obj, part)
-    setattr(obj, parts[-1], view)
-
-
-def _align(offset: int, alignment: int = 64) -> int:
-    return (offset + alignment - 1) & ~(alignment - 1)
-
-
-class SharedWeights:
-    """One model's parameters + buffers, packed once into a shared block.
-
-    The creating process copies every array of ``module`` into a fresh
-    ``multiprocessing.shared_memory`` block and records a ``(name, kind,
-    offset, shape, dtype)`` layout.  Any process — this one, or a forked
-    replica re-opening the block by :attr:`name` — can then call
-    :meth:`attach` on a *structurally identical* module to swap its arrays
-    for read-only, zero-copy views into the block.  The block is the single
-    source of weight bytes for the whole fleet.
-    """
-
-    def __init__(self, key: ModelKey, module) -> None:
-        self.key = key
-        entries = []
-        offset = 0
-        arrays = []
-        for name, param in module.named_parameters():
-            offset = _align(offset)
-            entries.append((name, "param", offset, param.data.shape, param.data.dtype.str))
-            arrays.append(np.ascontiguousarray(param.data))
-            offset += arrays[-1].nbytes
-        for name, buf in module.named_buffers():
-            offset = _align(offset)
-            entries.append((name, "buffer", offset, buf.shape, buf.dtype.str))
-            arrays.append(np.ascontiguousarray(buf))
-            offset += arrays[-1].nbytes
-        self.layout = tuple(entries)
-        self.nbytes = max(1, offset)
-        self._shm = shared_memory.SharedMemory(create=True, size=self.nbytes)
-        self.name = self._shm.name
-        for (name, kind, off, shape, dtype), array in zip(entries, arrays):
-            view = np.ndarray(shape, dtype=np.dtype(dtype), buffer=self._shm.buf, offset=off)
-            view[...] = array
-
-    def attach(self, module, shm: "shared_memory.SharedMemory | None" = None) -> list:
-        """Point ``module``'s parameters/buffers at the block; returns the views.
-
-        ``shm`` is an already-opened handle (a forked replica's own); when
-        ``None`` the creator's mapping is used.  Views are marked read-only:
-        serving never writes weights, and an accidental write should fail
-        loudly rather than corrupt every replica at once.
-        """
-        handle = shm if shm is not None else self._shm
-        params = dict(module.named_parameters())
-        buffer_names = {name for name, _ in module.named_buffers()}
-        views = []
-        for name, kind, off, shape, dtype in self.layout:
-            view = np.ndarray(shape, dtype=np.dtype(dtype), buffer=handle.buf, offset=off)
-            view.flags.writeable = False
-            if kind == "param":
-                params[name].data = view
-            else:
-                if name not in buffer_names:
-                    raise ValueError(f"module has no buffer {name!r} to attach")
-                _assign_buffer(module, name, view)
-            views.append(view)
-        return views
-
-    def open(self) -> "shared_memory.SharedMemory":
-        """A fresh handle on the block (used by forked replicas)."""
-        return shared_memory.SharedMemory(name=self.name)
-
-    def close(self, unlink: bool = True) -> None:
-        """Retire the creator's handle (and by default unlink the block).
-
-        The mapping itself is pinned for the life of the process rather
-        than unmapped: numpy views built over ``shm.buf`` keep only an
-        object reference, not a buffer export, so ``shm.close()`` would
-        happily unmap pages a straggler thread is about to read — e.g. a
-        wedged replica worker that outlived its join timeout — turning a
-        chaos test into a segfault.  Unlinking frees the name immediately;
-        the pages return at process exit.
-        """
-        if self._shm is None:
-            return
-        if unlink:
-            try:
-                self._shm.unlink()
-            except FileNotFoundError:  # pragma: no cover - already unlinked
-                pass
-        _RETIRED_MAPPINGS.append(self._shm)
-        self._shm = None
-
-
-def _attached_clone(servable: ServableModel, weights: SharedWeights) -> "tuple":
+def _attached_clone(servable: ServableModel, block: SharedBlock) -> ServableModel:
     """A structural copy of ``servable``'s module wired to the shared block."""
     module = copy.deepcopy(servable.module)
-    views = weights.attach(module)
-    clone = ServableModel(
+    block.attach(module)
+    return ServableModel(
         servable.key, module, source=f"fleet:{servable.source}",
         metadata=dict(servable.metadata),
     )
-    return clone, views
+
+
+def _stall_inference(registry: ModelRegistry, delay_s: float) -> None:
+    """Chaos hook body: every later inference in ``registry`` stalls ``delay_s``."""
+    for servable in map(registry.get, registry.keys()):
+        inner = type(servable).predict_logits.__get__(servable)
+
+        def slowed(batch, _inner=inner):
+            time.sleep(delay_s)
+            return _inner(batch)
+
+        servable.predict_logits = slowed
 
 
 # ----------------------------------------------------------------------
@@ -199,7 +103,7 @@ class ThreadReplica:
         slot: int,
         generation: int,
         template: ModelRegistry,
-        blocks: "dict[ModelKey, SharedWeights]",
+        blocks: "dict[ModelKey, SharedBlock]",
         settings: BatchSettings,
         router: Router,
     ) -> None:
@@ -207,14 +111,9 @@ class ThreadReplica:
         self.generation = generation
         self.router = router
         self.pid = os.getpid()
-        self._views = []
         self.registry = ModelRegistry()
-        self._servables: "dict[ModelKey, ServableModel]" = {}
         for key in template.keys():
-            clone, views = _attached_clone(template.get(key), blocks[key])
-            self.registry.register(clone)
-            self._servables[key] = clone
-            self._views.extend(views)
+            self.registry.register(_attached_clone(template.get(key), blocks[key]))
         self.engine = ServingEngine(self.registry, settings).start()
         self._failed = False
 
@@ -249,50 +148,35 @@ class ThreadReplica:
 
     def set_slow(self, delay_s: float) -> None:
         """Chaos hook: every inference on this replica stalls ``delay_s``."""
-        for servable in self._servables.values():
-            inner = type(servable).predict_logits.__get__(servable)
-
-            def slowed(batch, _inner=inner):
-                time.sleep(delay_s)
-                return _inner(batch)
-
-            servable.predict_logits = slowed
+        _stall_inference(self.registry, delay_s)
 
     def close(self) -> None:
         self.engine.close()
-        self._views = []
 
     def describe(self) -> dict:
         return {"backend": self.backend, "pid": self.pid}
 
 
 def _replica_main(child_conn, template: ModelRegistry,
-                  blocks: "dict[ModelKey, SharedWeights]",
+                  blocks: "dict[ModelKey, SharedBlock]",
                   settings: BatchSettings) -> None:
     """Forked replica body: attach the shared blocks, serve predict frames.
 
-    The child inherited the template modules via fork (copy-on-write pages)
-    and immediately re-points their arrays at a freshly opened handle on
-    each shared block — so its weights are the same bytes every other
-    replica reads, not a copy.  Frames::
+    The child inherited the template modules and the blocks' mappings via
+    fork, and immediately re-points the modules' arrays at read-only views
+    of the blocks — so its weights are the same bytes every other replica
+    reads, not a copy.  Frames::
 
         ("predict", model_id, [seq...], stacked_samples) -> ("ok", seqs, logits)
                                                           | ("err", seqs, message)
         ("slow", delay_s)   chaos hook: stall every subsequent inference
         ("stop",)           graceful shutdown
     """
-    handles = []
     registry = ModelRegistry()
-    servables: "dict[str, ServableModel]" = {}
-    views = []
     for key in template.keys():
-        shm = blocks[key].open()
-        handles.append(shm)
         module = template.get(key).module  # inherited; ours to mutate now
-        views.extend(blocks[key].attach(module, shm=shm))
-        servable = ServableModel(key, module, source="fleet-fork")
-        registry.register(servable)
-        servables[key.id] = servable
+        blocks[key].attach(module)
+        registry.register(ServableModel(key, module, source="fleet-fork"))
     engine = ServingEngine(registry, settings).start()
     replies = []  # (seqs, futures) awaiting completion, in dispatch order
     reply_ready = threading.Condition()
@@ -323,7 +207,6 @@ def _replica_main(child_conn, template: ModelRegistry,
 
     reply_thread = threading.Thread(target=replier, daemon=True)
     reply_thread.start()
-    delay_s = 0.0
     try:
         while True:
             try:
@@ -333,15 +216,7 @@ def _replica_main(child_conn, template: ModelRegistry,
             if frame[0] == "stop":
                 break
             if frame[0] == "slow":
-                delay_s = float(frame[1])
-                for servable in servables.values():
-                    inner = type(servable).predict_logits.__get__(servable)
-
-                    def slowed(batch, _inner=inner):
-                        time.sleep(delay_s)
-                        return _inner(batch)
-
-                    servable.predict_logits = slowed
+                _stall_inference(registry, float(frame[1]))
                 continue
             _, model_id, seqs, samples = frame
             futures = [engine.submit(model_id, sample) for sample in samples]
@@ -354,9 +229,6 @@ def _replica_main(child_conn, template: ModelRegistry,
             reply_ready.notify_all()
         engine.close()
         reply_thread.join(timeout=5)
-        # Deliberately leave the shm handles mapped: a wedged worker that
-        # survived the join timeout may still be mid-inference, and process
-        # exit reclaims the mappings anyway.
         child_conn.close()
 
 
@@ -370,7 +242,7 @@ class ProcessReplica:
         slot: int,
         generation: int,
         template: ModelRegistry,
-        blocks: "dict[ModelKey, SharedWeights]",
+        blocks: "dict[ModelKey, SharedBlock]",
         settings: BatchSettings,
         router: Router,
     ) -> None:
@@ -553,7 +425,7 @@ class ServingFleet:
             "fleet_request_latency_seconds", LATENCY_BUCKETS_S,
             help="Submit-to-result latency through the fleet")
         self.router: "Router | None" = None
-        self._blocks: "dict[ModelKey, SharedWeights]" = {}
+        self._blocks: "dict[ModelKey, SharedBlock]" = {}
         self._slots: "dict[int, _Slot]" = {}
         self._lock = threading.Lock()
         self._health: "threading.Thread | None" = None
@@ -576,7 +448,7 @@ class ServingFleet:
             )
             self._root_span.__enter__()
         for key in self.registry.keys():
-            self._blocks[key] = SharedWeights(key, self.registry.get(key).module)
+            self._blocks[key] = SharedBlock.from_module(self.registry.get(key).module)
         self.router = Router(
             max_queue=self.settings.max_queue,
             shed_policy=self.settings.shed_policy,
@@ -677,7 +549,7 @@ class ServingFleet:
             except Exception:  # pragma: no cover - crashed replicas
                 pass
         for block in self._blocks.values():
-            block.close(unlink=True)
+            block.close()
         self._blocks.clear()
         if self._root_span is not None:
             with self._tel_lock:

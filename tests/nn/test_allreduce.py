@@ -11,7 +11,10 @@ both backends (forked ``"process"`` workers, the single-process
 
 from __future__ import annotations
 
+import os
+import signal
 from contextlib import contextmanager
+from multiprocessing import shared_memory
 
 import numpy as np
 import pytest
@@ -338,3 +341,56 @@ class TestBackendEquivalence:
         with use_ddp(2):
             with pytest.raises(ValueError, match="batch_hook"):
                 trainer.fit(x, y)
+
+
+# ----------------------------------------------------------------------
+# Dead workers surface as typed errors naming the rank
+# ----------------------------------------------------------------------
+
+class _ExitsInWorker(CrossEntropy):
+    """CE that kills any process but its creator mid-shard-step."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.owner = os.getpid()
+
+    def __call__(self, logits, targets):
+        if os.getpid() != self.owner:
+            os._exit(3)
+        return super().__call__(logits, targets)
+
+
+class TestWorkerDeath:
+    def _group(self, loss_fn):
+        feature_shape, x, y = _data("mlp")
+        model = build_model(
+            "mlp", feature_shape, NUM_CLASSES, width=2, rng=np.random.default_rng(3)
+        )
+        group = DataParallelGroup(
+            model, loss_fn, world=2, batch_capacity=BATCH, backend="process"
+        )
+        return group, x[:BATCH], y[:BATCH]
+
+    def test_worker_killed_between_steps(self):
+        group, xb, yb = self._group(CrossEntropy())
+        try:
+            group.forward_backward(xb, yb)
+            victim = group._procs[0]
+            os.kill(victim.pid, signal.SIGKILL)
+            victim.join()
+            with pytest.raises(RuntimeError, match="ddp worker 1"):
+                group.forward_backward(xb, yb)
+        finally:
+            group.close()
+        with pytest.raises(FileNotFoundError):
+            shared_memory.SharedMemory(name=group._block.name)
+
+    def test_worker_dying_mid_step(self):
+        group, xb, yb = self._group(_ExitsInWorker())
+        try:
+            with pytest.raises(RuntimeError, match="ddp worker 1 died mid-step"):
+                group.forward_backward(xb, yb)
+        finally:
+            group.close()
+        with pytest.raises(FileNotFoundError):
+            shared_memory.SharedMemory(name=group._block.name)

@@ -15,13 +15,13 @@ import time
 import numpy as np
 import pytest
 
+from repro.nn.shared import SharedBlock
 from repro.serve import (
     BatchSettings,
     FleetSettings,
     ModelRegistry,
     ServingFleet,
     ServingServer,
-    SharedWeights,
     ShedError,
 )
 
@@ -49,7 +49,7 @@ class TestSharedWeights:
         import copy
 
         template = registry.get(KEY).module
-        weights = SharedWeights(KEY, template)
+        weights = SharedBlock.from_module(template)
         try:
             clone = copy.deepcopy(template)
             views = weights.attach(clone)
@@ -84,16 +84,6 @@ class TestSharedWeights:
                     assert np.shares_memory(a, b), f"{name} not shared"
             out = fleet.predict(KEY, inputs[:6])
             assert np.array_equal(out, reference[:6])
-
-    def test_block_survives_template_registry(self, registry):
-        template = registry.get(KEY).module
-        weights = SharedWeights(KEY, template)
-        reopened = weights.open()
-        try:
-            assert reopened.size >= weights.nbytes
-        finally:
-            reopened.close()
-            weights.close()
 
 
 # ----------------------------------------------------------------------
@@ -209,11 +199,13 @@ class TestChaos:
             out = fleet.predict(KEY, inputs[:4])
             assert np.array_equal(out, reference[:4])
 
+    @pytest.mark.parametrize("backend", ["thread", "process"])
     def test_slow_replica_overruns_deadline_and_is_evicted(
-        self, registry, inputs, reference
+        self, registry, inputs, reference, backend
     ):
         with make_fleet(
-            registry, replicas=2, replica_deadline_s=0.3, health_interval_s=0.05
+            registry, replicas=2, replica_deadline_s=0.3, health_interval_s=0.05,
+            backend=backend,
         ) as fleet:
             fleet.slow_replica(0, delay_s=5.0)
             out = fleet.predict(KEY, inputs[:6], timeout=30.0)
