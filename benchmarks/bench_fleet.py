@@ -1,22 +1,28 @@
 """Bench: fleet throughput scaling + p99 latency SLO + overload shedding.
 
-Serves the bench ConvNet (GTSRB geometry) through three regimes and writes
+Serves the bench ConvNet (GTSRB geometry) through four regimes and writes
 ``benchmarks/results/BENCH_fleet.json``:
 
-* ``single_engine`` — the PR 5 baseline: one micro-batching
-  :class:`ServingEngine`, closed-loop clients;
-* ``fleet`` — ``FLEET_REPLICAS`` replicas behind the router, same schedule,
-  same closed-loop concurrency: shared-memory weights mean the replicas
-  cost one copy of the arrays, and process replicas sidestep the GIL;
+* ``single_engine`` — one micro-batching :class:`ServingEngine` (batch cap
+  32), closed-loop clients;
+* ``fleet`` / ``fleet_thread`` — ``FLEET_REPLICAS`` process / thread
+  replicas behind the router, same schedule, same closed-loop concurrency.
+  The router's chunk (32, the engine's batch cap) is each replica's
+  forward batch; shared-memory weights mean the replicas cost one copy of
+  the arrays, and process replicas sidestep the GIL;
 * ``overload`` — an under-provisioned, deliberately slowed fleet driven
   far past capacity: admission control must shed the excess *immediately*
   (429-path) while every accepted request still completes.
 
+The first three regimes run ``RUNS`` times each; a row records the run
+with the median throughput plus every run's throughput (``runs_rps``), and
+``speedup`` / ``speedup_thread`` compare median throughputs.
+
 Gates:
 
 - **p99 SLO (always enforced)** — fleet p99 must stay within
-  ``SLO_P99_MS`` and no accepted request may be lost, in both the scaling
-  and the overload phases.  Latency is a correctness property of the
+  ``SLO_P99_MS`` and no accepted request may be lost, in every run of both
+  fleet backends and in the overload phase.  Latency is a correctness property of the
   admission design, not a hardware lottery: a bounded queue plus shedding
   keeps p99 flat no matter the offered load.
 - **>= 3x single-engine throughput (multicore only)** — enforced when
@@ -51,6 +57,7 @@ from tests.serve.loadgen import FleetTarget, make_schedule, run_closed_loop
 GATE_MIN_SPEEDUP = 3.0
 SLO_P99_MS = 500.0
 FLEET_REPLICAS = 4
+RUNS = 3
 
 KEY = ModelKey(model="convnet", dataset="gtsrb")
 N_REQUESTS = 512
@@ -86,6 +93,13 @@ class _EngineAsFleet:
         return self.engine.submit(key, sample)
 
 
+def _median_row(runs: "list[dict]") -> dict:
+    """The median-throughput run, plus every run's throughput."""
+    row = dict(sorted(runs, key=lambda r: r["throughput_rps"])[len(runs) // 2])
+    row["runs_rps"] = [r["throughput_rps"] for r in runs]
+    return row
+
+
 def _bench_single_engine(inputs: np.ndarray) -> dict:
     settings = BatchSettings(max_batch_size=32, max_latency_ms=2.0, workers=1)
     with ServingEngine(_registry(), settings) as engine:
@@ -96,14 +110,13 @@ def _bench_single_engine(inputs: np.ndarray) -> dict:
     return report.summary()
 
 
-def _bench_fleet(inputs: np.ndarray) -> dict:
+def _bench_fleet(inputs: np.ndarray, backend: str) -> dict:
     settings = FleetSettings(
         replicas=FLEET_REPLICAS,
-        backend="auto",
+        backend=backend,
         max_queue=8192,
-        chunk=16,
+        chunk=32,
         replica_cap=64,
-        batch=BatchSettings(max_batch_size=32, max_latency_ms=2.0, workers=1),
     )
     with ServingFleet(_registry(), settings) as fleet:
         fleet.predict(KEY, inputs[:16])  # warm-up (all replicas reachable)
@@ -129,7 +142,6 @@ def _bench_overload(inputs: np.ndarray) -> dict:
         max_queue=16,
         chunk=4,
         replica_cap=8,
-        batch=BatchSettings(max_batch_size=4, max_latency_ms=1.0, workers=1),
     )
     with ServingFleet(_registry(), settings) as fleet:
         fleet.predict(KEY, inputs[0])  # warm-up
@@ -152,12 +164,18 @@ def _enforce_speedup() -> bool:
 
 def test_fleet_perf():
     inputs = _inputs()
-    single = _bench_single_engine(inputs)
-    fleet = _bench_fleet(inputs)
+    runs = [  # interleaved, so host drift hits every regime alike
+        (_bench_single_engine(inputs), _bench_fleet(inputs, "auto"),
+         _bench_fleet(inputs, "thread"))
+        for _ in range(RUNS)
+    ]
+    single_runs, fleet_runs, thread_runs = (list(rows) for rows in zip(*runs))
+    single, fleet, fleet_thread = map(_median_row, (single_runs, fleet_runs, thread_runs))
     overload = _bench_overload(inputs)
-    speedup = (
-        fleet["throughput_rps"] / single["throughput_rps"]
+    speedup, speedup_thread = (
+        row["throughput_rps"] / single["throughput_rps"]
         if single["throughput_rps"] else 0.0
+        for row in (fleet, fleet_thread)
     )
     payload = {
         "gate_min_speedup": GATE_MIN_SPEEDUP,
@@ -167,18 +185,22 @@ def test_fleet_perf():
         "requests": N_REQUESTS,
         "concurrency": CONCURRENCY,
         "replicas": FLEET_REPLICAS,
+        "runs": RUNS,
         "single_engine": single,
         "fleet": fleet,
+        "fleet_thread": fleet_thread,
         "overload": overload,
         "speedup": round(speedup, 3),
+        "speedup_thread": round(speedup_thread, 3),
     }
     out = write_bench_json("BENCH_fleet.json", "fleet", payload)
     print(f"\n{json.dumps(payload, indent=2)}\n[saved to {out}]")
 
     # The SLO gate is unconditional: bounded admission keeps p99 flat even
     # on starved hardware, and overload answers (shed or served) promptly.
-    assert fleet["p99_ms"] <= SLO_P99_MS, payload
-    assert overload["p99_ms"] <= SLO_P99_MS, payload
-    assert fleet["lost"] == 0 and overload["lost"] == 0, payload
+    # Every fleet run is gated, not just the median rows recorded above.
+    for row in (*fleet_runs, *thread_runs, overload):
+        assert row["p99_ms"] <= SLO_P99_MS, (row, payload)
+        assert row["lost"] == 0, (row, payload)
     if _enforce_speedup():
         assert speedup >= GATE_MIN_SPEEDUP, payload

@@ -343,15 +343,17 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--port", type=int, default=8777)
     serve.add_argument(
         "--max-batch-size", type=int, default=8,
-        help="largest micro-batch one dispatch coalesces (default 8)",
+        help="largest batch one forward pass runs: the engine's micro-batch, "
+        "or in fleet mode the router's chunk per replica (default 8)",
     )
     serve.add_argument(
         "--max-latency-ms", type=float, default=2.0,
-        help="longest a request waits for its batch to fill (default 2.0)",
+        help="longest a request waits for its batch to fill; single engine "
+        "only (default 2.0)",
     )
     serve.add_argument(
         "--serve-workers", type=int, default=2,
-        help="inference worker threads (default 2)",
+        help="inference worker threads; single engine only (default 2)",
     )
     serve.add_argument(
         "--trace", default=None,
@@ -705,17 +707,33 @@ def _run_hardware_faults_command(args: argparse.Namespace) -> int:
     return 1 if failures else 0
 
 
+def _serve_settings(args: argparse.Namespace) -> "BatchSettings | FleetSettings":
+    """One engine's batcher, or a fleet whose router chunk is the forward batch."""
+    if args.replicas >= 2:
+        return FleetSettings(
+            replicas=args.replicas,
+            backend=args.replica_backend,
+            max_queue=args.max_queue,
+            shed_policy=args.shed_policy,
+            client_rate=args.client_rate,
+            client_burst=args.client_burst,
+            chunk=args.max_batch_size,
+            replica_deadline_s=args.replica_deadline,
+        )
+    return BatchSettings(
+        max_batch_size=args.max_batch_size,
+        max_latency_ms=args.max_latency_ms,
+        workers=args.serve_workers,
+    )
+
+
 def _run_serve_command(args: argparse.Namespace) -> int:
-    """The ``serve`` subcommand: registry + micro-batch engine + HTTP endpoint."""
+    """The ``serve`` subcommand: registry + engine or fleet + HTTP endpoint."""
     if args.kernels is not None:
         set_kernel_mode(args.kernels)
         logger.info("[kernels=%s]", args.kernels)
     try:
-        settings = BatchSettings(
-            max_batch_size=args.max_batch_size,
-            max_latency_ms=args.max_latency_ms,
-            workers=args.serve_workers,
-        )
+        settings = _serve_settings(args)
     except ValueError as exc:
         logger.error("error: %s", exc)
         return 2
@@ -754,26 +772,12 @@ def _run_serve_command(args: argparse.Namespace) -> int:
     # Serving always runs with live metrics enabled: the /metrics endpoint
     # scrapes the process-global registry, which the backend adopts.
     with metrics_scope(MetricsRegistry()):
-        if args.replicas >= 2:
-            try:
-                fleet_settings = FleetSettings(
-                    replicas=args.replicas,
-                    backend=args.replica_backend,
-                    max_queue=args.max_queue,
-                    shed_policy=args.shed_policy,
-                    client_rate=args.client_rate,
-                    client_burst=args.client_burst,
-                    replica_deadline_s=args.replica_deadline,
-                    batch=settings,
-                )
-            except ValueError as exc:
-                logger.error("error: %s", exc)
-                return 2
-            backend = ServingFleet(registry, fleet_settings, telemetry=telemetry).start()
+        if isinstance(settings, FleetSettings):
+            backend = ServingFleet(registry, settings, telemetry=telemetry).start()
             logger.info(
-                "[fleet: %d %s replicas, max-queue %d, shed-policy %s]",
+                "[fleet: %d %s replicas, chunk %d, max-queue %d, shed-policy %s]",
                 args.replicas, backend.settings.resolved_backend(),
-                args.max_queue, args.shed_policy,
+                settings.chunk, args.max_queue, args.shed_policy,
             )
         else:
             backend = ServingEngine(registry, settings, telemetry=telemetry).start()

@@ -54,9 +54,9 @@ class EngineClosedError(RuntimeError):
 
     Raised by :meth:`ServingEngine.submit` (and :meth:`ServingEngine.start`)
     after :meth:`ServingEngine.close`, and set on any future that was still
-    pending at close time.  A distinct type matters to the fleet layer
-    (:mod:`repro.serve.fleet`): a replica seeing this knows its engine died
-    and re-routes the request instead of failing the caller.
+    pending at close time, so a caller can tell a closed engine from a
+    failed inference.  Fleet replicas run no engine
+    (:mod:`repro.serve.fleet`), so this is a single-engine error.
     """
 
 

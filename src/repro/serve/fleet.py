@@ -10,24 +10,27 @@ into ``N`` replicas behind a :class:`~repro.serve.router.Router`:
   10M-parameter model cost one copy of the arrays, whether the replicas
   are threads in this process or forked children.  Closing the fleet
   unlinks every block and unmaps it once no replica view is left.
-- **Replicas are disposable.**  Each replica runs its own micro-batching
-  :class:`~repro.serve.engine.ServingEngine` — in-process
-  (:class:`ThreadReplica`) or in a forked child that attaches the block
-  mapping it inherited (:class:`ProcessReplica`).  A health monitor evicts a
-  replica whose process died, whose engine closed, or whose oldest
-  dispatched request overran ``replica_deadline_s``, requeues everything it
-  held (the router guarantees exactly-once answers), and respawns a fresh
-  replica into the same slot at a bumped generation.
+- **The router's chunk is the only batch.**  A replica runs each chunk of
+  up to ``FleetSettings.chunk`` requests as one forward pass and sends one
+  reply — one worker thread draining a FIFO of chunks
+  (:class:`ThreadReplica`), or a forked child's recv → forward → send loop
+  over the block mapping it inherited (:class:`ProcessReplica`).
+- **Replicas are disposable.**  A health monitor evicts a replica whose
+  process or worker died, or whose oldest dispatched request overran
+  ``replica_deadline_s``, requeues everything it held (the router guarantees
+  exactly-once answers), and respawns a fresh replica into the same slot at
+  a bumped generation, never waiting on a worker that is mid-inference.
 - **Responses are bitwise-stable.**  Replicas share the same weight bytes
   and inference runs under row-stable kernels, so a sample's logits are
-  identical no matter which replica, batch, or respawn served it — the
+  identical no matter which replica, chunk, or respawn served it — the
   fleet equivalence tests pin fleet output against one-engine
   ``predict_logits``.
 
 Chaos hooks (``kill_replica``, ``slow_replica``) exist for the test and CI
 harnesses: killing is indistinguishable from a real crash (SIGKILL for
-process replicas, abrupt engine close for thread replicas), and a slowed
-replica overruns its deadline and gets evicted like a genuinely wedged one.
+process replicas; a thread replica's worker stops taking chunks), and a
+slowed replica overruns its deadline and gets evicted like a genuinely
+wedged one.
 """
 
 from __future__ import annotations
@@ -35,10 +38,11 @@ from __future__ import annotations
 import copy
 import multiprocessing
 import os
+import queue
 import signal
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,7 +54,6 @@ from ..telemetry import (
     get_metrics,
     latency_summary_ms,
 )
-from .engine import BatchSettings, EngineClosedError, ServingEngine
 from .registry import ModelKey, ModelRegistry, ServableModel
 from .router import Chunk, ReplicaGone, Router, ShedError
 
@@ -77,13 +80,13 @@ def _attached_clone(servable: ServableModel, block: SharedBlock) -> ServableMode
     )
 
 
-def _stall_inference(registry: ModelRegistry, delay_s: float) -> None:
+def _stall_inference(registry: ModelRegistry, delay_s: float, wait=time.sleep) -> None:
     """Chaos hook body: every later inference in ``registry`` stalls ``delay_s``."""
     for servable in map(registry.get, registry.keys()):
         inner = type(servable).predict_logits.__get__(servable)
 
         def slowed(batch, _inner=inner):
-            time.sleep(delay_s)
+            wait(delay_s)
             return _inner(batch)
 
         servable.predict_logits = slowed
@@ -93,8 +96,31 @@ def _stall_inference(registry: ModelRegistry, delay_s: float) -> None:
 # Replica backends
 # ----------------------------------------------------------------------
 
+def _run_chunk(registry: ModelRegistry, chunk: Chunk) -> tuple:
+    """One chunk, one forward pass: ``("ok", seqs, logits)`` or ``("err", seqs, message)``.
+
+    Stacking is part of the guarded work: a chunk whose samples differ in
+    shape fails its own callers, never the replica.
+    """
+    try:
+        return ("ok", chunk.seqs, registry.get(chunk.key).predict_logits(chunk.stacked()))
+    except Exception as exc:  # noqa: BLE001 - reported to the chunk's callers
+        return ("err", chunk.seqs, f"{type(exc).__name__}: {exc}")
+
+
+def _deliver(router: Router, slot: int, generation: int, frame: tuple) -> None:
+    """Answer every request of one reply frame through the router."""
+    kind, seqs, payload = frame
+    if kind == "ok":
+        for seq, row in zip(seqs, payload):
+            router.on_result(slot, generation, seq, row)
+    else:
+        for seq in seqs:
+            router.on_error(slot, generation, seq, RuntimeError(payload))
+
+
 class ThreadReplica:
-    """An in-process replica: its own engine + registry over shared views."""
+    """An in-process replica: one worker thread over shared-block views."""
 
     backend = "thread"
 
@@ -104,7 +130,6 @@ class ThreadReplica:
         generation: int,
         template: ModelRegistry,
         blocks: "dict[ModelKey, SharedBlock]",
-        settings: BatchSettings,
         router: Router,
     ) -> None:
         self.slot = slot
@@ -114,61 +139,55 @@ class ThreadReplica:
         self.registry = ModelRegistry()
         for key in template.keys():
             self.registry.register(_attached_clone(template.get(key), blocks[key]))
-        self.engine = ServingEngine(self.registry, settings).start()
-        self._failed = False
+        self._inbox: "queue.SimpleQueue[Chunk | None]" = queue.SimpleQueue()
+        self._stopped = threading.Event()
+        self._worker = threading.Thread(
+            target=self._work, name=f"fleet-replica-{slot}", daemon=True
+        )
+        self._worker.start()
+
+    def _work(self) -> None:
+        while True:
+            chunk = self._inbox.get()
+            if self._stopped.is_set():
+                return
+            _deliver(self.router, self.slot, self.generation, _run_chunk(self.registry, chunk))
 
     def send(self, chunk: Chunk) -> None:
-        for seq, sample in zip(chunk.seqs, chunk.samples):
-            try:
-                future = self.engine.submit(chunk.key, sample)
-            except EngineClosedError:
-                raise ReplicaGone(f"thread replica {self.slot} engine closed")
-            future.add_done_callback(self._completion(seq))
-
-    def _completion(self, seq: int):
-        def _done(future) -> None:
-            exc = future.exception()
-            if exc is None:
-                self.router.on_result(self.slot, self.generation, seq, future.result())
-            elif isinstance(exc, EngineClosedError):
-                # The whole replica died; the router requeues everything it
-                # held, so per-request errors would only race the failover.
-                self.router.replica_failed(self.slot, self.generation)
-            else:
-                self.router.on_error(self.slot, self.generation, seq, exc)
-        return _done
+        if self._stopped.is_set():
+            raise ReplicaGone(f"thread replica {self.slot} stopped")
+        self._inbox.put(chunk)
 
     def alive(self) -> bool:
-        return self.engine._running and not self._failed
+        return not self._stopped.is_set() and self._worker.is_alive()
 
     def kill(self) -> None:
         """Chaos hook: die abruptly, stranding whatever was in flight."""
-        self._failed = True
-        self.engine.close()
+        self._stopped.set()
+        self._inbox.put(None)  # wake an idle worker
 
     def set_slow(self, delay_s: float) -> None:
-        """Chaos hook: every inference on this replica stalls ``delay_s``."""
-        _stall_inference(self.registry, delay_s)
+        """Chaos hook: every inference stalls ``delay_s``, or until the replica stops."""
+        _stall_inference(self.registry, delay_s, wait=self._stopped.wait)
 
     def close(self) -> None:
-        self.engine.close()
+        """Stop taking chunks; a worker mid-inference finishes on its own."""
+        self.kill()
 
     def describe(self) -> dict:
         return {"backend": self.backend, "pid": self.pid}
 
 
 def _replica_main(child_conn, template: ModelRegistry,
-                  blocks: "dict[ModelKey, SharedBlock]",
-                  settings: BatchSettings) -> None:
-    """Forked replica body: attach the shared blocks, serve predict frames.
+                  blocks: "dict[ModelKey, SharedBlock]") -> None:
+    """Forked replica body: attach the shared blocks, then recv → forward → send.
 
     The child inherited the template modules and the blocks' mappings via
     fork, and immediately re-points the modules' arrays at read-only views
     of the blocks — so its weights are the same bytes every other replica
     reads, not a copy.  Frames::
 
-        ("predict", model_id, [seq...], stacked_samples) -> ("ok", seqs, logits)
-                                                          | ("err", seqs, message)
+        ("predict", chunk)  -> ("ok", seqs, logits) | ("err", seqs, message)
         ("slow", delay_s)   chaos hook: stall every subsequent inference
         ("stop",)           graceful shutdown
     """
@@ -177,63 +196,23 @@ def _replica_main(child_conn, template: ModelRegistry,
         module = template.get(key).module  # inherited; ours to mutate now
         blocks[key].attach(module)
         registry.register(ServableModel(key, module, source="fleet-fork"))
-    engine = ServingEngine(registry, settings).start()
-    replies = []  # (seqs, futures) awaiting completion, in dispatch order
-    reply_ready = threading.Condition()
-    stopping = False
-
-    def replier() -> None:
-        while True:
-            with reply_ready:
-                while not replies:
-                    if stopping:
-                        return
-                    reply_ready.wait()
-                seqs, futures = replies.pop(0)
-            rows, error = [], None
-            for future in futures:
-                try:
-                    rows.append(future.result())
-                except BaseException as exc:  # noqa: BLE001 - shipped to parent
-                    error = f"{type(exc).__name__}: {exc}"
-                    break
-            try:
-                if error is None:
-                    child_conn.send(("ok", seqs, np.stack(rows)))
-                else:
-                    child_conn.send(("err", seqs, error))
-            except (BrokenPipeError, OSError):  # parent went away
-                return
-
-    reply_thread = threading.Thread(target=replier, daemon=True)
-    reply_thread.start()
     try:
         while True:
-            try:
-                frame = child_conn.recv()
-            except (EOFError, OSError):
-                break
+            frame = child_conn.recv()
             if frame[0] == "stop":
                 break
             if frame[0] == "slow":
                 _stall_inference(registry, float(frame[1]))
                 continue
-            _, model_id, seqs, samples = frame
-            futures = [engine.submit(model_id, sample) for sample in samples]
-            with reply_ready:
-                replies.append((seqs, futures))
-                reply_ready.notify()
+            child_conn.send(_run_chunk(registry, frame[1]))
+    except (EOFError, OSError):  # parent went away
+        pass
     finally:
-        with reply_ready:
-            stopping = True
-            reply_ready.notify_all()
-        engine.close()
-        reply_thread.join(timeout=5)
         child_conn.close()
 
 
 class ProcessReplica:
-    """A forked replica: engine + shared-block views in a child process."""
+    """A forked replica: shared-block views and a forward loop in a child."""
 
     backend = "process"
 
@@ -243,7 +222,6 @@ class ProcessReplica:
         generation: int,
         template: ModelRegistry,
         blocks: "dict[ModelKey, SharedBlock]",
-        settings: BatchSettings,
         router: Router,
     ) -> None:
         self.slot = slot
@@ -253,7 +231,7 @@ class ProcessReplica:
         self._conn, child_conn = ctx.Pipe()
         self._proc = ctx.Process(
             target=_replica_main,
-            args=(child_conn, template, blocks, settings),
+            args=(child_conn, template, blocks),
             daemon=True,
             name=f"fleet-replica-{slot}",
         )
@@ -273,23 +251,14 @@ class ProcessReplica:
                 frame = self._conn.recv()
             except (EOFError, OSError):
                 break
-            if frame[0] == "ok":
-                _, seqs, rows = frame
-                for seq, row in zip(seqs, rows):
-                    self.router.on_result(self.slot, self.generation, seq, row)
-            elif frame[0] == "err":
-                _, seqs, message = frame
-                for seq in seqs:
-                    self.router.on_error(
-                        self.slot, self.generation, seq, RuntimeError(message)
-                    )
+            _deliver(self.router, self.slot, self.generation, frame)
         if not self._closing:
             self.router.replica_failed(self.slot, self.generation)
 
     def send(self, chunk: Chunk) -> None:
         try:
             with self._send_lock:
-                self._conn.send(("predict", chunk.key.id, chunk.seqs, chunk.stacked()))
+                self._conn.send(("predict", chunk))
         except (BrokenPipeError, OSError):
             raise ReplicaGone(f"process replica {self.slot} pipe broken")
 
@@ -337,7 +306,7 @@ class ProcessReplica:
 
 @dataclass(frozen=True)
 class FleetSettings:
-    """Fleet-level knobs (replica count, admission, health policy)."""
+    """Fleet-level knobs; ``chunk`` also caps a replica's forward batch."""
 
     replicas: int = 2
     backend: str = "auto"
@@ -350,11 +319,12 @@ class FleetSettings:
     replica_deadline_s: float = 30.0
     health_interval_s: float = 0.25
     max_respawns: int = 16
-    batch: BatchSettings = field(default_factory=BatchSettings)
 
     def __post_init__(self) -> None:
         if self.replicas < 1:
             raise ValueError("replicas must be >= 1")
+        if self.chunk < 1:
+            raise ValueError("chunk must be >= 1")
         if self.backend not in REPLICA_BACKENDS:
             raise ValueError(
                 f"unknown replica backend {self.backend!r}; choose from {REPLICA_BACKENDS}"
@@ -469,10 +439,7 @@ class ServingFleet:
 
     def _spawn(self, position: int, generation: int) -> None:
         cls = ProcessReplica if self._backend == "process" else ThreadReplica
-        handle = cls(
-            position, generation, self.registry, self._blocks,
-            self.settings.batch, self.router,
-        )
+        handle = cls(position, generation, self.registry, self._blocks, self.router)
         with self._lock:
             slot = self._slots.get(position)
             if slot is None:
@@ -585,14 +552,20 @@ class ServingFleet:
             raise RuntimeError("fleet is not running (call start())")
         if isinstance(key, str):
             key = ModelKey.parse(key)
-        self.registry.get(key)  # unknown model fails the caller immediately
+        servable = self.registry.get(key)  # unknown model fails the caller now
         started = time.monotonic()
         future = self.router.submit(key, sample, client=client, priority=priority)
-        future.add_done_callback(
-            lambda f: self._request_latency.observe(time.monotonic() - started)
-            if f.exception() is None else None
-        )
+        future.add_done_callback(lambda f: self._answered(servable, started, f))
         return future
+
+    def _answered(self, servable: ServableModel, started: float, future) -> None:
+        """Count one delivered row in the fleet latency and on the template
+        servable ``/models`` describes (replicas infer on clones or children)."""
+        if future.exception() is not None:
+            return
+        self._request_latency.observe(time.monotonic() - started)
+        with self._lock:
+            servable.predictions += 1
 
     def predict(
         self,

@@ -89,7 +89,7 @@ class ServableModel:
         self.module = module.eval()
         self.source = source
         self.metadata = dict(metadata or {})
-        self.predictions = 0  # samples served (engine-maintained tally)
+        self.predictions = 0  # samples served (engine- or fleet-maintained tally)
 
     def predict_logits(self, inputs: np.ndarray) -> np.ndarray:
         """Logits for a ``(N, ...)`` input batch, bitwise batch-size-invariant.

@@ -11,8 +11,10 @@ threads, or clocks:
   with a ``Retry-After`` estimate) — shed requests never hang.
 - **Dispatch** — accepted requests wait in per-model priority queues
   (higher ``priority`` first, FIFO within a priority) and are handed to the
-  healthy replica with the fewest outstanding requests, in chunks that an
-  IPC-backed replica can ship as one frame.
+  healthy replica with the fewest outstanding requests, in same-model
+  chunks of one forward pass each.  A busy replica takes at most one short
+  chunk and no fragment a completion freed room for, so queued requests
+  fill the next chunk instead of costing a forward pass apiece.
 - **Failure** — when a replica dies (:meth:`Router.replica_failed`), every
   request it held is requeued at its original position and re-dispatched to
   a surviving replica.  A late result from an evicted replica is dropped
@@ -39,7 +41,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..telemetry import QUEUE_DEPTH_BUCKETS, MetricsRegistry, get_metrics
+from ..telemetry import BATCH_SIZE_BUCKETS, QUEUE_DEPTH_BUCKETS, MetricsRegistry, get_metrics
 from .registry import ModelKey
 
 __all__ = [
@@ -145,7 +147,7 @@ class Chunk:
     samples: list = field(default_factory=list)
 
     def stacked(self) -> np.ndarray:
-        """The samples as one ``(k, ...)`` array (the IPC wire format)."""
+        """The samples as one ``(k, ...)`` array: the chunk's forward-pass input."""
         return np.stack(self.samples)
 
     def __len__(self) -> int:
@@ -155,13 +157,14 @@ class Chunk:
 class _ReplicaLink:
     """Router-side record of one registered replica."""
 
-    __slots__ = ("slot", "generation", "send", "outstanding")
+    __slots__ = ("slot", "generation", "send", "outstanding", "partial")
 
     def __init__(self, slot: int, generation: int, send) -> None:
         self.slot = slot
         self.generation = generation
         self.send = send
         self.outstanding: "OrderedDict[int, _Request]" = OrderedDict()
+        self.partial: "set[int]" = set()  # unanswered seqs of short chunks
 
 
 class Router:
@@ -173,7 +176,7 @@ class Router:
     - ``shed_policy`` — see :data:`SHED_POLICIES`.
     - ``client_rate`` / ``client_burst`` — per-client token bucket; ``None``
       rate disables fairness limiting.
-    - ``chunk`` — most requests one dispatch hands a replica (one IPC frame).
+    - ``chunk`` — most requests one dispatch hands a replica (one forward pass).
     - ``replica_cap`` — most outstanding requests one replica may hold; the
       dispatcher stalls (rather than piling onto a struggling replica) when
       every replica is at its cap, bounding requeue loss on a crash.
@@ -234,6 +237,9 @@ class Router:
         self._queue_depth = registry.histogram(
             "fleet_queue_depth", QUEUE_DEPTH_BUCKETS,
             help="Per-model admission-queue depth observed at submit")
+        self._batch_size = registry.histogram(
+            "fleet_batch_size", BATCH_SIZE_BUCKETS,
+            help="Samples per chunk dispatched to a replica (one forward pass)")
         self._cond = threading.Condition()
         self._seq = 0
         self._queues: "dict[ModelKey, list[tuple[int, int]]]" = {}
@@ -412,9 +418,15 @@ class Router:
                 best_key, best_rank = key, queue[0]
         if best_key is None:
             return None
+        # An idle replica takes whatever is queued.  A busy one needs room
+        # for the whole next chunk and may hold only one short chunk.
+        full = min(self.chunk, self.replica_cap)
+        want = min(full, len(self._queues[best_key]))
         link = None
         for candidate in self._links.values():
-            if len(candidate.outstanding) >= self.replica_cap:
+            if self.replica_cap - len(candidate.outstanding) < want or (
+                want < full and candidate.partial
+            ):
                 continue
             if link is None or len(candidate.outstanding) < len(link.outstanding):
                 link = candidate
@@ -444,7 +456,10 @@ class Router:
                 chunk.samples.append(request.sample)
             if not chunk:
                 return False
+            if len(chunk) < min(self.chunk, self.replica_cap):
+                link.partial.update(chunk.seqs)
             self._slot_outstanding[link.slot].observe(len(link.outstanding))
+            self._batch_size.observe(len(chunk))
             send, slot, generation = link.send, link.slot, link.generation
         try:
             send(chunk)
@@ -501,6 +516,7 @@ class Router:
             self._late_results_total.inc()
             return None
         request = link.outstanding.pop(seq, None)
+        link.partial.discard(seq)
         if request is None or request.done:
             self._late_results_total.inc()
             return None

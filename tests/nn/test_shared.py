@@ -212,9 +212,7 @@ class TestUsersRetireTheirBlocks:
         _assert_retired(created_blocks[0])
 
     def test_closed_process_fleets_leave_nothing_pinned(self, created_blocks):
-        from repro.serve import (
-            BatchSettings, FleetSettings, ModelKey, ModelRegistry, ServingFleet,
-        )
+        from repro.serve import FleetSettings, ModelKey, ModelRegistry, ServingFleet
 
         key = ModelKey(model="convnet", dataset="gtsrb")
         registry = ModelRegistry()
@@ -222,10 +220,7 @@ class TestUsersRetireTheirBlocks:
             key, build_model("convnet", image_shape=(3, 8, 8), num_classes=4, seed=3)
         )
         sample = np.zeros((3, 8, 8), dtype=np.float32)
-        settings = FleetSettings(
-            replicas=2, backend="process",
-            batch=BatchSettings(max_batch_size=4, max_latency_ms=1.0, workers=1),
-        )
+        settings = FleetSettings(replicas=2, backend="process")
         for _ in range(3):
             with ServingFleet(registry, settings) as fleet:
                 fleet.predict(key, sample)

@@ -15,10 +15,11 @@ import time
 import numpy as np
 import pytest
 
+from repro.nn import Module, Parameter
 from repro.nn.shared import SharedBlock
 from repro.serve import (
-    BatchSettings,
     FleetSettings,
+    ModelKey,
     ModelRegistry,
     ServingFleet,
     ServingServer,
@@ -30,14 +31,20 @@ from .loadgen import FleetTarget, make_schedule, run_closed_loop
 
 
 def make_fleet(registry, **kwargs) -> ServingFleet:
-    defaults = dict(
-        replicas=2,
-        backend="thread",
-        health_interval_s=0.05,
-        batch=BatchSettings(max_batch_size=4, max_latency_ms=1.0, workers=1),
-    )
+    defaults = dict(replicas=2, backend="thread", health_interval_s=0.05)
     defaults.update(kwargs)
     return ServingFleet(registry, FleetSettings(**defaults))
+
+
+class Exploding(Module):
+    """A servable model whose forward pass always raises."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.weight = Parameter(np.zeros(1, dtype=np.float32))
+
+    def forward(self, x):
+        raise ValueError("forward exploded")
 
 
 # ----------------------------------------------------------------------
@@ -215,6 +222,81 @@ class TestChaos:
                 time.sleep(0.02)
             assert fleet.describe()["evictions"] >= 1
 
+    def test_wedged_thread_replica_is_respawned_without_waiting_on_it(
+        self, registry, inputs, reference
+    ):
+        # Eviction must not join a worker stuck mid-inference — a wedge no
+        # stop signal reaches: the slot is respawned while the forward pass
+        # still blocks, and closing the fleet does not wait for it either.
+        release = threading.Event()
+        fleet = make_fleet(registry, replicas=2, replica_deadline_s=0.3).start()
+        try:
+            servable = fleet._slots[0].handle.registry.get(KEY)
+            inner = servable.predict_logits
+
+            def wedged(batch):
+                release.wait(30)
+                return inner(batch)
+
+            servable.predict_logits = wedged
+            started = time.monotonic()
+            out = fleet.predict(KEY, inputs[:6], timeout=30.0)
+            assert np.array_equal(out, reference[:6])
+            while fleet.describe()["respawns"] < 1 and time.monotonic() - started < 10:
+                time.sleep(0.02)
+            assert fleet.describe()["respawns"] >= 1
+            assert time.monotonic() - started < 1.5, "respawn waited on the wedge"
+            assert fleet.healthy_replicas() == 2
+        finally:
+            closing = time.monotonic()
+            fleet.close()
+            close_s = time.monotonic() - closing
+            release.set()
+        assert close_s < 1.0, "close waited on the wedge"
+
+    @pytest.mark.parametrize("backend", ["thread", "process"])
+    def test_forward_error_fails_only_its_callers(
+        self, registry, inputs, reference, backend
+    ):
+        # A model whose forward raises fails exactly its own requests with
+        # the error message; the replica stays in service, never evicted.
+        bad = ModelKey(model="convnet", dataset="gtsrb", technique="exploding")
+        mixed = ModelRegistry()
+        mixed.register_module(KEY, registry.get(KEY).module)
+        mixed.register_module(bad, Exploding())
+        with make_fleet(mixed, replicas=1, backend=backend) as fleet:
+            futures = [fleet.submit(bad if i % 2 else KEY, inputs[i]) for i in range(8)]
+            for i, future in enumerate(futures):
+                if i % 2:
+                    with pytest.raises(RuntimeError, match="ValueError: forward exploded"):
+                        future.result(timeout=30)
+                else:
+                    assert np.array_equal(future.result(timeout=30), reference[i])
+            out = fleet.predict(KEY, inputs[8:12])
+            assert np.array_equal(out, reference[8:12])
+            described = fleet.describe()
+            assert described["router"]["errors"] == 4
+            assert described["evictions"] == 0 and described["respawns"] == 0
+            assert fleet.healthy_replicas() == 1
+
+    @pytest.mark.parametrize("backend", ["thread", "process"])
+    def test_ragged_chunk_fails_only_its_callers(self, registry, inputs, reference, backend):
+        # Two clients' samples of different shapes can share one chunk: the
+        # stack fails exactly those callers, and the replica keeps serving.
+        ragged = np.zeros((3, 16, 16), dtype=np.float32)
+        with make_fleet(registry, replicas=1, backend=backend) as fleet:
+            with fleet.router._cond:  # hold dispatch so both land in one chunk
+                futures = [fleet.submit(KEY, inputs[0]), fleet.submit(KEY, ragged)]
+            for future in futures:
+                with pytest.raises(RuntimeError, match="ValueError: .*same shape"):
+                    future.result(timeout=30)
+            out = fleet.predict(KEY, inputs[:4])
+            assert np.array_equal(out, reference[:4])
+            described = fleet.describe()
+            assert described["router"]["errors"] == 2
+            assert described["evictions"] == 0 and described["respawns"] == 0
+            assert fleet.healthy_replicas() == 1
+
     def test_eviction_metrics_exposed(self, registry, inputs):
         with make_fleet(registry, replicas=2) as fleet:
             fleet.kill_replica(1)
@@ -328,7 +410,7 @@ class TestFleetHTTP:
         import urllib.request
         import json as jsonlib
 
-        fleet = make_fleet(registry, replicas=1, max_queue=1).start()
+        fleet = make_fleet(registry, replicas=1, max_queue=1, replica_cap=1).start()
         server = ServingServer(fleet, port=0)
         thread = threading.Thread(
             target=server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
@@ -366,6 +448,68 @@ class TestFleetHTTP:
             thread.join(timeout=10)
             fleet.close()
 
+    @pytest.mark.parametrize("backend", ["thread", "process"])
+    def test_models_counts_fleet_predictions(self, registry, inputs, backend):
+        # Replicas infer on clones or in children; /models describes the
+        # template, which the fleet counts, like a single engine does.
+        fleet = make_fleet(registry, replicas=2, backend=backend).start()
+        server = ServingServer(fleet, port=0)
+        thread = threading.Thread(
+            target=server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
+        )
+        thread.start()
+        try:
+            def predictions() -> int:
+                [model] = _get(f"{server.url}/models")["models"]
+                return model["predictions"]
+
+            before = predictions()
+            status, _ = _post(
+                f"{server.url}/predict", {"model": KEY.id, "inputs": inputs[:8].tolist()}
+            )
+            assert status == 200
+            # Counted in a done-callback, which runs just after the caller
+            # is woken with its row.
+            deadline = time.monotonic() + 5
+            while predictions() - before < 8 and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert predictions() - before == 8
+        finally:
+            server.shutdown()
+            server.server_close()
+            thread.join(timeout=10)
+            fleet.close()
+
+    def test_prediction_count_loses_no_update_under_contention(self, registry, inputs):
+        # Four replica workers answer at once while the interpreter switches
+        # threads as often as it can: the template's count must not lose an
+        # increment.
+        import sys
+
+        servable = registry.get(KEY)
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with make_fleet(registry, replicas=4, max_queue=4096) as fleet:
+                before = servable.predictions
+
+                def client(offset: int) -> None:
+                    for j in range(25):
+                        fleet.predict(KEY, inputs[(offset + j) % len(inputs)])
+
+                threads = [threading.Thread(target=client, args=(i,)) for i in range(8)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=60)
+                assert not any(t.is_alive() for t in threads)
+                deadline = time.monotonic() + 5
+                while servable.predictions - before < 200 and time.monotonic() < deadline:
+                    time.sleep(0.01)
+                assert servable.predictions - before == 200
+        finally:
+            sys.setswitchinterval(switch)
+
     def test_stats_reflect_router(self, fleet_http, inputs):
         server, fleet = fleet_http
         _post(
@@ -389,3 +533,4 @@ class TestFleetHTTP:
         assert "fleet_requests_total" in text
         assert "fleet_evictions_total" in text
         assert "fleet_replica0_latency_seconds" in text
+        assert "fleet_batch_size" in text

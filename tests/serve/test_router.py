@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from repro.serve import ModelKey, ReplicaGone, Router, ShedError, TokenBucket
+from repro.telemetry import MetricsRegistry
 
 KEY = ModelKey(model="convnet", dataset="gtsrb")
 KEY_B = ModelKey(model="vgg11", dataset="cifar10")
@@ -201,6 +202,15 @@ class TestDispatch:
         for i, future in enumerate(futures):
             assert future.result(timeout=1)[0] == pytest.approx(2.0 * i)
 
+    def test_batch_size_histogram_counts_samples_per_chunk(self):
+        router = make_router(chunk=3, registry=MetricsRegistry())
+        FakeReplica(0).register(router)
+        for i in range(5):
+            router.submit(KEY, sample(i))
+        router.pump()
+        sizes = router.registry.get("fleet_batch_size")
+        assert (sizes.count, sizes.sum, sizes.max) == (2, 5.0, 3.0)
+
     def test_priority_order_under_saturation(self):
         router = make_router()
         replica = FakeReplica(0).register(router)
@@ -225,6 +235,34 @@ class TestDispatch:
         replica.answer_all()
         router.pump()
         assert sum(len(c) for c in replica.chunks) == 2
+
+    def test_busy_replica_waits_for_room_for_a_whole_chunk(self):
+        router = make_router(chunk=4, replica_cap=8)
+        replica = FakeReplica(0).register(router)
+        for i in range(12):
+            router.submit(KEY, sample(i))
+        router.pump()
+        assert [len(c) for c in replica.chunks] == [4, 4]
+        first = replica.chunks.pop(0)
+        for seq, value in zip(first.seqs[:3], first.samples):
+            router.on_result(0, 0, seq, value)  # 3 of 4 done: room 3
+        assert router.pump() == 0  # no 3-request fragment
+        router.on_result(0, 0, first.seqs[3], first.samples[3])
+        router.pump()
+        assert [len(c) for c in replica.chunks] == [4, 4]
+
+    def test_busy_replica_holds_one_short_chunk_at_most(self):
+        router = make_router(chunk=4, replica_cap=8)
+        replica = FakeReplica(0).register(router)
+        router.submit(KEY, sample(0))
+        router.pump()  # an idle replica takes whatever is queued
+        for i in range(1, 3):
+            router.submit(KEY, sample(i))
+        assert router.pump() == 0  # busy with a short chunk: the queue fills
+        for i in range(3, 5):
+            router.submit(KEY, sample(i))
+        router.pump()
+        assert [len(c) for c in replica.chunks] == [1, 4]
 
     def test_fifo_within_priority(self):
         router = make_router(chunk=8)

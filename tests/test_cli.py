@@ -129,6 +129,22 @@ class TestParser:
         assert args.serve_workers == 4
         assert args.trace == "out/serve.jsonl"
 
+    def test_serve_max_batch_size_is_the_fleet_chunk(self):
+        from repro.cli import _serve_settings
+        from repro.serve import BatchSettings, FleetSettings
+
+        parse = build_parser().parse_args
+        fleet = _serve_settings(parse(["serve", "--replicas", "3"]))
+        assert isinstance(fleet, FleetSettings)
+        assert (fleet.replicas, fleet.chunk) == (3, 8)
+        fleet = _serve_settings(parse(["serve", "--replicas", "2", "--max-batch-size", "16"]))
+        assert fleet.chunk == 16
+        engine = _serve_settings(parse(["serve", "--max-batch-size", "16"]))
+        assert isinstance(engine, BatchSettings)
+        assert (engine.max_batch_size, engine.max_latency_ms, engine.workers) == (16, 2.0, 2)
+        with pytest.raises(ValueError, match="chunk"):
+            _serve_settings(parse(["serve", "--replicas", "2", "--max-batch-size", "0"]))
+
 
 class TestMain:
     def test_table1_prints_catalog(self, capsys):
