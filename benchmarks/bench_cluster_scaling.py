@@ -1,17 +1,11 @@
-"""Bench: cluster-executor scaling + in-cell allreduce step throughput.
+"""Bench: cluster-executor sweep scaling.
 
-Two measurements feed ``BENCH_cluster_scaling.json``:
-
-1. **Sweep scaling** — a 16-cell grid run through :class:`ClusterExecutor`
-   with 1 and 2 local workers, plus a ``ParallelExecutor --jobs 1``
-   reference.  The single-worker cluster run should be within a few
-   percent of the pool baseline (the coordinator adds only frame
-   (de)serialisation), and two workers should approach 2× on a
-   multi-core host.
-2. **Allreduce throughput** — VGG11 optimisation steps/sec for a plain
-   single-process fit vs a ``ddp = 2`` :class:`DataParallelGroup`
-   (process backend), measuring what in-cell data parallelism buys one
-   large-net training loop.
+A 16-cell grid runs through :class:`ClusterExecutor` with 1 and 2 local
+workers, plus a ``ParallelExecutor --jobs 1`` reference, and the timings
+feed ``BENCH_cluster_scaling.json``.  The single-worker cluster run should
+be within a few percent of the pool baseline (the coordinator adds only
+frame (de)serialisation), and two workers should approach 2× on a
+multi-core host.
 
 Speedups are hardware-dependent (a single-core container shows ~1×), so
 correctness — identical result payloads across every executor — is
@@ -28,8 +22,6 @@ import multiprocessing
 import os
 import time
 
-import numpy as np
-
 from bench_common import write_bench_json
 from repro.experiments import (
     ClusterExecutor,
@@ -41,8 +33,6 @@ from repro.experiments import (
     run_worker,
 )
 from repro.faults import FaultType
-from repro.models import build_model
-from repro.nn import SGD, CrossEntropy, DataParallelGroup, Tensor
 
 #: Same per-cell cost as the study-scaling bench, doubled to 16 cells so
 #: two workers have enough independent units to overlap.
@@ -98,47 +88,6 @@ def _run_pool_baseline() -> tuple[float, list]:
     return elapsed, report.results
 
 
-def _vgg11_steps_per_s(world: int, steps: int = 6, batch: int = 16) -> float:
-    rng = np.random.default_rng(5)
-    x = rng.normal(size=(batch, 3, 32, 32)).astype(np.float32)
-    y = np.eye(10, dtype=np.float32)[rng.integers(0, 10, batch)]
-    model = build_model("vgg11", (3, 32, 32), 10, width=2, rng=np.random.default_rng(3))
-    model.train()
-    optimizer = SGD(model.parameters(), lr=0.01)
-    loss_fn = CrossEntropy()
-
-    if world == 1:
-        def step():
-            for p in model.parameters():
-                p.zero_grad()
-            logits = model(Tensor(x))
-            loss = loss_fn(logits, y)
-            loss.backward()
-            optimizer.step()
-            return float(loss.item())
-
-        step()  # warm-up
-        start = time.perf_counter()
-        for _ in range(steps):
-            last = step()
-        elapsed = time.perf_counter() - start
-        assert np.isfinite(last)
-        return steps / elapsed
-
-    with DataParallelGroup(
-        model, loss_fn, world, batch_capacity=batch, backend="process"
-    ) as group:
-        group.forward_backward(x, y)  # warm-up: forks workers, maps buffers
-        optimizer.step()
-        start = time.perf_counter()
-        for _ in range(steps):
-            batch_loss, _ = group.forward_backward(x, y)
-            optimizer.step()
-        elapsed = time.perf_counter() - start
-        assert np.isfinite(batch_loss)
-    return steps / elapsed
-
-
 def test_cluster_scaling_trajectory():
     # Disk caching would let later runs replay earlier training and fake
     # the scaling curve; force cold runs.
@@ -159,9 +108,6 @@ def test_cluster_scaling_trajectory():
     speedup = round(one_s / two_s, 3)
     overhead_vs_pool = round(one_s / pool_s - 1.0, 3)
 
-    ddp1 = _vgg11_steps_per_s(1)
-    ddp2 = _vgg11_steps_per_s(2)
-
     payload = {
         "scale": TINY.name,
         "grid_cells": len(plan_study(scale=TINY, **GRID)),
@@ -172,12 +118,6 @@ def test_cluster_scaling_trajectory():
         ],
         "speedup_at_2_workers": speedup,
         "cluster_overhead_vs_pool_jobs1": overhead_vs_pool,
-        "vgg11_allreduce": {
-            "batch": 16,
-            "steps_per_s_world1": round(ddp1, 3),
-            "steps_per_s_world2": round(ddp2, 3),
-            "speedup": round(ddp2 / ddp1, 3),
-        },
         "speedup_enforced": _enforce_speedups(),
     }
     out = write_bench_json("BENCH_cluster_scaling.json", "cluster_scaling", payload)

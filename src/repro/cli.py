@@ -12,7 +12,7 @@ Usage::
     repro-study panel --dataset gtsrb --model convnet --fault mislabelling
     repro-study study [--jobs 4] [--checkpoint out/study.jsonl] [--resume] [--out results.json]
     repro-study study --trace out/trace.jsonl --progress ...
-    repro-study study --cluster 0.0.0.0:9700 [--ddp 2] ...
+    repro-study study --cluster 0.0.0.0:9700 ...
     repro-study worker HOST:9700
     repro-study trace out/trace.jsonl [--strict] [--export-chrome out.json]
     repro-study profile [--model vgg11 --batch 4 --steps 30]
@@ -78,7 +78,6 @@ from .experiments.hardware_study import (
 from .experiments.config import ExperimentConfig, resolve_scale
 from .faults import FaultType
 from .mitigation import technique_names
-from .nn.allreduce import set_ddp
 from .nn.functional import KERNEL_MODES, set_kernel_mode
 from .nn.serialization import StateFileError
 from .serve import (
@@ -247,15 +246,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=60.0,
         help="seconds without a heartbeat before a cluster worker's cell is "
         "re-dispatched to another worker (default 60)",
-    )
-    study.add_argument(
-        "--ddp",
-        type=int,
-        default=None,
-        metavar="N",
-        help="data-parallel replicas per training run: shard each batch "
-        "across N local processes with a deterministic gradient allreduce "
-        "(bitwise-identical to single-process training)",
     )
 
     worker = sub.add_parser(
@@ -523,6 +513,24 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 def _run_study_command(runner: ExperimentRunner, args: argparse.Namespace) -> int:
     """The fault-tolerant ``study`` subcommand (checkpoint/resume/retries)."""
+    # Every flag is checked before the journal is opened, so a refused
+    # command leaves no checkpoint behind for its corrected re-run to trip on.
+    if args.jobs < 1:
+        logger.error("error: --jobs must be >= 1")
+        return 2
+    address = None
+    if args.cluster is not None:
+        if args.jobs > 1:
+            logger.error("error: --cluster and --jobs are mutually exclusive")
+            return 2
+        try:
+            address = _parse_address(args.cluster)
+        except ValueError as exc:
+            logger.error("error: %s", exc)
+            return 2
+    if args.resume and args.checkpoint is None:
+        logger.error("error: --resume requires --checkpoint")
+        return 2
     if args.kernels is not None:
         set_kernel_mode(args.kernels)
         logger.info("[kernels=%s]", args.kernels)
@@ -539,32 +547,10 @@ def _run_study_command(runner: ExperimentRunner, args: argparse.Namespace) -> in
             return 2
         if len(checkpoint):
             logger.info("[resuming: %d cells already journaled]", len(checkpoint))
-    elif args.resume:
-        logger.error("error: --resume requires --checkpoint")
-        return 2
 
-    if args.jobs < 1:
-        logger.error("error: --jobs must be >= 1")
-        return 2
-    if args.ddp is not None:
-        if args.ddp < 1:
-            logger.error("error: --ddp must be >= 1")
-            return 2
-        set_ddp(args.ddp)
-        logger.info("[ddp: %d replicas per training run]", args.ddp)
     executor = None
-    if args.cluster is not None:
-        if args.jobs > 1:
-            logger.error("error: --cluster and --jobs are mutually exclusive")
-            return 2
-        try:
-            host, port = _parse_address(args.cluster)
-        except ValueError as exc:
-            logger.error("error: %s", exc)
-            return 2
-        executor = ClusterExecutor(
-            host=host, port=port, lease_timeout=args.lease_timeout
-        )
+    if address is not None:
+        executor = ClusterExecutor(*address, lease_timeout=args.lease_timeout)
         logger.info(
             "[cluster: coordinator at %s:%d — start workers with "
             "'repro-study worker %s:%d']",

@@ -41,6 +41,7 @@ from dataclasses import dataclass
 from typing import Callable, ClassVar, Iterable, Iterator, Protocol, runtime_checkable
 
 from ..log import get_logger
+from ..nn.functional import kernel_mode, set_kernel_mode
 from ..telemetry import (
     FileTelemetry,
     NULL,
@@ -114,10 +115,6 @@ class ExecutionSettings:
     #: workers on other hosts replay it from here so every executor trains
     #: with identical kernels.  ``None`` = leave the worker's mode alone.
     kernels: "str | None" = None
-    #: Data-parallel shard count for each cell's training loops (see
-    #: :mod:`repro.nn.allreduce`); shipped to workers like ``kernels``.
-    #: ``None`` = leave the worker's setting alone.
-    ddp: "int | None" = None
 
 
 def execute_unit(
@@ -192,25 +189,15 @@ def _worker_runner(unit: PlanUnit, settings: ExecutionSettings) -> ExperimentRun
     return runner
 
 
-def _apply_worker_settings(settings: ExecutionSettings) -> None:
-    """Replay the collector's training knobs inside a worker process.
+def _execute_unit_in_worker(unit: PlanUnit, settings: ExecutionSettings) -> CellOutcome:
+    """Top-level (hence picklable) entry point run inside pool workers.
 
-    Forked pool workers inherit them implicitly (so this is an idempotent
-    no-op there); spawned pools and cluster workers on other hosts start
-    from interpreter defaults and need the explicit replay.
+    Replays the collector's kernel mode first: forked pool workers inherit
+    it (an idempotent no-op there); spawned pools and cluster workers on
+    other hosts start from interpreter defaults and need the explicit replay.
     """
-    from ..nn.allreduce import set_ddp
-    from ..nn.functional import set_kernel_mode
-
     if settings.kernels is not None:
         set_kernel_mode(settings.kernels)
-    if settings.ddp is not None:
-        set_ddp(settings.ddp)
-
-
-def _execute_unit_in_worker(unit: PlanUnit, settings: ExecutionSettings) -> CellOutcome:
-    """Top-level (hence picklable) entry point run inside pool workers."""
-    _apply_worker_settings(settings)
     return execute_unit(
         _worker_runner(unit, settings), unit, settings.retry,
         trace=settings.trace, metrics=settings.metrics,
@@ -358,13 +345,9 @@ def run_study_plan(
     elif trace is not None:
         tel = FileTelemetry(trace)
         owns_trace = True
-    from ..nn.allreduce import get_ddp
-    from ..nn.functional import kernel_mode
-
     settings = ExecutionSettings(
         retry=retry, cache_dir=cache_dir, trace=tel.enabled,
-        metrics=get_metrics().enabled,
-        kernels=kernel_mode(), ddp=get_ddp(),
+        metrics=get_metrics().enabled, kernels=kernel_mode(),
     )
 
     ckpt = checkpoint

@@ -5,15 +5,6 @@ This package is the substrate substitution for the paper's TensorFlow stack
 noise-robust ones the paper studies), optimisers, and a training loop.
 """
 
-from .allreduce import (
-    DataParallelGroup,
-    combine_shard_losses,
-    get_ddp,
-    reduce_gradients,
-    set_ddp,
-    shard_slices,
-    use_ddp,
-)
 from .compile import CompiledStep, CompileError, compile_tape
 from .functional import (
     KERNEL_MODES,
@@ -151,14 +142,6 @@ __all__ = [
     # workspace
     "Workspace",
     "get_workspace",
-    # data-parallel allreduce
-    "DataParallelGroup",
-    "get_ddp",
-    "set_ddp",
-    "use_ddp",
-    "shard_slices",
-    "reduce_gradients",
-    "combine_shard_losses",
     # losses
     "Loss",
     "CrossEntropy",

@@ -1,10 +1,10 @@
 """One shared-memory packer: named arrays in a single ``shared_memory`` block.
 
 :class:`SharedBlock` lays out named ``(shape, dtype)`` arrays at 64-byte
-aligned offsets and hands out zero-copy views by name.  DDP's gradient
-exchange (:mod:`repro.nn.allreduce`) and the serving fleet's weights
-(:mod:`repro.serve.fleet`) both use it, and both fork their workers from
-the creating process, so a child uses the mapping it inherited.
+aligned offsets and hands out zero-copy views by name.  Its one user is
+the serving fleet (:mod:`repro.serve.fleet`), which packs each model's
+weights into a block and forks its replicas from the creating process, so
+a child uses the mapping it inherited.
 
 :meth:`SharedBlock.close` unlinks the name at once and unmaps the pages
 once no view is left.  Views come from ``np.frombuffer``, which holds a

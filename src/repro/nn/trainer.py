@@ -16,7 +16,6 @@ from typing import Callable, Sequence
 import numpy as np
 
 from ..telemetry import get_metrics, get_telemetry
-from .allreduce import DataParallelGroup, get_ddp
 from .compile import CompileError, compile_tape
 from .functional import kernel_mode, kernel_tap, softmax_np
 from .losses import Loss
@@ -271,6 +270,8 @@ class Trainer:
         targets = np.asarray(targets, dtype=np.float32)
         if len(inputs) != len(targets):
             raise ValueError(f"inputs ({len(inputs)}) and targets ({len(targets)}) differ in length")
+        if len(inputs) == 0:
+            raise ValueError("fit needs at least one training example: inputs is empty")
         if targets.ndim != 2:
             raise ValueError("targets must be one-hot encoded (N, K)")
 
@@ -286,58 +287,6 @@ class Trainer:
         # Compiled kernel mode: record the first step per feed shape, plan a
         # static CompiledStep, replay it for every later fixed-shape step.
         compiled = _CompiledFitState() if kernel_mode() == "compiled" else None
-        # Data-parallel mode: shard each batch across ddp replicas with a
-        # deterministic gradient allreduce (see repro.nn.allreduce).  Shard
-        # steps are eager — ddp takes precedence over compiled replay.
-        group: "DataParallelGroup | None" = None
-        if get_ddp() > 1:
-            if self.batch_hook is not None:
-                raise ValueError(
-                    "batch_hook is not supported with ddp > 1: the hook "
-                    "mutates per-batch state that shard replicas cannot see"
-                )
-            compiled = None
-            group = DataParallelGroup(
-                self.model, self.loss, get_ddp(),
-                batch_capacity=max(1, min(self.batch_size, n)),
-                # An armed hardware-fault tap is process-local state the
-                # forked replicas could not share; run the reference loop.
-                backend="inproc" if kernel_tap() is not None else "auto",
-            )
-        try:
-            history = self._fit_loop(
-                history, inputs, targets, validation, n, label_idx,
-                tel, metrics, compiled, group,
-            )
-        finally:
-            if group is not None:
-                group.close()
-
-        if group is not None:
-            tel.event(
-                "ddp_fit", world=group.world, backend=group.backend,
-                steps=group.steps,
-            )
-        if compiled is not None:
-            workspace = get_workspace()
-            tel.event(
-                "compiled_fit",
-                compiled_steps=compiled.compiled_steps,
-                eager_steps=compiled.eager_steps,
-                tap_fallback_steps=compiled.tap_fallback_steps,
-                compiles=compiled.compiles,
-                compile_fallbacks=compiled.compile_fallbacks,
-                workspace_hits=workspace.hits,
-                workspace_misses=workspace.misses,
-                workspace_dropped=workspace.dropped,
-            )
-        history.total_time_s = time.perf_counter() - start
-        return history
-
-    def _fit_loop(
-        self, history, inputs, targets, validation, n, label_idx,
-        tel, metrics, compiled, group,
-    ) -> TrainHistory:
         for epoch in range(self.epochs):
             with tel.span("epoch", epoch=epoch) as span:
                 epoch_start = time.perf_counter()
@@ -354,11 +303,7 @@ class Trainer:
                         self.batch_hook(self.model, xb, yb)
                     effective_targets = self.target_transform(yb) if self.target_transform else yb
                     batch_index = lo // self.batch_size
-                    if group is not None:
-                        batch_loss, logits_data = self._ddp_step(
-                            group, xb, effective_targets, epoch, batch_index
-                        )
-                    elif compiled is not None:
+                    if compiled is not None:
                         batch_loss, logits_data = self._compiled_step(
                             compiled, xb, effective_targets, epoch, batch_index, tel
                         )
@@ -408,31 +353,22 @@ class Trainer:
                 if self.early_stopping.should_stop(monitored):
                     history.stopped_early = True
                     break
+
+        if compiled is not None:
+            workspace = get_workspace()
+            tel.event(
+                "compiled_fit",
+                compiled_steps=compiled.compiled_steps,
+                eager_steps=compiled.eager_steps,
+                tap_fallback_steps=compiled.tap_fallback_steps,
+                compiles=compiled.compiles,
+                compile_fallbacks=compiled.compile_fallbacks,
+                workspace_hits=workspace.hits,
+                workspace_misses=workspace.misses,
+                workspace_dropped=workspace.dropped,
+            )
+        history.total_time_s = time.perf_counter() - start
         return history
-
-    def _ddp_step(
-        self,
-        group: DataParallelGroup,
-        xb: np.ndarray,
-        targets: np.ndarray,
-        epoch: int,
-        batch_index: int,
-    ) -> tuple[float, np.ndarray]:
-        """One sharded data-parallel optimisation step (see ``allreduce``).
-
-        The group installs the combined batch gradient on the live model;
-        clip/step run here so the optimizer path is byte-for-byte the plain
-        trainer's.
-        """
-        xb = np.asarray(xb, dtype=np.float32)
-        t_arr = np.asarray(targets, dtype=np.float32)
-        batch_loss, logits_data = group.forward_backward(xb, t_arr)
-        if self.raise_on_divergence and not math.isfinite(batch_loss):
-            raise DivergenceError(epoch=epoch, batch=batch_index, loss=batch_loss)
-        if self.clip_norm is not None:
-            self.optimizer.clip_grad_norm(self.clip_norm)
-        self.optimizer.step()
-        return batch_loss, logits_data
 
     def _eager_step(
         self, xb: np.ndarray, targets: np.ndarray, epoch: int, batch_index: int

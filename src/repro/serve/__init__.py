@@ -9,10 +9,10 @@ of any response.
 
 At fleet scale, a :class:`ServingFleet` runs N health-checked replicas
 (threads or forked processes) over a single shared-memory copy of every
-model's weights (one :class:`~repro.nn.shared.SharedBlock` per model, the
-packer DDP uses too), behind a :class:`Router` that does bounded
-admission, per-client token-bucket fairness, priorities, least-outstanding
-dispatch, and exactly-once failover when replicas die.  A replica runs each
+model's weights (one :class:`~repro.nn.shared.SharedBlock` per model),
+behind a :class:`Router` that does bounded admission, per-client
+token-bucket fairness, priorities, least-outstanding dispatch, and
+exactly-once failover when replicas die.  A replica runs each
 router chunk as one forward pass; :class:`BatchSettings` is single-engine.
 An optional stdlib-only HTTP front-end (:class:`ServingServer`) exposes
 either an engine or a fleet as a JSON endpoint for the ``repro-study

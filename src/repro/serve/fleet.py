@@ -4,12 +4,12 @@ One :class:`ServingFleet` turns a template :class:`~repro.serve.registry.ModelRe
 into ``N`` replicas behind a :class:`~repro.serve.router.Router`:
 
 - **Weights are stored once.**  Every registered model's parameters and
-  buffers are packed into one :class:`~repro.nn.shared.SharedBlock` — the
-  packer DDP's gradient allreduce uses too — and every replica's module
-  attaches *read-only views* into that block.  N replicas of a
-  10M-parameter model cost one copy of the arrays, whether the replicas
-  are threads in this process or forked children.  Closing the fleet
-  unlinks every block and unmaps it once no replica view is left.
+  buffers are packed into one :class:`~repro.nn.shared.SharedBlock`, and
+  every replica's module attaches *read-only views* into that block.  N
+  replicas of a 10M-parameter model cost one copy of the arrays, whether
+  the replicas are threads in this process or forked children.  Closing
+  the fleet unlinks every block and unmaps it once no replica view is
+  left.
 - **The router's chunk is the only batch.**  A replica runs each chunk of
   up to ``FleetSettings.chunk`` requests as one forward pass and sends one
   reply — one worker thread draining a FIFO of chunks

@@ -1,9 +1,9 @@
 """The shared-memory packer: layout, views, attach, fork sharing, retirement.
 
-``repro.nn.shared.SharedBlock`` is the one packer under both DDP's gradient
-exchange and the serving fleet's weights.  The lifetime rule under test:
-``close()`` unlinks the name at once and unmaps the pages as soon as no view
-of them is alive; a block a live view still reads stays pinned until then.
+``repro.nn.shared.SharedBlock`` is the packer under the serving fleet's
+weights, its one user.  The lifetime rule under test: ``close()`` unlinks
+the name at once and unmaps the pages as soon as no view of them is alive;
+a block a live view still reads stays pinned until then.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ import numpy as np
 import pytest
 
 from repro.models import build_model
-from repro.nn import SGD, CrossEntropy, Trainer, use_ddp
 from repro.nn import shared
 from repro.nn.shared import ALIGNMENT, SharedBlock
 
@@ -197,20 +196,6 @@ class TestRetire:
 
 
 class TestUsersRetireTheirBlocks:
-    def test_process_ddp_fit_leaves_nothing_pinned(self, created_blocks):
-        rng = np.random.default_rng(7)
-        x = rng.normal(size=(13, 12)).astype(np.float32)
-        y = np.eye(5, dtype=np.float32)[rng.integers(0, 5, 13)]
-        model = build_model("mlp", (12,), 5, width=2, rng=np.random.default_rng(3))
-        trainer = Trainer(
-            model, CrossEntropy(), SGD(model.parameters(), lr=0.05),
-            epochs=1, batch_size=5, rng=np.random.default_rng(11),
-        )
-        with use_ddp(2):
-            trainer.fit(x, y)
-        assert len(created_blocks) == 1, "expected one process-backend block"
-        _assert_retired(created_blocks[0])
-
     def test_closed_process_fleets_leave_nothing_pinned(self, created_blocks):
         from repro.serve import FleetSettings, ModelKey, ModelRegistry, ServingFleet
 

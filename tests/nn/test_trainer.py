@@ -101,6 +101,12 @@ class TestFit:
         with pytest.raises(ValueError, match="one-hot"):
             trainer.fit(np.zeros((4, 6), dtype=np.float32), np.zeros(4, dtype=np.float32))
 
+    def test_empty_training_set_raises(self, rng):
+        model = _model(rng)
+        trainer = Trainer(model, CrossEntropy(), SGD(model.parameters(), lr=0.1))
+        with pytest.raises(ValueError, match="inputs is empty"):
+            trainer.fit(np.zeros((0, 6), dtype=np.float32), np.zeros((0, 3), dtype=np.float32))
+
     def test_target_transform_applied(self, rng):
         x, y, _ = _toy_problem(rng, n=32)
         model = _model(rng)

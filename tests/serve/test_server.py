@@ -212,10 +212,14 @@ class TestMetricsEndpoint:
 
 
 class _SleepyModule:
-    """Duck-typed module whose forward stalls long enough to trip timeouts."""
+    """Duck-typed module whose forward stalls long enough to trip timeouts.
+
+    The stall ends when ``release`` is set, or after ``delay_s`` at most.
+    """
 
     def __init__(self, delay_s: float) -> None:
         self.delay_s = delay_s
+        self.release = threading.Event()
 
     def eval(self) -> "_SleepyModule":
         return self
@@ -224,9 +228,7 @@ class _SleepyModule:
         return 0
 
     def __call__(self, tensor):
-        import time
-
-        time.sleep(self.delay_s)
+        self.release.wait(self.delay_s)
         return tensor
 
 
@@ -236,7 +238,8 @@ class TestRequestTimeout:
 
         key = ModelKey(model="sleepy", dataset="gtsrb")
         reg = ModelRegistry()
-        reg.register_module(key, _SleepyModule(delay_s=2.0))
+        sleepy = _SleepyModule(delay_s=2.0)
+        reg.register_module(key, sleepy)
         engine = ServingEngine(
             reg, BatchSettings(max_batch_size=8, max_latency_ms=1.0, workers=1)
         ).start()
@@ -254,6 +257,7 @@ class TestRequestTimeout:
             # The server survives the timeout and keeps answering.
             assert get(http, "/healthz")["status"] == "ok"
         finally:
+            sleepy.release.set()
             http.shutdown()
             thread.join(timeout=5)
             http.server_close()

@@ -191,6 +191,20 @@ class TestMain:
         assert code == 2
         assert "already exists" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--jobs", "0"],
+            ["--cluster", "nonsense"],
+            ["--cluster", "127.0.0.1:0", "--jobs", "2"],
+        ],
+        ids=["jobs-0", "bad-address", "cluster-with-jobs"],
+    )
+    def test_study_refused_flags_leave_no_checkpoint(self, tmp_path, flags):
+        path = tmp_path / "study.jsonl"
+        assert main(["study", "--checkpoint", str(path), *flags]) == 2
+        assert not path.exists()
+
     def test_study_checkpoint_and_resume_smoke(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("REPRO_EPOCHS", "2")
         path = tmp_path / "study.jsonl"
