@@ -28,7 +28,8 @@ The hot-path kernels come in three selectable modes (see
     (:mod:`repro.nn.compile`) — bitwise-identical to ``fast``.
 
 All three modes use the same optimiser/trainer code and the same registry
-ops; only the kernel bodies differ.
+ops; only the kernel bodies differ.  The max-pool forward is one strided
+window maximum in every mode (:func:`_window_max`).
 
 Patch layout
 ------------
@@ -349,6 +350,28 @@ _SOFTMAX_CE = register_op("softmax_ce", _softmax_ce_apply, _softmax_ce_vjp)
 def conv_output_size(size: int, kernel: int, stride: int, padding: int) -> int:
     """Spatial output size of a convolution/pooling window."""
     return (size + 2 * padding - kernel) // stride + 1
+
+
+def _check_window(op: str, shape, kernel_h: int, kernel_w: int, stride: int, padding: int) -> None:
+    """Reject a window geometry that cannot slide or leaves no output.
+
+    The windowed ops call this on entry, so a bad geometry fails here with
+    a message instead of as an empty map or a reshape error deep in a kernel.
+    """
+    h, w = shape[-2:]
+    if (
+        min(kernel_h, kernel_w) >= 1
+        and stride >= 1
+        and padding >= 0
+        and conv_output_size(h, kernel_h, stride, padding) >= 1
+        and conv_output_size(w, kernel_w, stride, padding) >= 1
+    ):
+        return
+    raise ValueError(
+        f"{op}: kernel {kernel_h}x{kernel_w}, stride {stride}, padding {padding} on a {h}x{w} "
+        "input leaves no output window (need kernel >= 1, stride >= 1, padding >= 0 and "
+        "kernel <= input + 2 * padding)"
+    )
 
 
 # ----------------------------------------------------------------------
@@ -789,6 +812,7 @@ def conv2d(
     c_in_w = weight.shape[1]
     if c_in != c_in_w:
         raise ValueError(f"conv2d channel mismatch: input has {c_in}, weight expects {c_in_w}")
+    _check_window("conv2d", images.shape, *weight.shape[2:], stride, padding)
     inputs = (images, weight) if bias is None else (images, weight, bias)
     return run_op(_CONV2D, inputs, {"stride": stride, "padding": padding})
 
@@ -883,6 +907,7 @@ def depthwise_conv2d(
     c_w, one = weight.shape[0], weight.shape[1]
     if c_w != c or one != 1:
         raise ValueError(f"depthwise weight must be (C, 1, KH, KW); got {weight.shape}")
+    _check_window("depthwise_conv2d", images.shape, *weight.shape[2:], stride, padding)
     inputs = (images, weight) if bias is None else (images, weight, bias)
     return run_op(_DEPTHWISE_CONV2D, inputs, {"stride": stride, "padding": padding})
 
@@ -962,8 +987,60 @@ _DEPTHWISE_CONV2D = register_op(
 # ----------------------------------------------------------------------
 def max_pool2d(images: Tensor, kernel: int = 2, stride: int | None = None) -> Tensor:
     """Max pooling over non-overlapping (or strided) windows."""
-    stride = stride or kernel
+    stride = kernel if stride is None else stride
+    _check_window("max_pool2d", images.shape, kernel, kernel, stride, 0)
     return run_op(_MAX_POOL2D, (images,), {"kernel": kernel, "stride": stride})
+
+
+def _has_both_zero_signs(x: np.ndarray) -> bool:
+    """Whether a float array holds both ``+0.0`` and ``-0.0``.
+
+    Two reductions over integer views and no temporaries: ``+0.0`` is the
+    only all-zero bit pattern, and ``-0.0`` the most negative signed one.
+    """
+    if x.dtype.kind != "f" or x.size == 0:
+        return False
+    signed = np.dtype(f"i{x.itemsize}")
+    return bool(
+        x.view(f"u{x.itemsize}").min() == 0 and x.view(signed).min() == np.iinfo(signed).min
+    )
+
+
+def _window_max(x: np.ndarray, kernel: int, stride: int, out: np.ndarray) -> np.ndarray:
+    """Each pooling window's maximum, into ``out`` of shape ``(N, C, OH, OW)``.
+
+    A chain of ``np.maximum`` over the ``kernel x kernel`` strided views of
+    ``x``, with no patch gather.  The result is, bit for bit, the element
+    ``argmax`` over the window's patch selects, which is where the backward
+    pass routes the gradient:
+
+    * the running maximum is ``np.maximum``'s first operand, so a NaN counts
+      as the maximum and the first NaN in ``(ky, kx)`` order wins (NumPy's
+      rule: "if both elements are NaNs then the first is returned");
+    * ``-0.0`` and ``+0.0`` tie, and ``np.maximum`` may return either while
+      ``argmax`` keeps the first, so a zero maximum takes the sign of the
+      window's first zero.  That fix-up only runs when ``x`` holds zeros of
+      both signs; a ReLU output's zeros are all ``-0.0``.
+    """
+    _, _, out_h, out_w = out.shape
+    views = [
+        x[:, :, ky : ky + stride * out_h : stride, kx : kx + stride * out_w : stride]
+        for ky in range(kernel)
+        for kx in range(kernel)
+    ]
+    if len(views) == 1:
+        np.copyto(out, views[0])
+        return out
+    np.maximum(views[0], views[1], out=out)
+    for view in views[2:]:
+        np.maximum(out, view, out=out)
+    if _has_both_zero_signs(x):
+        zero_max = out == 0
+        first_zero = np.empty_like(out)
+        for view in reversed(views):
+            np.copyto(first_zero, view, where=view == 0)
+        np.copyto(out, first_zero, where=zero_max)
+    return out
 
 
 def _max_pool2d_apply(ctx: OpCtx, inputs, kwargs) -> np.ndarray:
@@ -973,43 +1050,33 @@ def _max_pool2d_apply(ctx: OpCtx, inputs, kwargs) -> np.ndarray:
     n, c, h, w = x.shape
     out_h = conv_output_size(h, kernel, stride, 0)
     out_w = conv_output_size(w, kernel, stride, 0)
-    ohw = out_h * out_w
-    kk = kernel * kernel
-
-    if ctx.bufs is None:
-        ws = _pool()
-        cols = ws.acquire((n, c * kk, ohw), x.dtype) if ws is not None else None
-        cols4 = im2col(x, kernel, kernel, stride, 0, out=cols).reshape(n, c, kk, ohw)
-        argmax = cols4.argmax(axis=2)  # (N, C, OH*OW)
-        out = np.take_along_axis(cols4, argmax[:, :, None, :], axis=2)[:, :, 0, :]
-        out_data = out.reshape(n, c, out_h, out_w)
-    else:
-        # Armed replay: persistent buffers, and the window maximum comes from
-        # a max-reduce instead of a gather at argmax — an exact selection of
-        # the same element, one contiguous scan instead of a fancy-index pass.
-        ws = None
-        cols4 = im2col(
-            x, kernel, kernel, stride, 0, out=ctx.buffer("cols", (n, c * kk, ohw), x.dtype)
-        ).reshape(n, c, kk, ohw)
-        argmax = np.argmax(cols4, axis=2, out=ctx.buffer("argmax", (n, c, ohw), np.intp))
-        out = cols4.max(axis=2, out=ctx.buffer("out", (n, c, ohw), x.dtype))
-        out_data = out.reshape(n, c, out_h, out_w)
+    out_data = _window_max(x, kernel, stride, ctx.buffer("out", (n, c, out_h, out_w), x.dtype))
     tap = getattr(_KERNEL_TAP, "fn", None)
     if tap is not None:
         tap("max_pool2d", out_data)
-    if ws is not None:
-        # The backward pass only needs the argmax, not the patches.
-        ws.release(cols)
-    ctx.saved = (x.shape, x.dtype, argmax, ws, (kernel, stride, out_h, out_w, ohw, kk))
+    # Only a backward pass needs the argmax; it takes it from the input.
+    ctx.saved = (x, (kernel, stride, out_h, out_w))
     return out_data
 
 
 def _max_pool2d_vjp(ctx: OpCtx, grad, needs, acc) -> None:
     if not needs[0]:
         return
-    x_shape, x_dtype, argmax, ws, geom = ctx.saved
-    kernel, stride, out_h, out_w, ohw, kk = geom
-    n, c, h, w = x_shape
+    x, (kernel, stride, out_h, out_w) = ctx.saved
+    n, c, h, w = x_shape = x.shape
+    x_dtype = x.dtype
+    ohw = out_h * out_w
+    kk = kernel * kernel
+    # Each forward maximum is its patch's first maximum (a NaN counting as
+    # the largest value), and the gradient goes to that element.
+    ws = _pool() if ctx.bufs is None else None
+    cols = _scratch(ctx, ws, "cols", (n, c * kk, ohw), x_dtype)
+    im2col(x, kernel, kernel, stride, 0, out=cols)
+    argmax = np.argmax(  # (N, C, OH*OW)
+        cols.reshape(n, c, kk, ohw), axis=2, out=ctx.buffer("argmax", (n, c, ohw), np.intp)
+    )
+    if ws is not None:
+        ws.release(cols)
     grad3 = grad.reshape(n, c, ohw)
     if (ws is not None or ctx.bufs is not None) and stride >= kernel:
         # Disjoint windows: route each gradient straight to its argmax
@@ -1055,7 +1122,8 @@ _MAX_POOL2D = register_op("max_pool2d", _max_pool2d_apply, _max_pool2d_vjp)
 
 def avg_pool2d(images: Tensor, kernel: int = 2, stride: int | None = None) -> Tensor:
     """Average pooling over windows."""
-    stride = stride or kernel
+    stride = kernel if stride is None else stride
+    _check_window("avg_pool2d", images.shape, kernel, kernel, stride, 0)
     return run_op(_AVG_POOL2D, (images,), {"kernel": kernel, "stride": stride})
 
 

@@ -142,7 +142,7 @@ class MaxPool2D(Module):
     def __init__(self, kernel_size: int = 2, stride: int | None = None) -> None:
         super().__init__()
         self.kernel_size = kernel_size
-        self.stride = stride or kernel_size
+        self.stride = kernel_size if stride is None else stride
 
     def forward(self, x: Tensor) -> Tensor:
         return F.max_pool2d(x, self.kernel_size, self.stride)
@@ -154,7 +154,7 @@ class AvgPool2D(Module):
     def __init__(self, kernel_size: int = 2, stride: int | None = None) -> None:
         super().__init__()
         self.kernel_size = kernel_size
-        self.stride = stride or kernel_size
+        self.stride = kernel_size if stride is None else stride
 
     def forward(self, x: Tensor) -> Tensor:
         return F.avg_pool2d(x, self.kernel_size, self.stride)

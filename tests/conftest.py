@@ -14,6 +14,23 @@ def rng() -> np.random.Generator:
     return np.random.default_rng(12345)
 
 
+def same_bits(a, b) -> bool:
+    """Whether two arrays hold identical bit patterns, element for element.
+
+    The bitwise checks compare through unsigned views because
+    ``np.array_equal`` calls ``-0.0`` equal to ``+0.0`` and a NaN unequal to
+    itself.  Shapes and dtypes must match too.
+    """
+    a, b = np.asarray(a), np.asarray(b)
+    if a.shape != b.shape or a.dtype != b.dtype:
+        return False
+    if a.dtype.kind == "f":
+        unsigned = f"u{a.dtype.itemsize}"
+        a = np.ascontiguousarray(a).view(unsigned)
+        b = np.ascontiguousarray(b).view(unsigned)
+    return bool(np.array_equal(a, b))
+
+
 def numeric_gradient(func, array: np.ndarray, eps: float = 1e-3) -> np.ndarray:
     """Central-difference gradient of scalar ``func(array)`` w.r.t. ``array``.
 

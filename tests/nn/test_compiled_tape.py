@@ -31,6 +31,8 @@ from repro.nn.tensor import no_grad
 from repro.telemetry import RecordingTelemetry, telemetry_scope
 from repro.telemetry.summary import render_trace_summary, summarize_trace
 
+from ..conftest import same_bits
+
 NUM_CLASSES = 5
 IMAGE_SHAPE = (3, 16, 16)
 #: 12 examples in batches of 5 → per-epoch batches of 5, 5, 2: the ragged
@@ -84,9 +86,9 @@ def _assert_bitwise_same(fast, compiled):
     comp_params = comp_model.parameters()
     assert len(fast_params) == len(comp_params)
     for pf, pc in zip(fast_params, comp_params):
-        assert np.array_equal(pf.data, pc.data), "weights diverged"
+        assert same_bits(pf.data, pc.data), "weights diverged"
         assert pf.grad is not None and pc.grad is not None
-        assert np.array_equal(pf.grad, pc.grad), "last-step gradients diverged"
+        assert same_bits(pf.grad, pc.grad), "last-step gradients diverged"
 
 
 class TestBitwiseEquivalence:
@@ -249,9 +251,9 @@ class TestMigratedClosureOps:
         g = np.random.default_rng(1).normal(size=out.shape).astype(np.float32)
         out.backward(g)
         expected_out, expected_grads = closure(g, *arrays)
-        assert np.array_equal(out.data, expected_out)
+        assert same_bits(out.data, expected_out)
         for tensor, expected in zip(tensors, expected_grads):
-            assert np.array_equal(tensor.grad, expected)
+            assert same_bits(tensor.grad, expected)
 
 
 class TestCompileApi:
@@ -295,8 +297,8 @@ class TestCompileApi:
         assert np.isfinite(float(loss_arr))
         assert step.steps_replayed == 0  # only Trainer increments the counter
         for pe, pc in zip(eager_model.parameters(), comp_model.parameters()):
-            assert np.array_equal(pe.data, pc.data)
-            assert np.array_equal(pe.grad, pc.grad)
+            assert same_bits(pe.data, pc.data)
+            assert same_bits(pe.grad, pc.grad)
 
     def test_feed_shape_mismatch_raises(self):
         _, x, y = _data("convnet")

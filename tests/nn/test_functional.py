@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
 from repro.nn import Tensor
 from repro.nn import functional as F
+from repro.nn.layers import AvgPool2D, MaxPool2D
 from repro.nn.module import Parameter
 
 from ..conftest import assert_grad_close
@@ -229,6 +232,99 @@ class TestPooling:
         images = Tensor(rng.normal(size=(1, 1, 6, 6)).astype(np.float32))
         out = F.max_pool2d(images, 2, stride=2)
         assert out.shape == (1, 1, 3, 3)
+
+
+def _images(size):
+    return Tensor(np.zeros((1, 1, size, size), dtype=np.float32))
+
+
+def _filters(size):
+    return Tensor(np.zeros((1, 1, size, size), dtype=np.float32))
+
+
+class TestWindowGeometry:
+    """The four windowed ops reject a window that cannot slide or leaves no
+    output, naming the geometry, instead of returning an empty map or
+    failing inside a kernel."""
+
+    @pytest.mark.parametrize(
+        "call,message",
+        [
+            pytest.param(
+                lambda: F.max_pool2d(_images(1), 2),
+                "max_pool2d: kernel 2x2, stride 2, padding 0 on a 1x1",
+                id="max_pool-map-smaller-than-kernel",
+            ),
+            pytest.param(
+                lambda: F.avg_pool2d(_images(1), 2),
+                "avg_pool2d: kernel 2x2, stride 2, padding 0 on a 1x1",
+                id="avg_pool-map-smaller-than-kernel",
+            ),
+            pytest.param(
+                lambda: F.max_pool2d(_images(4), 2, stride=0),
+                "max_pool2d: kernel 2x2, stride 0,",
+                id="max_pool-stride-0",
+            ),
+            pytest.param(
+                lambda: F.avg_pool2d(_images(4), 2, stride=0),
+                "avg_pool2d: kernel 2x2, stride 0,",
+                id="avg_pool-stride-0",
+            ),
+            pytest.param(
+                lambda: F.max_pool2d(_images(4), 0),
+                "max_pool2d: kernel 0x0, stride 0,",
+                id="max_pool-kernel-0",
+            ),
+            pytest.param(
+                lambda: F.avg_pool2d(_images(4), 2, stride=-1),
+                "avg_pool2d: kernel 2x2, stride -1,",
+                id="avg_pool-negative-stride",
+            ),
+            pytest.param(
+                lambda: MaxPool2D(2, stride=0)(_images(4)),
+                "max_pool2d: kernel 2x2, stride 0,",
+                id="MaxPool2D-stride-0",
+            ),
+            pytest.param(
+                lambda: AvgPool2D(3)(_images(2)),
+                "avg_pool2d: kernel 3x3, stride 3, padding 0 on a 2x2",
+                id="AvgPool2D-map-smaller-than-kernel",
+            ),
+            pytest.param(
+                lambda: F.conv2d(_images(1), _filters(3), None, stride=-1),
+                "conv2d: kernel 3x3, stride -1, padding 0 on a 1x1",
+                id="conv2d-negative-stride",
+            ),
+            pytest.param(
+                lambda: F.conv2d(_images(2), _filters(5), None, padding=1),
+                "conv2d: kernel 5x5, stride 1, padding 1 on a 2x2",
+                id="conv2d-kernel-larger-than-padded-input",
+            ),
+            pytest.param(
+                lambda: F.conv2d(_images(4), _filters(3), None, padding=-1),
+                "conv2d: kernel 3x3, stride 1, padding -1 on a 4x4",
+                id="conv2d-negative-padding",
+            ),
+            pytest.param(
+                lambda: F.depthwise_conv2d(_images(4), _filters(3), None, stride=0),
+                "depthwise_conv2d: kernel 3x3, stride 0, padding 0 on a 4x4",
+                id="depthwise-stride-0",
+            ),
+            pytest.param(
+                lambda: F.depthwise_conv2d(_images(2), _filters(3), None),
+                "depthwise_conv2d: kernel 3x3, stride 1, padding 0 on a 2x2",
+                id="depthwise-kernel-larger-than-input",
+            ),
+        ],
+    )
+    def test_bad_window_raises_with_its_geometry(self, call, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            call()
+
+    def test_window_that_exactly_fits_is_accepted(self):
+        assert F.max_pool2d(_images(2), 2).shape == (1, 1, 1, 1)
+        assert F.avg_pool2d(_images(3), 3, stride=5).shape == (1, 1, 1, 1)
+        assert F.conv2d(_images(1), _filters(3), None, padding=1).shape == (1, 1, 1, 1)
 
 
 class TestBatchNorm2DFunctional:

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from repro.models import build_model
-from repro.nn import Tensor, kernel_mode, set_kernel_mode, use_kernel_mode
+from repro.nn import Tensor, kernel_mode, no_grad, set_kernel_mode, use_kernel_mode
 from repro.nn import functional as F
 from repro.nn.functional import (
     avg_pool2d,
@@ -31,6 +31,9 @@ from repro.nn.functional import (
     max_pool2d,
     softmax_cross_entropy,
 )
+from repro.nn.ops import OP_REGISTRY, OpCtx
+
+from ..conftest import same_bits
 
 #: Output rows shorter than this take the flat-index patch path.
 NARROW = F._NARROW_ROW
@@ -120,9 +123,9 @@ class TestConvEquivalence:
         b = rng.normal(size=(w_shape[0],)).astype(np.float32)
         fast = _run("fast", conv2d, [x, w, b], **kwargs)
         ref = _run("reference", conv2d, [x, w, b], **kwargs)
-        assert np.array_equal(fast[0], ref[0])
+        assert same_bits(fast[0], ref[0])
         for g_fast, g_ref in zip(fast[1], ref[1]):
-            assert np.array_equal(g_fast, g_ref)
+            assert same_bits(g_fast, g_ref)
 
     def test_no_bias_conv_equivalent(self):
         rng = np.random.default_rng(13)
@@ -130,9 +133,9 @@ class TestConvEquivalence:
         w = rng.normal(size=(3, 2, 3, 3)).astype(np.float32)
         fast = _run("fast", conv2d, [x, w, None], stride=1, padding=1)
         ref = _run("reference", conv2d, [x, w, None], stride=1, padding=1)
-        assert np.array_equal(fast[0], ref[0])
+        assert same_bits(fast[0], ref[0])
         for g_fast, g_ref in zip(fast[1], ref[1]):
-            assert np.array_equal(g_fast, g_ref)
+            assert same_bits(g_fast, g_ref)
 
 
 class TestDepthwiseEquivalence:
@@ -145,9 +148,9 @@ class TestDepthwiseEquivalence:
         b = rng.normal(size=(c,)).astype(np.float32)
         fast = _run("fast", depthwise_conv2d, [x, w, b], **kwargs)
         ref = _run("reference", depthwise_conv2d, [x, w, b], **kwargs)
-        assert np.array_equal(fast[0], ref[0])
+        assert same_bits(fast[0], ref[0])
         for g_fast, g_ref in zip(fast[1], ref[1]):
-            assert np.array_equal(g_fast, g_ref)
+            assert same_bits(g_fast, g_ref)
 
 
 class TestPoolEquivalence:
@@ -158,8 +161,128 @@ class TestPoolEquivalence:
         x = rng.normal(size=x_shape).astype(np.float32)
         fast = _run("fast", op, [x], **kwargs)
         ref = _run("reference", op, [x], **kwargs)
-        assert np.array_equal(fast[0], ref[0])
-        assert np.array_equal(fast[1][0], ref[1][0])
+        assert same_bits(fast[0], ref[0])
+        assert same_bits(fast[1][0], ref[1][0])
+
+
+#: The hardware campaign's pooling geometries (ConvNet at 16x16, batch 64).
+CAMPAIGN_POOL_CASES = [
+    ((64, 8, 16, 16), dict(kernel=2, stride=2)),
+    ((64, 16, 8, 8), dict(kernel=2, stride=2)),
+]
+#: (input shape, pool kwargs, dtype): every grid geometry in float32, plus a
+#: float64 case because ``Tensor`` keeps float64 for gradient checks.
+TIE_CASES = [
+    pytest.param(
+        shape,
+        kwargs,
+        dtype,
+        id="x".join(map(str, shape)) + f"-k{kwargs['kernel']}s{kwargs['stride']}-{dtype.__name__}",
+    )
+    for shape, kwargs, dtype in [
+        *((shape, kwargs, np.float32) for shape, kwargs in POOL_CASES + CAMPAIGN_POOL_CASES),
+        ((32, 8, 8, 8), dict(kernel=2, stride=2), np.float64),
+    ]
+]
+
+
+def _tie_grid(kind, shape, dtype, seed=81):
+    """Inputs whose window maxima tie: signed zeros, infinities, or NaNs.
+
+    ``zeros`` mixes -0.0 and +0.0 with some -1.0, so most windows have a
+    zero maximum of either sign; ``infs`` adds +-inf and +-1.0; ``nans``
+    puts NaNs with distinct payloads and both signs into a quarter of the
+    zeros grid.
+    """
+    rng = np.random.default_rng(seed)
+    if kind == "infs":
+        palette = [-0.0, 0.0, -1.0, 1.0, -np.inf, np.inf]
+    else:
+        palette = [-0.0, 0.0, -1.0]
+    x = rng.choice(np.array(palette, dtype=dtype), size=shape)
+    if kind == "nans":
+        unsigned = np.dtype(f"u{np.dtype(dtype).itemsize}")
+        sign = unsigned.type(1) << unsigned.type(8 * unsigned.itemsize - 1)
+        payload = rng.integers(1, 1 << 20, size=shape).astype(unsigned)
+        nan_bits = np.array(np.nan, dtype).view(unsigned) | payload
+        nan_bits |= np.where(rng.random(shape) < 0.5, sign, 0).astype(unsigned)
+        x = np.where(rng.random(shape) < 0.25, nan_bits.view(dtype), x)
+    return x
+
+
+def _argmax_pool_oracle(x, kernel, stride):
+    """The element ``argmax`` selects in each window: seed patches, argmax, gather."""
+    n, c, h, w = x.shape
+    out_h = F.conv_output_size(h, kernel, stride, 0)
+    out_w = F.conv_output_size(w, kernel, stride, 0)
+    patches = im2col_reference(x, kernel, kernel, stride, 0).reshape(
+        n, out_h, out_w, c, kernel * kernel
+    )
+    first_max = patches.argmax(axis=-1)[..., None]
+    return np.take_along_axis(patches, first_max, axis=-1)[..., 0].transpose(0, 3, 1, 2)
+
+
+class TestMaxPoolTieRule:
+    """Every max-pool forward returns, bit for bit, the element ``argmax``
+    picks, which is where the backward routes the gradient: a NaN is the
+    maximum and the first NaN wins, and a zero maximum keeps the sign of
+    the window's first zero."""
+
+    @pytest.mark.parametrize("kind", ["zeros", "infs", "nans"])
+    @pytest.mark.parametrize("x_shape,kwargs,dtype", TIE_CASES)
+    def test_forward_is_the_argmax_element(self, x_shape, kwargs, dtype, kind):
+        x = _tie_grid(kind, x_shape, dtype)
+        want = _argmax_pool_oracle(x, **kwargs)
+        for mode in ("fast", "reference"):
+            with use_kernel_mode(mode):
+                with no_grad():
+                    assert same_bits(max_pool2d(Tensor(x), **kwargs).data, want), mode
+                assert same_bits(max_pool2d(Tensor(x, requires_grad=True), **kwargs).data, want)
+        op, ctx = OP_REGISTRY["max_pool2d"], OpCtx(persistent=True)
+        for _ in range(2):  # the second call replays into the armed buffers
+            assert same_bits(op.apply(ctx, (x,), kwargs), want), "armed"
+
+    @pytest.mark.parametrize("kind", ["zeros", "infs", "nans"])
+    @pytest.mark.parametrize("x_shape,kwargs,dtype", TIE_CASES)
+    def test_gradients_match_reference_mode(self, x_shape, kwargs, dtype, kind):
+        x = _tie_grid(kind, x_shape, dtype)
+        out_shape = _argmax_pool_oracle(x, **kwargs).shape
+        g = np.random.default_rng(82).normal(size=out_shape).astype(dtype)
+
+        def eager(mode):
+            with use_kernel_mode(mode):
+                t = Tensor(x, requires_grad=True)
+                max_pool2d(t, **kwargs).backward(g)
+                return t.grad
+
+        want = eager("reference")
+        assert same_bits(eager("fast"), want)
+        op, ctx = OP_REGISTRY["max_pool2d"], OpCtx(persistent=True)
+        for _ in range(2):
+            grads = []
+            op.apply(ctx, (x,), kwargs)
+            op.vjp(ctx, g, (True,), lambda i, grad: grads.append(grad.copy()))
+            assert len(grads) == 1 and same_bits(grads[0], want), "armed"
+
+
+class TestMaxPoolArgmaxPath:
+    @pytest.mark.parametrize("mode", ["fast", "reference"])
+    def test_argmax_patches_are_gathered_only_by_the_backward(self, mode, monkeypatch):
+        # The forward is a strided window maximum; only a pass with a
+        # backward pays for the patch gather that the argmax needs.
+        calls = []
+        gather = F.im2col
+        monkeypatch.setattr(F, "im2col", lambda *a, **k: calls.append("im2col") or gather(*a, **k))
+        x = np.random.default_rng(83).normal(size=(2, 3, 8, 8)).astype(np.float32)
+        with use_kernel_mode(mode):
+            with no_grad():
+                max_pool2d(Tensor(x), kernel=2)
+            assert calls == []
+            t = Tensor(x, requires_grad=True)
+            out = max_pool2d(t, kernel=2)
+            assert calls == []
+            out.backward(np.ones_like(out.data))
+        assert calls == ["im2col"]
 
 
 class TestNarrowPathSelection:
@@ -205,8 +328,8 @@ class TestFusedLossEquivalence:
         composed = self._composed(logits_composed, targets, temperature)
         composed.backward()
 
-        assert np.array_equal(fused.data, composed.data)
-        assert np.array_equal(logits_fused.grad, logits_composed.grad)
+        assert same_bits(fused.data, composed.data)
+        assert same_bits(logits_fused.grad, logits_composed.grad)
 
     def test_soft_targets(self):
         rng = np.random.default_rng(42)
@@ -222,8 +345,8 @@ class TestFusedLossEquivalence:
         composed = self._composed(logits_composed, soft, 1.0)
         composed.backward()
 
-        assert np.array_equal(fused.data, composed.data)
-        assert np.array_equal(logits_fused.grad, logits_composed.grad)
+        assert same_bits(fused.data, composed.data)
+        assert same_bits(logits_fused.grad, logits_composed.grad)
 
     def test_reference_mode_falls_back_to_composition(self):
         rng = np.random.default_rng(43)
@@ -248,9 +371,7 @@ class TestPatchLayouts:
         for stride, padding in [(1, 0), (1, 1), (2, 1), (3, 0)]:
             new = im2col(x, 3, 2, stride, padding)  # (N, C*KH*KW, OH*OW)
             old = im2col_reference(x, 3, 2, stride, padding)  # (N*OH*OW, C*KH*KW)
-            np.testing.assert_array_equal(
-                new.transpose(0, 2, 1).reshape(old.shape), old
-            )
+            assert same_bits(new.transpose(0, 2, 1).reshape(old.shape), old)
 
     def test_im2col_strided_gather_matches_window_view(self):
         # Fast mode uses sliding_window_view only for stride 1; the strided
@@ -261,7 +382,7 @@ class TestPatchLayouts:
             fast = im2col(x, 3, 3, 2, 1)
         with use_kernel_mode("reference"):
             ref = im2col(x, 3, 3, 2, 1)
-        np.testing.assert_array_equal(fast, ref)
+        assert same_bits(fast, ref)
 
     def test_col2im_is_adjoint_of_im2col(self):
         # <im2col(x), c> == <x, col2im(c)> characterises the exact adjoint.
@@ -308,7 +429,7 @@ class TestModelLevelEquivalence:
         loss_ref, params_ref = step("reference")
         assert loss_fast == loss_ref
         for p_fast, p_ref in zip(params_fast, params_ref):
-            assert np.array_equal(p_fast, p_ref)
+            assert same_bits(p_fast, p_ref)
 
     @pytest.mark.parametrize("name", ["convnet", "mobilenet", "resnet18", "vgg11", "vgg16"])
     def test_ensemble_member_training_step_is_bitwise_identical(self, name):
@@ -337,7 +458,7 @@ class TestModelLevelEquivalence:
         assert loss_fast == loss_ref
         assert len(params_fast) == len(params_ref)
         for p_fast, p_ref in zip(params_fast, params_ref):
-            assert np.array_equal(p_fast, p_ref)
+            assert same_bits(p_fast, p_ref)
 
 
 class TestNarrowPathThreads:
@@ -389,8 +510,8 @@ class TestNarrowPathThreads:
                     k = (offset + i) % len(cases)
                     out, grads = run_case(cases[k])
                     want_out, want_grads = expected[k]
-                    if not np.array_equal(out, want_out) or not all(
-                        np.array_equal(g, e) for g, e in zip(grads, want_grads)
+                    if not same_bits(out, want_out) or not all(
+                        same_bits(g, e) for g, e in zip(grads, want_grads)
                     ):
                         mismatches.append(k)
             except Exception as exc:  # pragma: no cover - reported below
