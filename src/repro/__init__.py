@@ -20,23 +20,13 @@ Public surface:
 - :mod:`repro.serve` -- model registry, micro-batched inference engine, HTTP endpoint
 """
 
-from . import (
-    analysis,
-    data,
-    experiments,
-    faults,
-    metrics,
-    mitigation,
-    models,
-    nn,
-    serve,
-    survey,
-    telemetry,
-)
+import importlib
 
 __version__ = "1.0.0"
 
-__all__ = [
+#: Subpackages resolved on first access (PEP 562), so ``import repro`` loads
+#: none of them and each entry point pays only for the modules it uses.
+_SUBPACKAGES = (
     "analysis",
     "nn",
     "data",
@@ -48,5 +38,18 @@ __all__ = [
     "survey",
     "telemetry",
     "serve",
-    "__version__",
-]
+)
+
+__all__ = [*_SUBPACKAGES, "__version__"]
+
+
+def __getattr__(name: str):
+    """Import subpackage ``name`` on first access (``repro.nn``, ``from repro import nn``)."""
+    if name in _SUBPACKAGES:
+        return importlib.import_module(f"{__name__}.{name}")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    """The module's names, including subpackages not imported yet."""
+    return sorted({*globals(), *_SUBPACKAGES})

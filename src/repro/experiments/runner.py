@@ -19,6 +19,7 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass, field, replace
+from typing import Callable
 
 import numpy as np
 
@@ -87,6 +88,7 @@ def single_network_technique(name: str) -> MitigationTechnique:
 def refit_cell_network(
     scale: ScaleSettings, dataset: str, model: str, technique: str, fault_label: str,
     repetition: int = 0, clean_fraction: float = 0.1,
+    data: Callable[[], tuple[ArrayDataset, ArrayDataset]] | None = None,
 ) -> tuple[SingleModelFitted, ArrayDataset]:
     """Re-fit one study cell's network; returns ``(fitted, test split)``.
 
@@ -95,11 +97,17 @@ def refit_cell_network(
     inject at ``seed + 0x5EED``, fit at ``seed + 1`` — so the network is
     byte-for-byte the one the study measured.  Serving re-fits and hardware
     campaigns share it; multi-network techniques fail before any data loads.
+    ``data`` returns the ``(train, test)`` pair at ``scale`` when the caller
+    keeps one (a campaign loads it once per process); it is called after the
+    technique check, and by default the pair is loaded here.
     """
     fitter = single_network_technique(technique)
-    train, test = load_dataset(
-        dataset, *scale.sizes_for(dataset), image_size=scale.image_size, seed=scale.seed
-    )
+    if data is None:
+        train, test = load_dataset(
+            dataset, *scale.sizes_for(dataset), image_size=scale.image_size, seed=scale.seed
+        )
+    else:
+        train, test = data()
     seed = derive_repetition_seed(scale.seed, dataset, model, repetition)
     faulty_train = prepare_faulty_train(
         train, spec_from_label(fault_label), technique, clean_fraction,

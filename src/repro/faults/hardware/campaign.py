@@ -7,8 +7,9 @@ mitigation technique, training-data fault) and one
 cell's trained network degrades when that fault strikes at inference time.
 
 Per unit the runner fits the cell's model deterministically (the study's
-seed chain, :func:`repro.experiments.runner.refit_cell_network`), records
-clean test-set predictions (both once per cell and process), then runs
+seed chain, :func:`repro.experiments.runner.refit_cell_network`, on a
+dataset pair loaded once per process), records clean test-set predictions
+(both once per cell and process), then runs
 ``trials`` injected inference passes — each armed with
 :class:`~repro.faults.hardware.injector.hardware_fault_injection` under a
 CRC32-derived trial seed — and reports accuracy and SDC rate (the
@@ -219,8 +220,9 @@ def hardware_results_equivalent(
 #: worker process fits each study cell, and takes its clean test-set pass,
 #: at most once across all its campaign units.
 _FITTED_CACHE: dict[tuple, list] = {}
-#: Loaded test sets per (scale fingerprint, dataset).
-_TESTSET_CACHE: dict[tuple, object] = {}
+#: Loaded ``(train, test)`` pairs per (scale fingerprint, dataset): every
+#: cell of one dataset re-fits on the same pair, as the cells of a study do.
+_TESTSET_CACHE: dict[tuple, tuple] = {}
 
 
 def _cell_key(unit: HardwareCampaignUnit) -> tuple:
@@ -240,18 +242,16 @@ def _fitted_cell(unit: HardwareCampaignUnit):
     is byte-for-byte the one the data-fault study trained.  Returns
     ``(module, training_s)``.
     """
-    from ...experiments.config import scale_fingerprint
     from ...experiments.runner import refit_cell_network
 
     cell = _cell_key(unit)
     cached = _FITTED_CACHE.get(cell)
     if cached is not None:
         return cached[0], cached[1]
-    fitted, test = refit_cell_network(
+    fitted, _ = refit_cell_network(
         unit.scale, unit.dataset, unit.model, unit.technique, unit.data_fault,
-        unit.repetition, unit.clean_fraction,
+        unit.repetition, unit.clean_fraction, data=lambda: _dataset_pair(unit),
     )
-    _TESTSET_CACHE[(scale_fingerprint(unit.scale), unit.dataset)] = test
     module, training_s = fitted.model.eval(), float(fitted.cost.training_s)
     _FITTED_CACHE[cell] = [module, training_s, None]
     return module, training_s
@@ -273,16 +273,22 @@ def _clean_labels(unit: HardwareCampaignUnit, module, images: np.ndarray) -> np.
     return entry[2]
 
 
-def _test_set(unit: HardwareCampaignUnit):
-    """The unit's test split (cached by :func:`_fitted_cell`'s load)."""
+def _dataset_pair(unit: HardwareCampaignUnit):
+    """The unit's ``(train, test)`` pair, loaded once per process."""
+    from ...experiments import runner
     from ...experiments.config import scale_fingerprint
 
     key = (scale_fingerprint(unit.scale), unit.dataset)
-    test = _TESTSET_CACHE.get(key)
-    if test is None:
-        _fitted_cell(unit)
-        test = _TESTSET_CACHE[key]
-    return test
+    pair = _TESTSET_CACHE.get(key)
+    if pair is None:
+        scale = unit.scale
+        # Looked up on the module at call time, so a wrapper installed on
+        # ``runner.load_dataset`` (perfbench's layer timer) sees the load.
+        pair = _TESTSET_CACHE[key] = runner.load_dataset(
+            unit.dataset, *scale.sizes_for(unit.dataset),
+            image_size=scale.image_size, seed=scale.seed,
+        )
+    return pair
 
 
 def _predict_labels(module, images: np.ndarray) -> np.ndarray:
@@ -322,7 +328,7 @@ def run_campaign_unit(unit: HardwareCampaignUnit) -> HardwareCampaignResult:
     with tel.span("hw_fit", key=unit.key) as span:
         module, training_s = _fitted_cell(unit)
         span.set(training_s=round(training_s, 3))
-    test = _test_set(unit)
+    test = _dataset_pair(unit)[1]
     clean = _clean_labels(unit, module, test.images)
     clean_accuracy = float((clean == test.labels).mean())
     spec = unit.spec

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy import stats as scipy_stats
 
 __all__ = [
     "MeanWithCI",
@@ -44,13 +43,23 @@ class MeanWithCI:
         return f"{self.mean:.3f} ± {self.half_width:.3f} (n={self.n})"
 
 
+def _is_constant(arr: np.ndarray) -> bool:
+    """Whether a non-empty sample holds one value, tested exactly.
+
+    ``std()`` of a constant sample can round above 0 (``[-0.49] * 7`` gives
+    1.1e-16), so a spread test on it reads rounding noise as spread.
+    """
+    return arr.size > 0 and bool(arr.max() == arr.min())
+
+
 def mean_confidence_interval(
     values: Sequence[float] | np.ndarray, confidence: float = 0.95
 ) -> MeanWithCI:
     """Sample mean with a t-distribution confidence interval.
 
-    With a single observation the half-width is 0 (no spread information),
-    matching how single-run smoke configurations are reported.
+    With a single observation, or a constant sample, the half-width is
+    exactly 0 (no spread information), matching how single-run smoke
+    configurations are reported.
     """
     arr = np.asarray(list(values), dtype=np.float64)
     if arr.size == 0:
@@ -58,11 +67,15 @@ def mean_confidence_interval(
     if not 0.0 < confidence < 1.0:
         raise ValueError(f"confidence must be in (0, 1); got {confidence}")
     mean = float(arr.mean())
-    if arr.size == 1:
-        return MeanWithCI(mean, 0.0, confidence, 1)
+    if _is_constant(arr):
+        return MeanWithCI(mean, 0.0, confidence, int(arr.size))
     sem = float(arr.std(ddof=1) / np.sqrt(arr.size))
     if sem == 0.0:
         return MeanWithCI(mean, 0.0, confidence, int(arr.size))
+    # Imported on first use: scipy.stats costs ~0.7 s and ~65 MB in every
+    # process that loads it, and only a sample with spread needs it.
+    from scipy import stats as scipy_stats
+
     t_crit = float(scipy_stats.t.ppf(0.5 + confidence / 2.0, df=arr.size - 1))
     return MeanWithCI(mean, t_crit * sem, confidence, int(arr.size))
 
@@ -75,6 +88,9 @@ def welch_ttest(
     b = np.asarray(list(b), dtype=np.float64)
     if a.size < 2 or b.size < 2:
         raise ValueError("Welch's t-test needs at least two observations per sample")
+    # Imported on first use, like in mean_confidence_interval.
+    from scipy import stats as scipy_stats
+
     result = scipy_stats.ttest_ind(a, b, equal_var=False)
     return float(result.statistic), float(result.pvalue)
 
@@ -87,13 +103,13 @@ def statistically_similar(
     """True when the two samples are *not* significantly different.
 
     This is the paper's §IV-C notion of "statistically similar" AD between
-    combined-fault and single-fault configurations.  Degenerate identical
-    zero-variance samples compare as similar.
+    combined-fault and single-fault configurations.  Two constant samples
+    compare as similar when their values are close.
     """
     a_arr = np.asarray(list(a), dtype=np.float64)
     b_arr = np.asarray(list(b), dtype=np.float64)
-    if a_arr.std() == 0.0 and b_arr.std() == 0.0:
-        return bool(np.isclose(a_arr.mean(), b_arr.mean()))
+    if _is_constant(a_arr) and _is_constant(b_arr):
+        return bool(np.isclose(a_arr[0], b_arr[0]))
     _, p_value = welch_ttest(a_arr, b_arr)
     return p_value >= alpha
 

@@ -216,6 +216,47 @@ class TestCleanPassMemo:
             assert a.clean_accuracy == b.clean_accuracy
 
 
+class TestDatasetLoadedOnce:
+    @staticmethod
+    def _count_loads(monkeypatch) -> list:
+        from repro.experiments import runner
+
+        loads, load = [], runner.load_dataset
+
+        def counting_load(*args, **kwargs):
+            loads.append(args[0])
+            return load(*args, **kwargs)
+
+        monkeypatch.setattr(runner, "load_dataset", counting_load)
+        monkeypatch.setattr(campaign, "_FITTED_CACHE", {})
+        monkeypatch.setattr(campaign, "_TESTSET_CACHE", {})
+        return loads
+
+    def test_cells_of_one_dataset_share_one_load(self, monkeypatch):
+        # Two cells (two techniques) of one dataset: one load, and the same
+        # results as cells fitted on their own fresh loads.
+        units = [unit(), unit(technique="label_smoothing")]
+        loads = self._count_loads(monkeypatch)
+        shared = run_campaign(units)
+        assert loads == ["pneumonia"]
+
+        fresh = []
+        for u in units:
+            campaign._FITTED_CACHE.clear()
+            campaign._TESTSET_CACHE.clear()
+            fresh.append(run_campaign_unit(u))
+        assert len(loads) == 3
+        for a, b in zip(shared, fresh):
+            assert hardware_results_equivalent(a, b)
+            assert a.clean_accuracy == b.clean_accuracy
+
+    def test_multi_network_technique_fails_before_any_load(self, monkeypatch):
+        loads = self._count_loads(monkeypatch)
+        with pytest.raises(ValueError, match="single servable"):
+            run_campaign_unit(unit(technique="ensemble"))
+        assert loads == []
+
+
 class TestFailedUnit:
     def test_failure_is_journaled_and_raised(self, tmp_path, monkeypatch):
         bad, good = unit(rate=1e-3), unit(rate=1e-2)

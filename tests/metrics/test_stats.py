@@ -99,6 +99,44 @@ class TestStatisticallySimilar:
         assert not statistically_similar([0.1, 0.1], [0.9, 0.9])
 
 
+class TestConstantSamples:
+    """Constancy is tested exactly: ``std()`` of a constant can round above 0."""
+
+    #: -0.50, -0.49, ..., 0.49 and sample sizes 2..7: 3,600 pairs of equal
+    #: constants, 268 of which a t-test on rounding noise judged different.
+    VALUES = [k / 100 for k in range(-50, 50)]
+    SIZES = range(2, 8)
+
+    def test_constant_half_width_is_exactly_zero(self):
+        ci = mean_confidence_interval([-0.49] * 7)
+        assert ci.half_width == 0.0
+        assert ci.n == 7
+
+    def test_every_constant_has_zero_half_width(self):
+        widths = {
+            mean_confidence_interval([v] * n).half_width
+            for v in self.VALUES for n in self.SIZES
+        }
+        assert widths == {0.0}
+
+    def test_equal_constants_of_different_sizes_are_similar(self):
+        assert statistically_similar([-0.49] * 2, [-0.49] * 7)
+
+    def test_every_pair_of_equal_constants_is_similar(self):
+        different = [
+            (v, n, m)
+            for v in self.VALUES for n in self.SIZES for m in self.SIZES
+            if not statistically_similar([v] * n, [v] * m)
+        ]
+        assert different == []
+
+    # scipy warns about the constant sample's variance; the verdicts hold.
+    @pytest.mark.filterwarnings("ignore:Precision loss:RuntimeWarning")
+    def test_constant_against_spread_takes_the_welch_test(self):
+        assert not statistically_similar([0.5] * 5, [0.1, 0.12, 0.11, 0.09, 0.1])
+        assert statistically_similar([0.5] * 5, [0.3, 0.7, 0.4, 0.6, 0.5])
+
+
 class TestSummarize:
     def test_fields(self):
         s = summarize([1.0, 2.0, 3.0])
