@@ -1,41 +1,35 @@
-"""Bench: cluster-executor sweep scaling.
+"""Bench: sweep scaling on the lease engine.
 
-A 16-cell grid runs through :class:`ClusterExecutor` with 1 and 2 local
-workers, plus a ``ParallelExecutor --jobs 1`` reference, and the timings
-feed ``BENCH_cluster_scaling.json``.  The single-worker cluster run should
-be within a few percent of the pool baseline (the coordinator adds only
-frame (de)serialisation), and two workers should approach 2× on a
-multi-core host.
-
-Speedups are hardware-dependent (a single-core container shows ~1×), so
-correctness — identical result payloads across every executor — is
-asserted unconditionally, while the speedup gates (≥1.8× at 2 workers,
-1-worker overhead ≤5%) only fail the bench when
-``REPRO_BENCH_ENFORCE_SPEEDUP=1`` (set by the CI cluster job on
-multi-core runners).
+A 16-cell grid runs serially and through :class:`ParallelExecutor` (the
+engine behind ``--jobs N`` and ``--cluster``) at 1, 2 and 4 workers, and the
+timings feed ``BENCH_cluster_scaling.json``.  Result payloads must be
+identical across every run.  Speedups are hardware-dependent (a single-core
+container shows ~1×), so the gates (≥1.8× at 2 workers over 1, 1-worker
+overhead over serial ≤5%) only fail the bench when
+``REPRO_BENCH_ENFORCE_SPEEDUP=1`` (set by the CI cluster job on multi-core
+runners).  The bench sets no BLAS thread count; it records the variables as
+it found them, since a worker's default BLAS pool can oversubscribe cores.
 """
 
 from __future__ import annotations
 
 import json
-import multiprocessing
 import os
 import time
 
 from bench_common import write_bench_json
 from repro.experiments import (
-    ClusterExecutor,
     ParallelExecutor,
     ScaleSettings,
+    SerialExecutor,
     plan_study,
     results_equivalent,
     run_study_plan,
-    run_worker,
 )
 from repro.faults import FaultType
 
-#: Same per-cell cost as the study-scaling bench, doubled to 16 cells so
-#: two workers have enough independent units to overlap.
+#: Small enough for a bench, with 16 cells so workers have enough
+#: independent units to overlap.
 TINY = ScaleSettings(
     name="bench-tiny",
     dataset_sizes={"pneumonia": (60, 40), "gtsrb": (86, 43)},
@@ -53,6 +47,8 @@ GRID = dict(
     techniques=["baseline"],
 )  # 2 datasets × 2 faults × 4 rates = 16 cells
 
+BLAS_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
 
 def _enforce_speedups() -> bool:
     return os.environ.get("REPRO_BENCH_ENFORCE_SPEEDUP") == "1" and (
@@ -60,29 +56,11 @@ def _enforce_speedups() -> bool:
     ) >= 2
 
 
-def _run_cluster(workers: int) -> tuple[float, list]:
+def _run(executor) -> tuple[float, list]:
+    """Cold-run the grid on ``executor``; returns (seconds, results)."""
     plan = plan_study(scale=TINY, **GRID)
-    executor = ClusterExecutor(lease_timeout=300.0, poll_interval=0.05)
-    ctx = multiprocessing.get_context("fork")
-    procs = [
-        ctx.Process(target=run_worker, args=executor.address, daemon=True)
-        for _ in range(workers)
-    ]
     start = time.perf_counter()
-    for proc in procs:
-        proc.start()
     report = run_study_plan(plan, executor=executor)
-    elapsed = time.perf_counter() - start
-    for proc in procs:
-        proc.join(timeout=30)
-    assert report.ok and len(report.results) == len(plan)
-    return elapsed, report.results
-
-
-def _run_pool_baseline() -> tuple[float, list]:
-    plan = plan_study(scale=TINY, **GRID)
-    start = time.perf_counter()
-    report = run_study_plan(plan, executor=ParallelExecutor(jobs=1))
     elapsed = time.perf_counter() - start
     assert report.ok and len(report.results) == len(plan)
     return elapsed, report.results
@@ -95,29 +73,31 @@ def test_cluster_scaling_trajectory():
 
     # One untimed sweep first: the process that runs first pays allocator
     # and cpu-frequency warm-up that would skew whichever measured run led.
-    _run_pool_baseline()
+    _run(SerialExecutor())
 
-    pool_s, pool_results = _run_pool_baseline()
-    one_s, one_results = _run_cluster(1)
-    two_s, two_results = _run_cluster(2)
+    serial_s, serial_results = _run(SerialExecutor())
+    seconds = {}
+    for workers in (1, 2, 4):
+        seconds[workers], results = _run(ParallelExecutor(jobs=workers))
+        # Scheduling must never change the science.
+        assert results_equivalent(serial_results, results)
 
-    # Scheduling must never change the science — any executor, any fleet.
-    assert results_equivalent(pool_results, one_results)
-    assert results_equivalent(pool_results, two_results)
-
+    one_s, two_s = seconds[1], seconds[2]
     speedup = round(one_s / two_s, 3)
-    overhead_vs_pool = round(one_s / pool_s - 1.0, 3)
+    overhead_vs_serial = round(one_s / serial_s - 1.0, 3)
 
     payload = {
         "scale": TINY.name,
         "grid_cells": len(plan_study(scale=TINY, **GRID)),
-        "pool_jobs1_seconds": round(pool_s, 3),
-        "cluster_points": [
-            {"workers": 1, "seconds": round(one_s, 3)},
-            {"workers": 2, "seconds": round(two_s, 3)},
+        "blas_threads": {name: os.environ.get(name) for name in BLAS_VARIABLES},
+        "serial_seconds": round(serial_s, 3),
+        "points": [
+            {"workers": workers, "seconds": round(s, 3),
+             "speedup_vs_serial": round(serial_s / s, 3)}
+            for workers, s in seconds.items()
         ],
         "speedup_at_2_workers": speedup,
-        "cluster_overhead_vs_pool_jobs1": overhead_vs_pool,
+        "overhead_vs_serial_at_1_worker": overhead_vs_serial,
         "speedup_enforced": _enforce_speedups(),
     }
     out = write_bench_json("BENCH_cluster_scaling.json", "cluster_scaling", payload)
@@ -127,9 +107,8 @@ def test_cluster_scaling_trajectory():
         assert speedup >= 1.8, (
             f"2-worker cluster sweep only {speedup}× faster than 1 worker"
         )
-        assert overhead_vs_pool <= 0.05, (
-            f"1-worker cluster run {overhead_vs_pool:+.1%} vs jobs=1 pool "
-            "(budget: +5%)"
+        assert overhead_vs_serial <= 0.05, (
+            f"1-worker sweep {overhead_vs_serial:+.1%} vs serial (budget: +5%)"
         )
 
 

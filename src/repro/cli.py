@@ -52,6 +52,7 @@ from .experiments import (
     RetryPolicy,
     StudyCheckpoint,
     StudyFailedError,
+    WorkersLostError,
     ad_panel,
     combined_fault_analysis,
     fig3_panels,
@@ -80,18 +81,6 @@ from .faults import FaultType
 from .mitigation import technique_names
 from .nn.functional import KERNEL_MODES, set_kernel_mode
 from .nn.serialization import StateFileError
-from .serve import (
-    REPLICA_BACKENDS,
-    SHED_POLICIES,
-    BatchSettings,
-    FleetSettings,
-    ModelKey,
-    ModelRegistry,
-    ServingEngine,
-    ServingFleet,
-    serve_forever,
-)
-from .survey import render_table1, select_representatives
 from .telemetry import FileTelemetry
 
 __all__ = ["main", "build_parser"]
@@ -105,6 +94,19 @@ def _csv(value: str) -> tuple[str, ...]:
 
 def _csv_floats(value: str) -> tuple[float, ...]:
     return tuple(float(item) for item in _csv(value))
+
+
+class _ServeChoices:
+    """A ``serve`` flag's choices, read from :mod:`repro.serve` only when
+    argparse checks or lists them: no other command loads serving."""
+
+    def __init__(self, name: str) -> None:
+        self.name = name
+
+    def __iter__(self):  # argparse's ``in`` check iterates too
+        from . import serve
+
+        return iter(getattr(serve, self.name))
 
 
 def _parse_address(value: str) -> tuple[str, int]:
@@ -368,9 +370,10 @@ def build_parser() -> argparse.ArgumentParser:
         "admission control, and health-checked respawn (default 1: one engine)",
     )
     serve.add_argument(
-        "--replica-backend", choices=REPLICA_BACKENDS, default="auto",
-        help="fleet replica backend: forked processes, in-process threads, or "
-        "auto (processes where fork exists; default auto)",
+        "--replica-backend", choices=_ServeChoices("REPLICA_BACKENDS"),
+        metavar="BACKEND", default="auto",
+        help="fleet replica backend, one of %(choices)s: forked processes, "
+        "in-process threads, or auto (processes where fork exists; default auto)",
     )
     serve.add_argument(
         "--max-queue", type=int, default=256,
@@ -378,9 +381,10 @@ def build_parser() -> argparse.ArgumentParser:
         "429 + Retry-After (fleet mode; default 256)",
     )
     serve.add_argument(
-        "--shed-policy", choices=SHED_POLICIES, default="reject",
-        help="full-queue policy: reject the arrival, or evict the lowest-"
-        "priority queued request when the arrival outranks it (default reject)",
+        "--shed-policy", choices=_ServeChoices("SHED_POLICIES"),
+        metavar="POLICY", default="reject",
+        help="full-queue policy, one of %(choices)s: reject the arrival, or evict "
+        "the lowest-priority queued request when the arrival outranks it (default reject)",
     )
     serve.add_argument(
         "--client-rate", type=float, default=None,
@@ -456,6 +460,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     setup_cli_logging(verbose=args.verbose, quiet=args.quiet)
 
     if args.command == "table1":  # needs no runner
+        from .survey import render_table1, select_representatives
+
         print(render_table1())
         print()
         for result in select_representatives().values():
@@ -584,21 +590,25 @@ def _run_study_command(runner: ExperimentRunner, args: argparse.Namespace) -> in
     # collector and the final registry lands in the trace as a
     # metrics_snapshot event (rendered by 'repro-study trace').
     with metrics_scope(MetricsRegistry() if args.trace else get_metrics()):
-        report = run_resilient_study(
-            runner,
-            models=args.models,
-            datasets=args.datasets,
-            fault_types=tuple(FaultType(f) for f in args.faults),
-            rates=args.rates,
-            techniques=list(args.techniques) if args.techniques else None,
-            checkpoint=checkpoint,
-            retry=RetryPolicy(max_attempts=args.max_attempts),
-            executor=executor,
-            progress=progress,
-            on_failure=on_failure,
-            trace=args.trace,
-            on_outcome=reporter,
-        )
+        try:
+            report = run_resilient_study(
+                runner,
+                models=args.models,
+                datasets=args.datasets,
+                fault_types=tuple(FaultType(f) for f in args.faults),
+                rates=args.rates,
+                techniques=list(args.techniques) if args.techniques else None,
+                checkpoint=checkpoint,
+                retry=RetryPolicy(max_attempts=args.max_attempts),
+                executor=executor,
+                progress=progress,
+                on_failure=on_failure,
+                trace=args.trace,
+                on_outcome=reporter,
+            )
+        except WorkersLostError as exc:
+            logger.error("error: %s", exc)
+            return 1
     if reporter is not None:
         reporter.finish()
     print(report.summary())
@@ -679,6 +689,9 @@ def _run_hardware_faults_command(args: argparse.Namespace) -> int:
     except (KeyError, ValueError, CheckpointError) as exc:
         logger.error("error: %s", exc)
         return 2
+    except WorkersLostError as exc:
+        logger.error("error: %s", exc)
+        return 1
     except StudyFailedError as exc:
         # Every other unit ran and is journaled: report them, then exit 1.
         results, failures = exc.report.results, exc.report.failures
@@ -695,6 +708,8 @@ def _run_hardware_faults_command(args: argparse.Namespace) -> int:
 
 def _serve_settings(args: argparse.Namespace) -> "BatchSettings | FleetSettings":
     """One engine's batcher, or a fleet whose router chunk is the forward batch."""
+    from .serve import BatchSettings, FleetSettings
+
     if args.replicas >= 2:
         return FleetSettings(
             replicas=args.replicas,
@@ -715,6 +730,9 @@ def _serve_settings(args: argparse.Namespace) -> "BatchSettings | FleetSettings"
 
 def _run_serve_command(args: argparse.Namespace) -> int:
     """The ``serve`` subcommand: registry + engine or fleet + HTTP endpoint."""
+    from .serve import (FleetSettings, ModelKey, ModelRegistry, ServingEngine,
+                        ServingFleet, serve_forever)
+
     if args.kernels is not None:
         set_kernel_mode(args.kernels)
         logger.info("[kernels=%s]", args.kernels)

@@ -1,25 +1,23 @@
-"""Multi-host study execution: a socket coordinator leasing cells to workers.
+"""Process fan-out: a socket coordinator leasing plan units to workers.
 
-:class:`ClusterExecutor` is the third :class:`~repro.experiments.executors.Executor`
-— after serial and process-pool — and the first that crosses machine
-boundaries.  The coordinator (run inline by ``map()``, inside the collector
-process) listens on a TCP socket; any number of :func:`run_worker` processes,
-on any host, connect and pull work:
+The one engine behind both process executors.  :class:`ClusterExecutor`
+runs the coordinator (inline in ``map()``, inside the collector process) on
+a TCP socket; any number of :func:`run_worker` processes, on any host,
+connect and pull work.  :class:`ParallelExecutor` (``--jobs N``) is the same
+coordinator on a loopback port plus ``N`` local workers that it starts,
+replaces when they die, and reaps.
 
 ``hello → welcome(settings) → unit → result → unit → … → shutdown``
 
-Every message is a *length-prefixed pickle frame*: a 4-byte big-endian
-payload length followed by the pickled tuple.  Frames compose the exact
-objects the process-pool path already ships through ``ProcessPoolExecutor``
-(a :class:`~repro.experiments.executors.PlanUnit` out — a study cell or a
-hardware-campaign unit — and a
-:class:`~repro.experiments.resilience.CellOutcome` back, telemetry events
-and metrics snapshots riding along), and workers execute them through the
-same ``_execute_unit_in_worker`` entry point, so serial, ``--jobs N``, and
-cluster runs produce identical checkpoints, traces, and merged counters for
-the same plan.  Determinism needs no cooperation from the scheduler: each
-unit's result is a pure function of the unit (the CRC32 seed chain), never
-of which worker ran it.
+Every message is a *length-prefixed pickle frame* (a 4-byte big-endian
+payload length, then the pickled tuple): a
+:class:`~repro.experiments.executors.PlanUnit` out (a study cell or a
+hardware-campaign unit), a :class:`~repro.experiments.resilience.CellOutcome`
+back with its telemetry events and metrics snapshot.  Workers run units
+through ``_execute_unit_in_worker``, so serial, ``--jobs N`` and cluster runs
+produce identical checkpoints, traces and merged counters; each unit's
+result is a pure function of the unit (the CRC32 seed chain), never of which
+worker ran it.
 
 Crash safety is lease-based.  A dispatched unit is a *lease* with a
 deadline; workers refresh it with heartbeats (sent from a side thread, so a
@@ -39,13 +37,16 @@ RPC (``multiprocessing`` included).
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import pickle
 import selectors
+import signal
 import socket
 import struct
 import threading
 import time
+import weakref
 from collections import deque
 from typing import Iterator
 
@@ -55,16 +56,37 @@ from .resilience import CellOutcome
 
 logger = get_logger("experiments.cluster")
 
-__all__ = ["ClusterExecutor", "run_worker", "FrameError"]
+__all__ = ["ClusterExecutor", "ParallelExecutor", "WorkersLostError", "run_worker",
+           "FrameError"]
 
 _HEADER = struct.Struct(">I")
 #: Frames above this are corruption, not data (a whole study's outcomes fit
 #: in a few MB) — reject early instead of trying to allocate the "length".
 MAX_FRAME_BYTES = 1 << 30
+#: Replacements one ``ParallelExecutor.map`` starts for local workers that
+#: die mid-sweep, before it gives up with :class:`WorkersLostError`.
+MAX_LOCAL_RESPAWNS = 8
+
+#: The coordinator's sockets in this process.  A forked child (a local
+#: worker) closes its copies, so a worker the coordinator drops sees EOF.
+_COORDINATOR_SOCKETS: "weakref.WeakSet[socket.socket]" = weakref.WeakSet()
+os.register_at_fork(after_in_child=lambda: [s.close() for s in list(_COORDINATOR_SOCKETS)])
 
 
 class FrameError(ValueError):
     """A connection delivered bytes that are not a valid frame."""
+
+
+class WorkersLostError(RuntimeError):
+    """Every local worker died with the respawn budget spent.  ``key`` names
+    the unit whose lease was lost last; finished cells stay journaled."""
+
+    def __init__(self, key: "str | None") -> None:
+        self.key = key
+        super().__init__(
+            f"every local worker died and all {MAX_LOCAL_RESPAWNS} replacements "
+            f"are spent; last lost lease: {key or 'none'}"
+        )
 
 
 def pack_frame(message: object) -> bytes:
@@ -171,7 +193,10 @@ class ClusterExecutor:
         self.lease_timeout = lease_timeout
         self.poll_interval = poll_interval
         self._events: "list[dict]" = []
+        #: Key of the unit whose lease was lost last (see WorkersLostError).
+        self._last_lost: "str | None" = None
         self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        _COORDINATOR_SOCKETS.add(self._listener)
         self._listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         self._listener.bind((host, port))
         self._listener.listen(128)
@@ -194,6 +219,9 @@ class ClusterExecutor:
         return events
 
     # -- coordinator internals -----------------------------------------
+
+    def _tend(self) -> None:
+        """Runs once per coordinator loop turn (local workers are checked here)."""
 
     def _emit(self, name: str, **attrs: object) -> None:
         self._events.append({
@@ -237,6 +265,7 @@ class ClusterExecutor:
                 pass
             if conn.unit_index is not None and not done[conn.unit_index]:
                 pending.appendleft(conn.unit_index)
+                self._last_lost = units[conn.unit_index].key
                 self._emit(
                     "worker_lost", reason=reason, worker=conn.describe(),
                     key=units[conn.unit_index].key,
@@ -254,6 +283,7 @@ class ClusterExecutor:
                 for key, _ in ready:
                     if key.data is None:
                         sock, addr = self._listener.accept()
+                        _COORDINATOR_SOCKETS.add(sock)
                         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
                         conn = _WorkerConn(sock, addr)
                         conns[sock] = conn
@@ -286,6 +316,7 @@ class ClusterExecutor:
                 for conn in list(conns.values()):
                     if conn.unit_index is not None and now > conn.deadline:
                         drop(conn, "lease expired")
+                self._tend()
 
                 # Re-queued units go to whichever workers are idle right now.
                 for conn in list(conns.values()):
@@ -358,6 +389,88 @@ class ClusterExecutor:
             raise FrameError(f"unknown message kind {kind!r}")
 
 
+class _LocalCluster(ClusterExecutor):
+    """A loopback coordinator that starts, replaces and reaps its own
+    workers (the engine of :class:`ParallelExecutor`)."""
+
+    def map(
+        self, units: "list[PlanUnit]", settings: ExecutionSettings
+    ) -> Iterator[tuple[int, CellOutcome]]:
+        self._procs: list = []
+        self._respawns = 0
+        finished = False
+        try:
+            for _ in range(self.jobs):
+                self._start_worker()
+            yield from super().map(units, settings)
+            finished = True
+        finally:
+            # A finished sweep's workers exit on their shutdown frame; on
+            # any other exit (an error, Ctrl-C) they may be mid-lease.
+            for proc in self._procs:
+                proc.join(timeout=5.0 if finished else 0.0)
+                if proc.is_alive():
+                    proc.kill()
+                    proc.join()
+
+    def _start_worker(self) -> None:
+        proc = multiprocessing.Process(target=_local_worker, args=self.address, daemon=True)
+        proc.start()
+        self._procs.append(proc)
+
+    def _tend(self) -> None:
+        for proc in [p for p in self._procs if not p.is_alive()]:
+            self._procs.remove(proc)
+            if self._respawns < MAX_LOCAL_RESPAWNS:
+                self._respawns += 1
+                logger.debug("local worker %d exited with %s; replacement %d/%d",
+                             proc.pid, proc.exitcode, self._respawns, MAX_LOCAL_RESPAWNS)
+                self._start_worker()
+        if not self._procs:
+            raise WorkersLostError(self._last_lost)
+
+
+def _local_worker(host: str, port: int) -> None:
+    # Ctrl-C reaches the whole process group; the collector owns it and
+    # reaps this process.
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    try:
+        run_worker(host, port)
+    except ConnectionError:
+        pass  # the sweep ended before this replacement connected
+
+
+class ParallelExecutor:
+    """``--jobs N``: the lease coordinator on a loopback port with ``jobs``
+    local workers, so a worker that dies costs only its cell.
+
+    Constructing it starts nothing.  Each ``map`` starts ``min(jobs,
+    len(units))`` workers (platform default start method), replaces one that
+    dies (its lease is re-queued with a ``worker_lost`` event), and reaps
+    them all before it returns or raises — :class:`WorkersLostError` once
+    :data:`MAX_LOCAL_RESPAWNS` replacements are spent with no worker left.
+    """
+
+    def __init__(self, jobs: int) -> None:
+        if jobs < 1:
+            raise ValueError(f"jobs must be >= 1; got {jobs}")
+        self.jobs = jobs
+        self._cluster: "_LocalCluster | None" = None
+
+    def drain_events(self) -> "list[dict]":
+        """Coordinator telemetry (``worker_lost``…) for the collector to merge."""
+        return self._cluster.drain_events() if self._cluster is not None else []
+
+    def map(
+        self, units: "list[PlanUnit]", settings: ExecutionSettings
+    ) -> Iterator[tuple[int, CellOutcome]]:
+        units = list(units)
+        if not units:
+            return
+        self._cluster = _LocalCluster(workers=min(self.jobs, len(units)))
+        yield from self._cluster.map(units, settings)
+
+
 # ----------------------------------------------------------------------
 # The worker side
 # ----------------------------------------------------------------------
@@ -369,10 +482,10 @@ def run_worker(
 ) -> int:
     """Connect to a coordinator and execute leased units until shutdown.
 
-    Runs in the foreground (the ``repro-study worker`` subcommand); returns
-    the number of units executed.  Cells run through the same memoized
-    per-process runner as pool workers, so golden models are fit at most
-    once per (scale, cache dir) for the lifetime of the worker — across
+    Runs in the foreground (the ``repro-study worker`` subcommand, and each
+    local ``--jobs`` worker); returns the number of units executed.  Cells
+    run through a memoized per-process runner, so golden models are fit at
+    most once per (scale, cache dir) for the lifetime of the worker — across
     every unit it leases.  Heartbeats go out from a side thread, so leases
     survive arbitrarily long training loops.
     """
@@ -404,8 +517,8 @@ def run_worker(
             interval = min(15.0, max(0.1, lease_timeout / 4))
         thread = threading.Thread(target=heartbeat, args=(interval,), daemon=True)
         thread.start()
-        logger.info("worker %s:%d connected to %s:%d", socket.gethostname(),
-                    os.getpid(), host, port)
+        logger.debug("worker %s:%d connected to %s:%d", socket.gethostname(),
+                     os.getpid(), host, port)
         while True:
             message = _recv_frame(sock)
             if not isinstance(message, tuple) or not message:
@@ -422,8 +535,8 @@ def run_worker(
     except ConnectionError:
         # Coordinator went away (or revoked our lease): a worker is
         # disposable by design — exit quietly, progress is checkpointed.
-        logger.info("worker %s:%d lost its coordinator; exiting",
-                    socket.gethostname(), os.getpid())
+        logger.debug("worker %s:%d lost its coordinator; exiting",
+                     socket.gethostname(), os.getpid())
     finally:
         stop.set()
         try:

@@ -12,10 +12,11 @@ here, their units behind the small :class:`PlanUnit` protocol.
 - :class:`SerialExecutor` — in-process, in-order execution (the default);
   reuses a caller-supplied :class:`~repro.experiments.runner.ExperimentRunner`
   so golden models and datasets stay memoized exactly as before.
-- :class:`ParallelExecutor` — a :class:`concurrent.futures.ProcessPoolExecutor`
-  fan-out (``--jobs N``).  Each worker process keeps one runner per
-  (scale fingerprint, cache dir), so golden models are trained at most once
-  per worker and shared across that worker's cells.
+- :class:`~repro.experiments.cluster.ParallelExecutor` (``--jobs N``) and
+  :class:`~repro.experiments.cluster.ClusterExecutor` — one lease engine
+  fanning units out to worker processes, local or remote.  Each worker
+  keeps one runner per (scale fingerprint, cache dir), so golden models are
+  trained at most once per worker and shared across that worker's cells.
 - :func:`run_study_plan` — the collector: skips journaled cells, streams the
   rest through the executor, and appends results to the checkpoint from the
   parent process only (a single writer, so worker results never interleave
@@ -33,10 +34,8 @@ aside) and a resumed sweep re-runs nothing.
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import socket
-from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass
 from typing import Callable, ClassVar, Iterable, Iterator, Protocol, runtime_checkable
 
@@ -70,7 +69,6 @@ __all__ = [
     "PlanUnit",
     "Executor",
     "SerialExecutor",
-    "ParallelExecutor",
     "execute_unit",
     "run_study_plan",
 ]
@@ -190,11 +188,11 @@ def _worker_runner(unit: PlanUnit, settings: ExecutionSettings) -> ExperimentRun
 
 
 def _execute_unit_in_worker(unit: PlanUnit, settings: ExecutionSettings) -> CellOutcome:
-    """Top-level (hence picklable) entry point run inside pool workers.
+    """The entry point every lease worker, local or remote, runs a unit through.
 
-    Replays the collector's kernel mode first: forked pool workers inherit
-    it (an idempotent no-op there); spawned pools and cluster workers on
-    other hosts start from interpreter defaults and need the explicit replay.
+    Replays the collector's kernel mode first: forked local workers inherit
+    it (an idempotent no-op there); spawned workers and workers on other
+    hosts start from interpreter defaults and need the explicit replay.
     """
     if settings.kernels is not None:
         set_kernel_mode(settings.kernels)
@@ -251,43 +249,6 @@ class SerialExecutor:
                 runner, unit, settings.retry,
                 trace=settings.trace, metrics=settings.metrics,
             )
-
-
-class ParallelExecutor:
-    """Process-pool execution: ``jobs`` worker processes, one cell per task.
-
-    Grid cells are embarrassingly parallel (each trains its own models from
-    a unit-derived seed), so workers need no coordination; outcomes stream
-    back in completion order and the collector reassembles plan order.
-    ``mp_context`` picks the multiprocessing start method (``"fork"``,
-    ``"spawn"``, ``"forkserver"``; ``None`` = platform default).
-    """
-
-    def __init__(self, jobs: int, mp_context: "str | None" = None) -> None:
-        if jobs < 1:
-            raise ValueError(f"jobs must be >= 1; got {jobs}")
-        self.jobs = jobs
-        self.mp_context = mp_context
-
-    def map(
-        self, units: "list[PlanUnit]", settings: ExecutionSettings
-    ) -> Iterator[tuple[int, CellOutcome]]:
-        units = list(units)
-        if not units:
-            return
-        ctx = multiprocessing.get_context(self.mp_context) if self.mp_context else None
-        pool = ProcessPoolExecutor(max_workers=min(self.jobs, len(units)), mp_context=ctx)
-        try:
-            futures = {
-                pool.submit(_execute_unit_in_worker, unit, settings): index
-                for index, unit in enumerate(units)
-            }
-            for future in as_completed(futures):
-                yield futures[future], future.result()
-        finally:
-            # Cancel not-yet-started cells on early exit (e.g. Ctrl-C) so the
-            # sweep stops after in-flight cells instead of draining the queue.
-            pool.shutdown(wait=True, cancel_futures=True)
 
 
 # ----------------------------------------------------------------------
@@ -381,22 +342,18 @@ def run_study_plan(
                     type(executor).__name__, executor.jobs,
                 )
                 plan_indices = [index for index, _ in pending]
-                # Executors with coordinator-side telemetry (lease expiries,
-                # lost workers — events that belong to no single outcome)
-                # expose a ``drain_events`` hook; the collector, as the
-                # trace's single writer, merges those batches too.
-                drain = getattr(executor, "drain_events", None)
+                # The lease coordinator's own telemetry (lost workers, lease
+                # expiries: events of no single outcome) comes through a
+                # ``drain_events`` hook; the collector, as the trace's single
+                # writer, merges those batches too.
+                drain = getattr(executor, "drain_events", list)
                 for local_index, outcome in executor.map(
                     [unit for _, unit in pending], settings
                 ):
                     index = plan_indices[local_index]
                     outcomes[index] = outcome
-                    if drain is not None:
-                        coordinator_events = drain()
-                        if coordinator_events:
-                            tel.write_batch(coordinator_events, parent=study_span.id)
-                    if outcome.events:
-                        tel.write_batch(outcome.events, parent=study_span.id)
+                    tel.write_batch(drain(), parent=study_span.id)
+                    tel.write_batch(outcome.events, parent=study_span.id)
                     if outcome.metrics:
                         get_metrics().merge(outcome.metrics)
                     if on_outcome is not None:
@@ -411,10 +368,7 @@ def run_study_plan(
                             ckpt.record_failure(outcome.failure)
                         if on_failure is not None:
                             on_failure(outcome.failure)
-                if drain is not None:
-                    coordinator_events = drain()
-                    if coordinator_events:
-                        tel.write_batch(coordinator_events, parent=study_span.id)
+                tel.write_batch(drain(), parent=study_span.id)
 
             if get_metrics().enabled:
                 tel.event("metrics_snapshot", metrics=get_metrics().snapshot())

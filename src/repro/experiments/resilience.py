@@ -601,8 +601,8 @@ def run_resilient_study(
 
     ``executor`` schedules the fresh cells: ``None`` (the default) runs them
     in-process on ``runner`` in grid order; a
-    :class:`~repro.experiments.executors.ParallelExecutor` fans them out
-    across worker processes with identical per-cell results.  This function
+    :class:`~repro.experiments.cluster.ParallelExecutor` leases them to
+    local worker processes with identical per-cell results.  This function
     is now a thin wrapper over the plan/executor pipeline
     (:func:`~repro.experiments.plan.plan_study` +
     :func:`~repro.experiments.executors.run_study_plan`).

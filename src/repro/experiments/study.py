@@ -14,7 +14,7 @@ from ..faults.spec import FaultSpec, FaultType, mislabelling, removal, repetitio
 from ..metrics.overhead import OverheadResult, RuntimeCost, relative_overhead
 from ..metrics.stats import MeanWithCI, statistically_similar
 from ..mitigation.registry import technique_names
-from .executors import ParallelExecutor
+from .cluster import ParallelExecutor
 from .plan import iter_grid, techniques_for
 from .resilience import StudyFailedError, run_resilient_study
 from .runner import ExperimentResult, ExperimentRunner
@@ -338,8 +338,9 @@ def full_study(
 
     ``executor`` (an :class:`~repro.experiments.executors.Executor`) or
     ``jobs`` (> 1, shorthand for
-    :class:`~repro.experiments.executors.ParallelExecutor`) fans the grid out
-    across worker processes.  Cell results are deterministic per
+    :class:`~repro.experiments.cluster.ParallelExecutor`) fans the grid out
+    across local lease workers (one that dies costs only its cell).  Cell
+    results are deterministic per
     :class:`~repro.experiments.plan.WorkUnit`, so a parallel sweep returns
     payloads identical to the serial run (wall-clock timings aside), in the
     same canonical grid order.

@@ -378,12 +378,13 @@ def run_campaign(
 
     ``checkpoint`` journals units with an ``hw|<scale fingerprint>`` header
     and this module's codec, so a resumed campaign re-fits nothing;
-    ``jobs > 1`` fans out with bitwise-identical results; ``trace`` merges
+    ``jobs > 1`` fans out to that many local lease workers with
+    bitwise-identical results; ``trace`` merges
     unit batches under a ``hw_campaign`` root span.  A failed unit is
     journaled, the rest still run, then ``StudyFailedError`` is raised.
     """
     from ...experiments.config import scale_fingerprint
-    from ...experiments.executors import ParallelExecutor, SerialExecutor, run_study_plan
+    from ...experiments import ParallelExecutor, SerialExecutor, run_study_plan
     from ...experiments.resilience import StudyCheckpoint, StudyFailedError
 
     units = list(units)

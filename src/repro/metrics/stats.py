@@ -91,7 +91,18 @@ def welch_ttest(
     # Imported on first use, like in mean_confidence_interval.
     from scipy import stats as scipy_stats
 
-    result = scipy_stats.ttest_ind(a, b, equal_var=False)
+    if not (_is_constant(a) or _is_constant(b)):
+        result = scipy_stats.ttest_ind(a, b, equal_var=False)
+    else:
+        # A constant sample's variance is exactly 0, which scipy's moment
+        # check reads as catastrophic cancellation (a "Precision loss"
+        # warning); the test from summary statistics has no such check.
+        def moments(x: np.ndarray) -> tuple[float, float, int]:
+            if _is_constant(x):
+                return float(x[0]), 0.0, x.size
+            return float(x.mean()), float(x.std(ddof=1)), x.size
+
+        result = scipy_stats.ttest_ind_from_stats(*moments(a), *moments(b), equal_var=False)
     return float(result.statistic), float(result.pvalue)
 
 

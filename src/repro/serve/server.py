@@ -41,12 +41,15 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import numpy as np
 
+from ..log import get_logger
 from ..nn.functional import softmax_np
 from ..telemetry import get_metrics, render_prometheus
 from .engine import ServingEngine
 from .router import ShedError
 
 __all__ = ["ServingServer", "serve_forever"]
+
+logger = get_logger("serve.server")
 
 #: Request body size cap (a resnet50-scale image batch fits comfortably).
 _MAX_BODY = 64 * 1024 * 1024
@@ -59,6 +62,18 @@ class _Handler(BaseHTTPRequestHandler):
     server: "ServingServer"
 
     # -- plumbing ------------------------------------------------------
+    def handle(self) -> None:
+        try:
+            super().handle()
+        except ConnectionError as exc:  # BrokenPipeError, ConnectionResetError
+            # The client left before its reply (say, it timed out on a shed
+            # request): count it instead of dumping a traceback.
+            self.server.exported_metrics().counter(
+                "serve_client_gone_total",
+                help="Exchanges cut short by a client that closed its connection",
+            ).inc()
+            logger.debug("client %s:%d gone: %s", *self.client_address[:2], exc)
+
     def log_message(self, format: str, *args: object) -> None:
         if self.server.verbose:  # pragma: no cover - log formatting
             super().log_message(format, *args)
@@ -86,13 +101,9 @@ class _Handler(BaseHTTPRequestHandler):
         return payload
 
     def _send_metrics(self, query: str) -> None:
-        """The ``/metrics`` scrape: the process-global registry when live
-        metrics are enabled (training + serving together), else the
-        backend-private one — either way the same data ``/stats`` digests.
-        """
-        active = get_metrics()
-        registry = active if active.enabled else self.server.metrics_registry
-        snapshot = registry.snapshot()
+        """The ``/metrics`` scrape of :meth:`ServingServer.exported_metrics`
+        — the same data ``/stats`` digests."""
+        snapshot = self.server.exported_metrics().snapshot()
         if "format=json" in query.split("&"):
             self._send_json(snapshot)
             return
@@ -253,6 +264,12 @@ class ServingServer(ThreadingHTTPServer):
         if self.fleet is not None:
             return self.fleet.metrics
         return self.engine.stats.registry
+
+    def exported_metrics(self):
+        """The registry ``/metrics`` exports: the process-global one when live
+        metrics are on (training + serving together), else the backend's."""
+        active = get_metrics()
+        return active if active.enabled else self.metrics_registry
 
     def stats_snapshot(self) -> dict:
         if self.fleet is not None:

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
+import scipy.stats
 
 from repro.metrics import (
     mean_confidence_interval,
@@ -130,11 +133,31 @@ class TestConstantSamples:
         ]
         assert different == []
 
-    # scipy warns about the constant sample's variance; the verdicts hold.
-    @pytest.mark.filterwarnings("ignore:Precision loss:RuntimeWarning")
     def test_constant_against_spread_takes_the_welch_test(self):
-        assert not statistically_similar([0.5] * 5, [0.1, 0.12, 0.11, 0.09, 0.1])
-        assert statistically_similar([0.5] * 5, [0.3, 0.7, 0.4, 0.6, 0.5])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert not statistically_similar([0.5] * 5, [0.1, 0.12, 0.11, 0.09, 0.1])
+            assert statistically_similar([0.5] * 5, [0.3, 0.7, 0.4, 0.6, 0.5])
+
+    def test_constant_sample_statistic_matches_scipy(self):
+        spread = [0.1, 0.12, 0.11, 0.09, 0.1]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # the precision-loss note
+            expected = scipy.stats.ttest_ind([0.5] * 5, spread, equal_var=False)
+        assert welch_ttest([0.5] * 5, spread) == pytest.approx(
+            (expected.statistic, expected.pvalue)
+        )
+
+
+class TestWelchMatchesScipy:
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("sizes", [(2, 2), (3, 7), (5, 5), (20, 4)])
+    def test_samples_with_spread_are_bitwise_scipy(self, seed, sizes):
+        rng = np.random.default_rng(seed)
+        a = rng.normal(0.2, 0.1, sizes[0])
+        b = rng.normal(0.25, 0.3, sizes[1])
+        expected = scipy.stats.ttest_ind(a, b, equal_var=False)
+        assert welch_ttest(a, b) == (float(expected.statistic), float(expected.pvalue))
 
 
 class TestSummarize:

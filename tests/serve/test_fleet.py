@@ -448,6 +448,50 @@ class TestFleetHTTP:
             thread.join(timeout=10)
             fleet.close()
 
+    def test_reply_to_a_gone_client_is_counted_not_dumped(self, registry, inputs, capfd):
+        import json as jsonlib
+        import socket
+        import struct
+
+        def counter(name: str) -> int:
+            return fleet.metrics.snapshot().get(name, {}).get("value", 0)
+
+        fleet = make_fleet(registry, replicas=1).start()
+        server = ServingServer(fleet, port=0)
+        thread = threading.Thread(
+            target=server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
+        )
+        thread.start()
+        try:
+            fleet.slow_replica(0, delay_s=30.0)
+            body = jsonlib.dumps({"model": KEY.id, "inputs": inputs[0].tolist()}).encode()
+            client = socket.create_connection(server.server_address[:2])
+            client.sendall(
+                b"POST /predict HTTP/1.1\r\nHost: test\r\n"
+                b"Content-Type: application/json\r\n"
+                b"Content-Length: %d\r\n\r\n" % len(body) + body
+            )
+            deadline = time.monotonic() + 10.0
+            while counter("fleet_requests_total") < 1 and time.monotonic() < deadline:
+                time.sleep(0.01)
+            # Reset, not FIN: the request has been read, so the reply the
+            # shutdown sheds below can have no reader at all.
+            client.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+            client.close()
+            fleet.close()  # sheds the wedged request: the handler answers 429
+            deadline = time.monotonic() + 10.0
+            while (counter("serve_client_gone_total") < 1
+                   and time.monotonic() < deadline):
+                time.sleep(0.01)
+        finally:
+            server.shutdown()
+            server.server_close()
+            thread.join(timeout=10)
+            fleet.close()
+        assert counter("serve_client_gone_total") == 1
+        assert "serve_client_gone_total" in server.exported_metrics().snapshot()
+        assert capfd.readouterr().err == ""
+
     @pytest.mark.parametrize("backend", ["thread", "process"])
     def test_models_counts_fleet_predictions(self, registry, inputs, backend):
         # Replicas infer on clones or in children; /models describes the

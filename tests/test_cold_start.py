@@ -63,6 +63,13 @@ def test_entry_point_import_loads_no_scipy(module):
     assert scipy_modules(loaded_after(f"import {module}")) == []
 
 
+def test_cli_loads_no_serving_or_survey_module():
+    # Only `serve` and `table1` use them; a study, a worker or a campaign
+    # never does.
+    modules = loaded_after("import repro.cli\nrepro.cli.build_parser()")
+    assert [m for m in modules if m.startswith(("repro.serve", "repro.survey"))] == []
+
+
 def test_package_root_loads_no_subpackage():
     assert loaded_after("import repro") == ["repro"]
 
