@@ -99,11 +99,11 @@ def test_kernel_tap_overhead():
 
     The tap (``repro.nn.functional.kernel_tap``) is the hardware-fault
     injector's hook into every kernel's forward output.  When no injection
-    context is armed it is one thread-local ``getattr`` per op, and this
-    bench gates that cost: forward passes with no tap installed are timed
-    against forward passes under an armed *identity* tap — an upper bound on
-    the disabled check, since the armed path runs the getattr, the branch,
-    and a no-op call.  Results land in
+    context is armed it is one execution-context read (``repro.nn.context``)
+    per op, and this bench gates that cost: forward passes with no tap
+    installed are timed against forward passes under an armed *identity*
+    tap — an upper bound on the disabled check, since the armed path runs
+    the read, the branch, and a no-op call.  Results land in
     ``benchmarks/results/BENCH_hardware_tap_overhead.json``.
     """
     import numpy as np

@@ -79,7 +79,7 @@ from .experiments.hardware_study import (
 from .experiments.config import ExperimentConfig, resolve_scale
 from .faults import FaultType
 from .mitigation import technique_names
-from .nn.functional import KERNEL_MODES, set_kernel_mode
+from .nn.functional import KERNEL_MODES, kernel_mode, use_kernel_mode
 from .nn.serialization import StateFileError
 from .telemetry import FileTelemetry
 
@@ -230,8 +230,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--kernels",
         choices=KERNEL_MODES,
         default=None,
-        help="nn kernel mode: fast (default), compiled (record/plan/replay "
-        "static training steps), or reference (loop kernels); all three are "
+        help="nn kernel mode the sweep trains with, in this process and in "
+        "every worker: fast (default), compiled (record/plan/replay static "
+        "training steps), or reference (loop kernels); all three are "
         "bitwise-identical",
     )
     study.add_argument(
@@ -360,9 +361,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--kernels",
         choices=KERNEL_MODES,
         default=None,
-        help="nn kernel mode for re-fitting and inference: fast (default), "
-        "compiled, or reference, all bitwise-identical (compiled only affects "
-        "training; inference always runs eagerly)",
+        help="nn kernel mode for the re-fit when no --state is given: fast "
+        "(default), compiled, or reference, all bitwise-identical; serving "
+        "starts after the re-fit and always runs the fast kernels",
     )
     serve.add_argument(
         "--replicas", type=int, default=1,
@@ -513,7 +514,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         )
         print(render_panel(panel))
     elif args.command == "study":
-        return _run_study_command(runner, args)
+        with use_kernel_mode(args.kernels or kernel_mode()):
+            return _run_study_command(runner, args)
     return 0
 
 
@@ -538,7 +540,6 @@ def _run_study_command(runner: ExperimentRunner, args: argparse.Namespace) -> in
         logger.error("error: --resume requires --checkpoint")
         return 2
     if args.kernels is not None:
-        set_kernel_mode(args.kernels)
         logger.info("[kernels=%s]", args.kernels)
     checkpoint = None
     if args.checkpoint is not None:
@@ -734,7 +735,6 @@ def _run_serve_command(args: argparse.Namespace) -> int:
                         ServingFleet, serve_forever)
 
     if args.kernels is not None:
-        set_kernel_mode(args.kernels)
         logger.info("[kernels=%s]", args.kernels)
     try:
         settings = _serve_settings(args)
@@ -761,7 +761,8 @@ def _run_serve_command(args: argparse.Namespace) -> int:
         )
         logger.info("[no --state: re-fitting %s at scale %s]", key.id, scale.name)
         try:
-            servable = registry.refit_cell(config)
+            with use_kernel_mode(args.kernels or kernel_mode()):
+                servable = registry.refit_cell(config)
         except (KeyError, ValueError) as exc:
             logger.error("error: %s", exc)
             return 2

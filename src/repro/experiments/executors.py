@@ -40,7 +40,7 @@ from dataclasses import dataclass
 from typing import Callable, ClassVar, Iterable, Iterator, Protocol, runtime_checkable
 
 from ..log import get_logger
-from ..nn.functional import kernel_mode, set_kernel_mode
+from ..nn.functional import kernel_mode, use_kernel_mode
 from ..telemetry import (
     FileTelemetry,
     NULL,
@@ -108,10 +108,9 @@ class ExecutionSettings:
     #: funnel as ``trace``, merged into the collector's registry so a
     #: ``--jobs N`` sweep aggregates to the same totals as a serial one.
     metrics: bool = False
-    #: Kernel mode the collector ran under (``fast``/``compiled``/…).
-    #: In-process and forked workers inherit the mode implicitly; cluster
-    #: workers on other hosts replay it from here so every executor trains
-    #: with identical kernels.  ``None`` = leave the worker's mode alone.
+    #: Kernel mode the collector ran under (``fast``/``compiled``/…).  Every
+    #: worker runs each unit under it, so every executor trains with
+    #: identical kernels.  ``None`` = the worker's own mode.
     kernels: "str | None" = None
 
 
@@ -128,7 +127,8 @@ def execute_unit(
 
     With ``trace=True`` the whole unit runs under a scoped
     :class:`~repro.telemetry.RecordingTelemetry`, wrapped in the unit type's
-    span (``unit`` for study cells, ``hw_unit`` for campaign units); the
+    span (``unit`` for study cells, ``hw_unit`` for campaign units), stamped
+    ``kernels=`` the kernel mode it ran under; the
     recorded batch rides back on ``outcome.events``.  Serial and worker
     execution share this exact path, so traces are structurally identical
     regardless of the executor (the collector re-parents each batch onto its
@@ -147,7 +147,9 @@ def execute_unit(
         if not trace:
             return unit.execute(runner, retry)
         with telemetry_scope(recorder):
-            with recorder.span(unit.trace_spans[1], **unit.span_attrs()) as span:
+            with recorder.span(
+                unit.trace_spans[1], kernels=kernel_mode(), **unit.span_attrs()
+            ) as span:
                 outcome = unit.execute(runner, retry)
                 if not outcome.ok:
                     span.set(outcome="failed")
@@ -190,16 +192,15 @@ def _worker_runner(unit: PlanUnit, settings: ExecutionSettings) -> ExperimentRun
 def _execute_unit_in_worker(unit: PlanUnit, settings: ExecutionSettings) -> CellOutcome:
     """The entry point every lease worker, local or remote, runs a unit through.
 
-    Replays the collector's kernel mode first: forked local workers inherit
-    it (an idempotent no-op there); spawned workers and workers on other
-    hosts start from interpreter defaults and need the explicit replay.
+    The unit runs under the collector's kernel mode, scoped to this call: a
+    worker started on another host (or by ``spawn``) begins at the defaults,
+    and the mode it leaves behind is the one it had.
     """
-    if settings.kernels is not None:
-        set_kernel_mode(settings.kernels)
-    return execute_unit(
-        _worker_runner(unit, settings), unit, settings.retry,
-        trace=settings.trace, metrics=settings.metrics,
-    )
+    with use_kernel_mode(settings.kernels or kernel_mode()):
+        return execute_unit(
+            _worker_runner(unit, settings), unit, settings.retry,
+            trace=settings.trace, metrics=settings.metrics,
+        )
 
 
 # ----------------------------------------------------------------------

@@ -11,7 +11,7 @@ threads, and worker processes (Python's salted ``hash()`` is never used).
 :class:`hardware_fault_injection` is the arming context manager:
 
 - ``activation`` targets install a kernel output tap
-  (:class:`repro.nn.functional.kernel_tap_scope`) on the calling thread;
+  (:func:`repro.nn.functional.kernel_tap_scope`) on the calling thread;
 - ``weight`` targets snapshot the model's parameters, corrupt them in place
   (an upset persisting for the context's lifetime), and restore the saved
   bytes bitwise on exit.
@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ...nn.context import scope
 from ...nn.functional import kernel_tap_scope
 from .spec import FaultTarget, HardwareFaultSpec, HardwareFaultType, hardware_spec_from_label
 
@@ -169,7 +170,7 @@ class hardware_fault_injection:
     ``model`` is required for ``weight`` targets (its parameters are struck
     once on entry — a persistent upset — and restored bitwise on exit) and
     ignored for ``activation`` targets, which corrupt kernel outputs through
-    the thread-local tap while the context is active.  ``spec`` may be a
+    the calling thread's kernel tap while the context is active.  ``spec`` may be a
     :class:`HardwareFaultSpec` or its label string.
     """
 
@@ -191,7 +192,7 @@ class hardware_fault_injection:
         self.record_sites = record_sites
         self.injector: HardwareFaultInjector | None = None
         self._saved: "list[tuple[object, np.ndarray]] | None" = None
-        self._tap: kernel_tap_scope | None = None
+        self._tap: scope | None = None
 
     def __enter__(self) -> HardwareFaultInjector:
         self.injector = HardwareFaultInjector(

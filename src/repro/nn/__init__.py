@@ -17,7 +17,6 @@ from .functional import (
     max_pool2d,
     row_stable_enabled,
     row_stable_inference,
-    set_kernel_mode,
     softmax,
     softmax_cross_entropy,
     softmax_np,
@@ -122,7 +121,6 @@ __all__ = [
     "avg_pool2d",
     "global_avg_pool2d",
     "kernel_mode",
-    "set_kernel_mode",
     "use_kernel_mode",
     "KERNEL_MODES",
     "row_stable_inference",

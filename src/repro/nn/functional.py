@@ -7,8 +7,8 @@ that keeps the reproduction's training loops tractable on a laptop.
 
 Kernel modes
 ------------
-The hot-path kernels come in three selectable modes (see
-:func:`set_kernel_mode`):
+The hot-path kernels come in three modes, selected per thread for a block of
+code by :class:`use_kernel_mode` (an :mod:`repro.nn.context` scope):
 
 ``fast`` (default)
     Vectorised patch extraction — a flat-index gather on narrow maps and
@@ -45,11 +45,10 @@ layout-equivalence tests and of ``benchmarks/bench_kernels.py``.
 from __future__ import annotations
 
 import functools
-import os
-import threading
 
 import numpy as np
 
+from .context import current_context, scope
 from .ops import OpCtx, register_op
 from .tensor import Tensor, is_grad_enabled, run_op
 from .workspace import Workspace, get_workspace
@@ -74,7 +73,6 @@ __all__ = [
     "conv_output_size",
     "KERNEL_MODES",
     "kernel_mode",
-    "set_kernel_mode",
     "use_kernel_mode",
     "row_stable_inference",
     "row_stable_enabled",
@@ -95,37 +93,16 @@ KERNEL_MODES = ("fast", "reference", "compiled")
 #: schedule for the rest (see :mod:`repro.nn.compile`).
 _FAST_LIKE = ("fast", "compiled")
 
-_KERNEL_MODE = os.environ.get("REPRO_KERNELS", "fast").strip().lower() or "fast"
-if _KERNEL_MODE not in KERNEL_MODES:
-    raise ValueError(
-        f"REPRO_KERNELS={_KERNEL_MODE!r} is not a valid kernel mode; choices: {KERNEL_MODES}"
-    )
-
 
 def kernel_mode() -> str:
-    """Return the active kernel mode (``fast``, ``reference``, or ``compiled``)."""
-    return _KERNEL_MODE
+    """Return the calling thread's kernel mode (``fast``, ``reference``, or ``compiled``)."""
+    return current_context().kernels
 
 
-def set_kernel_mode(mode: str) -> str:
-    """Select the kernel implementation; returns the previous mode.
-
-    Also honours the ``REPRO_KERNELS`` environment variable at import time.
-    ``fast``, ``reference``, and ``compiled`` are bitwise-equivalent.
-    """
-    global _KERNEL_MODE
-    if mode not in KERNEL_MODES:
-        raise ValueError(f"unknown kernel mode {mode!r}; choices: {KERNEL_MODES}")
-    previous = _KERNEL_MODE
-    _KERNEL_MODE = mode
-    if mode not in _FAST_LIKE:
-        # Modes without buffer reuse; drop whatever the pooled paths cached.
-        get_workspace().clear()
-    return previous
-
-
-class use_kernel_mode:
-    """Context manager that temporarily switches the kernel mode.
+class use_kernel_mode(scope):
+    """Context manager that runs its body on the calling thread in kernel
+    mode ``mode``; ``fast``, ``reference`` and ``compiled`` are
+    bitwise-equivalent.
 
     >>> with use_kernel_mode("reference"):
     ...     loss = model_loss(...)
@@ -134,21 +111,17 @@ class use_kernel_mode:
     def __init__(self, mode: str) -> None:
         if mode not in KERNEL_MODES:
             raise ValueError(f"unknown kernel mode {mode!r}; choices: {KERNEL_MODES}")
-        self.mode = mode
-        self._previous: str | None = None
+        super().__init__(kernels=mode)
 
     def __enter__(self) -> "use_kernel_mode":
-        self._previous = set_kernel_mode(self.mode)
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        if self._previous is not None:
-            set_kernel_mode(self._previous)
+        if self.changes["kernels"] not in _FAST_LIKE:
+            get_workspace().clear()  # no buffer reuse: drop this thread's cache
+        return super().__enter__()
 
 
 def _pool() -> Workspace | None:
     """The scratch-buffer arena, or None when buffer reuse is disabled."""
-    return get_workspace() if _KERNEL_MODE in _FAST_LIKE else None
+    return get_workspace() if current_context().kernels in _FAST_LIKE else None
 
 
 # ----------------------------------------------------------------------
@@ -159,36 +132,25 @@ def _pool() -> Workspace | None:
 # bit between N=1 and N=8.  Row-stable mode makes the batch-crossing matmuls
 # (currently only :class:`~repro.nn.layers.Dense`) compute each sample as its
 # own ``(1, D) @ (D, K)`` product via a batched gemm — bitwise identical to a
-# single-sample call, at any coalesced batch size.  The serving engine
-# (:mod:`repro.serve`) enables it on its worker threads so micro-batched
+# single-sample call, at any coalesced batch size.  The serving paths
+# (:mod:`repro.serve`) enter it around each forward so micro-batched
 # predictions are bitwise-equal to one-at-a-time ``predict_logits`` calls.
-# The flag is thread-local: a serving worker never alters training numerics
-# on other threads.
-_ROW_STABLE = threading.local()
-
-
+# It holds only on the entering thread, as every context knob does.
 def row_stable_enabled() -> bool:
     """Whether row-stable inference is active on the calling thread."""
-    return getattr(_ROW_STABLE, "enabled", False)
+    return current_context().row_stable
 
 
-class row_stable_inference:
-    """Context manager enabling row-stable (batch-size-invariant) inference.
+def row_stable_inference() -> scope:
+    """Scope enabling row-stable (batch-size-invariant) inference.
 
-    Inside the context, forward passes produce per-sample results that do not
+    Inside the scope, forward passes produce per-sample results that do not
     depend on how samples were coalesced into batches: splitting a batch of 8
     into 8 singles (or any chunking in between) yields bitwise-identical rows.
     Only affects inference-shaped code paths; training (tape-recording) passes
     keep the plain gemm.
     """
-
-    def __enter__(self) -> "row_stable_inference":
-        self._previous = getattr(_ROW_STABLE, "enabled", False)
-        _ROW_STABLE.enabled = True
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        _ROW_STABLE.enabled = self._previous
+    return scope(row_stable=True)
 
 
 def rowstable_matmul2d(x: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -209,37 +171,24 @@ def rowstable_matmul2d(x: np.ndarray, w: np.ndarray) -> np.ndarray:
 # uses to corrupt activations at inference time.  A tap is a callable
 # ``tap(site, array) -> None`` that mutates the freshly computed output array
 # of a kernel op in place; ``site`` names the op ("conv2d", "max_pool2d",
-# "dense", ...).  Like row-stable inference the flag is thread-local, so an
-# armed injection context on one thread never perturbs other threads.  With
-# no tap installed every op pays a single ``getattr`` returning ``None`` —
+# "dense", ...).  Like every context knob it holds only on the thread that
+# armed it, so an armed injection context never perturbs other threads.  With
+# no tap installed every op pays one context read returning ``None`` —
 # outputs are bitwise-identical to a build without the hook.
-_KERNEL_TAP = threading.local()
-
-
 def kernel_tap():
     """The active kernel output tap on the calling thread, or ``None``."""
-    return getattr(_KERNEL_TAP, "fn", None)
+    return current_context().tap
 
 
-class kernel_tap_scope:
-    """Context manager installing a kernel output tap on this thread.
+def kernel_tap_scope(fn) -> scope:
+    """Scope installing ``fn`` as the kernel output tap on this thread.
 
     Scopes nest: entering replaces the current tap and exiting restores it,
     so an inner injection context cleanly shadows an outer one.
     """
-
-    def __init__(self, fn) -> None:
-        if not callable(fn):
-            raise TypeError("kernel tap must be callable as tap(site, array)")
-        self.fn = fn
-
-    def __enter__(self) -> "kernel_tap_scope":
-        self._previous = getattr(_KERNEL_TAP, "fn", None)
-        _KERNEL_TAP.fn = self.fn
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        _KERNEL_TAP.fn = self._previous
+    if not callable(fn):
+        raise TypeError("kernel tap must be callable as tap(site, array)")
+    return scope(tap=fn)
 
 
 # ----------------------------------------------------------------------
@@ -300,7 +249,7 @@ def softmax_cross_entropy(logits: Tensor, targets: np.ndarray, temperature: floa
         raise ValueError(
             f"expected matching (N, K) logits and targets; got {logits.shape} and {t.shape}"
         )
-    if _KERNEL_MODE not in _FAST_LIKE:
+    if current_context().kernels not in _FAST_LIKE:
         return -(log_softmax(logits, axis=1, temperature=temperature) * Tensor(t)).sum(
             axis=1
         ).mean()
@@ -387,7 +336,7 @@ _NARROW_ROW = 8
 
 def _narrow(out_w: int) -> bool:
     """Whether a gather with ``out_w``-long output rows takes the flat index."""
-    return out_w < _NARROW_ROW and _KERNEL_MODE in _FAST_LIKE
+    return out_w < _NARROW_ROW and current_context().kernels in _FAST_LIKE
 
 
 @functools.lru_cache(maxsize=128)
@@ -526,7 +475,7 @@ def im2col(
         images = padded
 
     cols = out.reshape(n, c, kernel_h, kernel_w, out_h, out_w)
-    if _KERNEL_MODE in _FAST_LIKE and stride == 1:
+    if current_context().kernels in _FAST_LIKE and stride == 1:
         # The six-axis window-view copy wins for dense (stride-1) convolution
         # gathers but loses to the offset loop once the windows are strided
         # (pooling geometries), so strided gathers fall through to the loop.
@@ -847,7 +796,7 @@ def _conv2d_apply(ctx: OpCtx, inputs, kwargs) -> np.ndarray:
     if b is not None:
         out3 += b[:, None]
     out_data = out3.reshape(n, c_out, out_h, out_w)
-    tap = getattr(_KERNEL_TAP, "fn", None)
+    tap = current_context().tap
     if tap is not None:
         tap("conv2d", out_data)
     ctx.saved = (x.shape, w.shape, cols, flat_weight, ws, (n, c_out, ohw, kh, kw, stride, padding))
@@ -944,7 +893,7 @@ def _depthwise_apply(ctx: OpCtx, inputs, kwargs) -> np.ndarray:
     if b is not None:
         out += b[:, None]
     out_data = out.reshape(n, c, out_h, out_w)
-    tap = getattr(_KERNEL_TAP, "fn", None)
+    tap = current_context().tap
     if tap is not None:
         tap("depthwise_conv2d", out_data)
     ctx.saved = (x.shape, w.shape, cols, cols4, flat_weight, ws, (n, c, kk, ohw, kh, kw, stride, padding))
@@ -1051,7 +1000,7 @@ def _max_pool2d_apply(ctx: OpCtx, inputs, kwargs) -> np.ndarray:
     out_h = conv_output_size(h, kernel, stride, 0)
     out_w = conv_output_size(w, kernel, stride, 0)
     out_data = _window_max(x, kernel, stride, ctx.buffer("out", (n, c, out_h, out_w), x.dtype))
-    tap = getattr(_KERNEL_TAP, "fn", None)
+    tap = current_context().tap
     if tap is not None:
         tap("max_pool2d", out_data)
     # Only a backward pass needs the argmax; it takes it from the input.
@@ -1150,7 +1099,7 @@ def _avg_pool2d_apply(ctx: OpCtx, inputs, kwargs) -> np.ndarray:
         out_data = cols4.mean(axis=2, out=ctx.buffer("out", (n, c, ohw), x.dtype)).reshape(
             n, c, out_h, out_w
         )
-    tap = getattr(_KERNEL_TAP, "fn", None)
+    tap = current_context().tap
     if tap is not None:
         tap("avg_pool2d", out_data)
     if ws is not None:
@@ -1235,7 +1184,7 @@ def _bn_apply(ctx: OpCtx, inputs, kwargs) -> np.ndarray:
     inv_std = (1.0 / np.sqrt(kwargs["var"] + kwargs["eps"])).reshape(shape).astype(x.dtype)
     x_hat = (x - mean_b) * inv_std
     out_data = g.reshape(shape) * x_hat + b.reshape(shape)
-    tap = getattr(_KERNEL_TAP, "fn", None)
+    tap = current_context().tap
     if tap is not None:
         tap("batch_norm_2d", out_data)
     ctx.saved = (x_hat, inv_std, g, shape, c, kwargs["training"])
@@ -1349,7 +1298,7 @@ def _bn_train_apply(ctx: OpCtx, inputs, kwargs) -> np.ndarray:
         x_hat *= inv_std
         out_data = np.multiply(g.reshape(shape), x_hat, out=ctx.buffer("out", x.shape, x.dtype))
         out_data += b.reshape(shape)
-    tap = getattr(_KERNEL_TAP, "fn", None)
+    tap = current_context().tap
     if tap is not None:
         tap("batch_norm_2d", out_data)
     ctx.saved = (x_hat, inv_std, g, shape, c, True)

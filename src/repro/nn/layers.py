@@ -12,8 +12,9 @@ import numpy as np
 
 from . import functional as F
 from . import init as initializers
+from .context import current_context
 from .module import Module, Parameter
-from .tensor import Tensor, is_grad_enabled
+from .tensor import Tensor
 
 __all__ = [
     "Dense",
@@ -55,26 +56,22 @@ class Dense(Module):
         self.bias = Parameter(np.zeros(out_features, dtype=np.float32)) if bias else None
 
     def forward(self, x: Tensor) -> Tensor:
-        if (
-            F.row_stable_enabled()
-            and not is_grad_enabled()
-            and x.data.ndim == 2
-        ):
+        state = current_context()
+        if state.row_stable and not state.grad and x.data.ndim == 2:
             # Row-stable inference: the only batch-crossing gemm in the layer
             # set.  Computed per sample so coalesced serving batches are
             # bitwise-identical to one-at-a-time calls (see
-            # :class:`repro.nn.functional.row_stable_inference`).
+            # :func:`repro.nn.functional.row_stable_inference`).
             out = Tensor(F.rowstable_matmul2d(x.data, self.weight.data))
         else:
             out = x @ self.weight
         if self.bias is not None:
             out = out + self.bias
-        tap = F.kernel_tap()
-        if tap is not None:
+        if state.tap is not None:
             # Mutates the forward value in place; the tape node is preserved,
             # so an armed injection context corrupts downstream values only —
             # the transient-fault semantics of repro.faults.hardware.
-            tap("dense", out.data)
+            state.tap("dense", out.data)
         return out
 
 

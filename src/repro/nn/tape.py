@@ -17,7 +17,7 @@ the eager one (see :mod:`repro.nn.compile`).
 
 from __future__ import annotations
 
-import threading
+from .context import current_context, scope
 
 __all__ = ["Tape", "TapeEntry", "tape_scope", "active_tape"]
 
@@ -62,30 +62,15 @@ class Tape:
         return len(self.entries)
 
 
-# Like grad mode, the active tape is per-thread: a serving worker running
-# inference must never append entries to a tape the training thread opened.
-TAPE_STATE = threading.local()
-
-
 def active_tape() -> Tape | None:
     """The tape currently recording on this thread, or ``None``."""
-    return getattr(TAPE_STATE, "tape", None)
+    return current_context().tape
 
 
-class tape_scope:
-    """Context manager that records all registry ops run inside it.
+def tape_scope(tape: Tape) -> scope:
+    """Scope that records every registry op run inside it on ``tape``.
 
     Scopes nest by shadowing: the inner tape records until it exits, then the
-    outer tape resumes.
+    outer tape resumes.  Only the calling thread's ops are recorded.
     """
-
-    def __init__(self, tape: Tape) -> None:
-        self.tape = tape
-
-    def __enter__(self) -> Tape:
-        self._previous = getattr(TAPE_STATE, "tape", None)
-        TAPE_STATE.tape = self.tape
-        return self.tape
-
-    def __exit__(self, *exc_info: object) -> None:
-        TAPE_STATE.tape = self._previous
+    return scope(tape=tape)

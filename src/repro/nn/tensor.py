@@ -15,44 +15,29 @@ handles full NumPy broadcasting so the layer implementations stay simple.
 
 from __future__ import annotations
 
-import threading
 from typing import Iterable, Sequence
 
 import numpy as np
 
+from .context import current_context, scope
 from .ops import OpCtx, OpDef, register_op
-from .tape import TAPE_STATE
 
 __all__ = ["Tensor", "no_grad", "is_grad_enabled", "run_op"]
 
-# Tape recording is a *per-thread* property: the serving engine
-# (:mod:`repro.serve`) runs inference under ``no_grad`` on worker threads
-# while the owning process may train on the main thread, and a shared flag
-# would let one thread's inference silently disable the other's tape.
-_GRAD_STATE = threading.local()
 
-
-class no_grad:
-    """Context manager that disables gradient tape recording.
+def no_grad() -> scope:
+    """Scope that disables gradient tape recording on the calling thread.
 
     Used by evaluation loops and by the fitted-model prediction paths so that
-    inference does not pay the cost of building a backward graph.  The flag is
-    thread-local, so concurrent inference threads never affect training on
-    other threads.
+    inference does not pay the cost of building a backward graph; inference
+    on a serving thread never disables another thread's tape.
     """
-
-    def __enter__(self) -> "no_grad":
-        self._previous = getattr(_GRAD_STATE, "enabled", True)
-        _GRAD_STATE.enabled = False
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        _GRAD_STATE.enabled = self._previous
+    return scope(grad=False)
 
 
 def is_grad_enabled() -> bool:
-    """Return whether operations are currently recorded on the tape (per thread)."""
-    return getattr(_GRAD_STATE, "enabled", True)
+    """Return whether operations are currently recorded on the tape."""
+    return current_context().grad
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -222,7 +207,7 @@ class Tensor:
         # A recording tape needs the exact DFS order: float32 gradient
         # accumulation is order-sensitive, so a compiled replay must run vjps
         # in precisely this sequence to stay bitwise-equal (see nn.compile).
-        tape = getattr(TAPE_STATE, "tape", None)
+        tape = current_context().tape
         if tape is not None:
             tape.set_topo(topo, self)
 
@@ -392,23 +377,21 @@ def run_op(op: OpDef, inputs: tuple["Tensor", ...], kwargs: dict) -> "Tensor":
     """
     ctx = OpCtx()
     out_data = op.apply(ctx, tuple(t.data for t in inputs), kwargs)
-    if not (is_grad_enabled() and any(t.requires_grad for t in inputs)):
+    state = current_context()
+    if not (state.grad and any(t.requires_grad for t in inputs)):
         if op.discard is not None:
             op.discard(ctx)
         out = Tensor(out_data)
-        if is_grad_enabled():
+        if state.grad and state.tape is not None:
             # Grad-free ops still go on a recording tape: their outputs feed
             # later entries as *computed* values, and the planner must re-run
             # them every step rather than freeze them as constants.
-            tape = getattr(TAPE_STATE, "tape", None)
-            if tape is not None:
-                tape.record(op, inputs, out, kwargs)
+            state.tape.record(op, inputs, out, kwargs)
         return out
     needs = tuple(t.requires_grad for t in inputs)
     out = Tensor(out_data, requires_grad=True, _parents=inputs, _record=(op, ctx, needs))
-    tape = getattr(TAPE_STATE, "tape", None)
-    if tape is not None:
-        tape.record(op, inputs, out, kwargs)
+    if state.tape is not None:
+        state.tape.record(op, inputs, out, kwargs)
     return out
 
 

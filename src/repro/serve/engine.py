@@ -10,7 +10,7 @@ are handed back to each caller's future.
 
 **Equivalence discipline.**  Responses are bitwise-independent of how
 requests were coalesced: inference runs under
-:class:`~repro.nn.functional.row_stable_inference`, so a sample served in a
+:func:`~repro.nn.functional.row_stable_inference`, so a sample served in a
 batch of 8 gets exactly the bits a one-at-a-time
 :func:`repro.nn.trainer.predict_logits` call would return.  The batched
 equivalence suite (``tests/serve/test_engine.py``) enforces this the same way

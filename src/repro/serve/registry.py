@@ -14,7 +14,7 @@ three ways:
   pass, so the served model is the one the study measured.
 
 Inference goes through :meth:`ServableModel.predict_logits`, which runs in
-eval mode under ``no_grad`` and :class:`~repro.nn.functional.row_stable_inference`
+eval mode under ``no_grad`` and :func:`~repro.nn.functional.row_stable_inference`
 — the property that makes micro-batching (:mod:`repro.serve.engine`) safe:
 coalesced batches are bitwise-identical to one-at-a-time
 :func:`~repro.nn.trainer.predict_logits` calls.

@@ -1,9 +1,10 @@
 """Trace summarization — the analysis behind ``repro-study trace <file>``.
 
 Reduces a (possibly multi-hour) trace to the questions an operator actually
-asks: where did the wall-clock go per phase, which cells were slowest, how
-many retries/divergences/failures happened, how cache-effective was the run,
-and how time splits across the technique × dataset grid.
+asks: which kernel mode the cells ran under, where did the wall-clock go per
+phase, which cells were slowest, how many retries/divergences/failures
+happened, how cache-effective was the run, and how time splits across the
+technique × dataset grid.
 """
 
 from __future__ import annotations
@@ -49,6 +50,8 @@ class TraceSummary:
     point_events: dict = field(default_factory=dict)
     #: (technique, dataset) -> total unit seconds
     technique_dataset_s: dict = field(default_factory=dict)
+    #: kernel mode stamped on each unit span -> units ("?" when unstamped)
+    unit_kernels: dict = field(default_factory=dict)
     #: aggregated ``compiled_fit`` events (compiled vs eager step counts,
     #: workspace effectiveness) — empty when no fit ran in compiled mode
     compiled_exec: dict = field(default_factory=dict)
@@ -128,6 +131,7 @@ def summarize_trace(
 
     units: list[tuple[str, float]] = []
     tech_dataset: defaultdict = defaultdict(float)
+    kernels: Counter = Counter()
     for root in span_tree(events):
         summary.total_s += root.dur_s
         for node in root.walk():
@@ -136,8 +140,10 @@ def summarize_trace(
             units.append((str(node.attrs.get("key", "?")), node.dur_s))
             cell = (str(node.attrs.get("technique", "?")), str(node.attrs.get("dataset", "?")))
             tech_dataset[cell] += node.dur_s
+            kernels[str(node.attrs.get("kernels", "?"))] += 1
     summary.slowest_units = sorted(units, key=lambda kv: kv[1], reverse=True)[:top]
     summary.technique_dataset_s = dict(tech_dataset)
+    summary.unit_kernels = dict(kernels)
     return summary
 
 
@@ -166,6 +172,10 @@ def render_trace_summary(summary: TraceSummary) -> str:
         f"trace: {summary.events} events, {summary.spans} spans, "
         f"{summary.pids} process(es), {summary.total_s:.2f}s total",
     ]
+    if summary.unit_kernels:
+        lines.append("kernels: " + " ".join(
+            f"{mode}={count}" for mode, count in sorted(summary.unit_kernels.items())
+        ))
     if summary.warnings:
         lines.append("")
         lines.append(f"warnings ({len(summary.warnings)} repairs, truncated trace):")

@@ -20,7 +20,10 @@ from repro.experiments import (
     run_resilient_study,
     run_study_plan,
 )
+from repro.experiments import executors
 from repro.faults import FaultType
+from repro.nn import kernel_mode, use_kernel_mode
+from repro.telemetry import RecordingTelemetry, span_tree
 
 from .test_resilience import GRID, StubRunner
 
@@ -186,3 +189,31 @@ class TestSerialParallelEquivalence:
         )
         replayed = full_study(ExperimentRunner(MICRO, cache_dir=cache_dir), **MICRO_GRID)
         assert results_equivalent(serial_results, replayed)
+
+
+# ----------------------------------------------------------------------
+# The collector's kernel mode reaches every worker, scoped to each unit
+# ----------------------------------------------------------------------
+
+class TestWorkerKernelMode:
+    def test_worker_runs_unit_in_settings_mode_and_keeps_its_own(self, monkeypatch):
+        monkeypatch.setattr(executors, "_WORKER_RUNNERS", {})
+        unit = plan_study(scale=MICRO, **MICRO_GRID)[0]
+        outcome = executors._execute_unit_in_worker(
+            unit, ExecutionSettings(trace=True, kernels="compiled")
+        )
+        assert outcome.ok
+        assert kernel_mode() == "fast"
+        assert any(event.get("name") == "compiled_fit" for event in outcome.events)
+
+    def test_parallel_unit_spans_carry_the_collector_mode(self):
+        tel = RecordingTelemetry()
+        with use_kernel_mode("compiled"):
+            report = run_study_plan(
+                plan_study(scale=MICRO, **MICRO_GRID),
+                executor=ParallelExecutor(jobs=2), trace=tel,
+            )
+        assert report.ok
+        units = [n for root in span_tree(tel.drain()) for n in root.walk()
+                 if n.name == "unit"]
+        assert [unit.attrs["kernels"] for unit in units] == ["compiled", "compiled"]

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from repro.models import build_model
-from repro.nn import Tensor, kernel_mode, no_grad, set_kernel_mode, use_kernel_mode
+from repro.nn import Tensor, kernel_mode, no_grad, use_kernel_mode
 from repro.nn import functional as F
 from repro.nn.functional import (
     avg_pool2d,
@@ -93,19 +93,11 @@ class TestKernelModeControls:
     def test_default_mode_is_fast(self):
         assert kernel_mode() == "fast"
 
-    def test_set_kernel_mode_returns_previous(self):
-        prev = set_kernel_mode("reference")
-        try:
-            assert prev == "fast"
-            assert kernel_mode() == "reference"
-        finally:
-            set_kernel_mode(prev)
-
     def test_invalid_mode_rejected(self):
         # "legacy" named the deleted seed kernels; it is now just unknown.
         for mode in ("turbo", "legacy"):
             with pytest.raises(ValueError, match=r"choices: \('fast', 'reference', 'compiled'\)"):
-                set_kernel_mode(mode)
+                use_kernel_mode(mode)
         assert kernel_mode() == "fast"
 
     def test_context_manager_restores_mode(self):

@@ -94,6 +94,18 @@ class TestSummarizeTrace:
         path.write_text("".join(json.dumps(e) + "\n" for e in _study_trace()))
         assert summarize_trace(path).counters["retry"] == 1
 
+    def test_units_counted_per_kernel_mode(self):
+        tel = RecordingTelemetry()
+        with tel.span("study", cells=3):
+            for key, kernels in (("a", "fast"), ("b", "compiled"), ("c", "fast")):
+                with tel.span("unit", key=key, kernels=kernels):
+                    pass
+        summary = summarize_trace(tel.drain())
+        assert summary.unit_kernels == {"fast": 2, "compiled": 1}
+        assert "\nkernels: compiled=1 fast=2\n" in render_trace_summary(summary)
+        # Traces written before units were stamped count under "?".
+        assert summarize_trace(_campaign_trace()).unit_kernels == {"?": 2}
+
     def test_invalid_trace_is_refused(self):
         events = _study_trace()[:-1]  # unclosed study span
         with pytest.raises(TraceError):
