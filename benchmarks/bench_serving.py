@@ -16,8 +16,18 @@ percentiles come from the same :class:`repro.telemetry.Histogram` +
 :func:`latency_summary_ms` pair that backs the engine's ``/stats``
 endpoint, so the bench numbers and the live endpoint agree by
 construction.  The gate requires micro-batching to reach >= 3x the
-single-request throughput (raw batch-32 forwards measure ~5x; the margin
-absorbs engine and scheduler overhead on shared CI runners).
+single-request throughput (raw batch-32 forwards measured ~5x per sample
+with eager forwards and ~3.4x with forward plans, which cut the per-call
+overhead batching amortises; the margin absorbs engine and scheduler
+overhead on shared CI runners).
+
+A third table, ``forward_ms``, times one forward per registry network at
+batch 1 and 8 two ways: the eager forward ``predict_logits`` ran before
+forward plans, and the plan replay it runs now.  Blocks of
+``FORWARD_CALLS`` calls alternate between the two, ``FORWARD_REPEATS``
+times; each cell reports the median and the min–max spread of the per-call
+milliseconds, plus the bytes the plan's liveness arena holds.  Both paths
+must return the same bits.
 """
 
 from __future__ import annotations
@@ -29,8 +39,9 @@ import time
 import numpy as np
 
 from bench_common import write_bench_json
-from repro.models.registry import build_model
-from repro.serve import BatchSettings, ModelKey, ModelRegistry, ServingEngine
+from repro.models.registry import build_model, model_names
+from repro.nn import Tape, Tensor, compile_forward, no_grad, row_stable_inference, tape_scope
+from repro.serve import BatchSettings, ModelKey, ModelRegistry, ServableModel, ServingEngine
 from repro.telemetry import Histogram, latency_summary_ms
 
 GATE_MIN_SPEEDUP = 3.0
@@ -38,6 +49,10 @@ GATE_MIN_SPEEDUP = 3.0
 KEY = ModelKey(model="convnet", dataset="gtsrb")
 N_SAMPLES = 256
 CLIENTS = 8
+
+FORWARD_BATCHES = (1, 8)
+FORWARD_REPEATS = 7
+FORWARD_CALLS = 20
 
 
 def _latency_summary(latencies_ms: "list[float]") -> dict:
@@ -124,11 +139,68 @@ def _bench_micro_batched(x: np.ndarray) -> dict:
     }
 
 
+def _spread(samples: "list[float]") -> dict:
+    return {
+        "median": round(float(np.median(samples)), 4),
+        "min": round(min(samples), 4),
+        "max": round(max(samples), 4),
+    }
+
+
+def _plan_bytes(module, x: np.ndarray) -> int:
+    """Bytes one plan of ``module`` at ``x``'s shape holds after its first run."""
+    tape = Tape(forward_only=True)
+    with no_grad(), row_stable_inference(), tape_scope(tape):
+        logits = module(Tensor(x))
+    plan = compile_forward(tape, x, logits)
+    plan.run(x)
+    return plan.nbytes
+
+
+def _bench_forward_table() -> "list[dict]":
+    """Eager forward vs plan replay, per registry network and batch size."""
+    rows = []
+    for name in model_names(include_extensions=True):
+        shape = (12,) if name == "mlp" else (3, 16, 16)
+        module = build_model(name, image_shape=shape, num_classes=43, seed=0)
+        servable = ServableModel(ModelKey(model=name, dataset="gtsrb"), module)
+        for batch in FORWARD_BATCHES:
+            x = np.random.default_rng(batch).standard_normal((batch, *shape)).astype(np.float32)
+
+            def eager() -> np.ndarray:
+                with no_grad(), row_stable_inference():
+                    return module(Tensor(x)).data
+
+            def planned() -> np.ndarray:
+                return servable.predict_logits(x)
+
+            planned()  # records and plans this shape
+            assert np.array_equal(planned().view(np.uint32), eager().view(np.uint32)), name
+            times: "dict[str, list[float]]" = {"eager": [], "plan": []}
+            for _ in range(FORWARD_REPEATS):
+                for label, forward in (("eager", eager), ("plan", planned)):
+                    started = time.perf_counter()
+                    for _ in range(FORWARD_CALLS):
+                        forward()
+                    times[label].append((time.perf_counter() - started) / FORWARD_CALLS * 1e3)
+            eager_ms, plan_ms = _spread(times["eager"]), _spread(times["plan"])
+            rows.append({
+                "model": name,
+                "batch": batch,
+                "eager_ms": eager_ms,
+                "plan_ms": plan_ms,
+                "speedup": round(eager_ms["median"] / plan_ms["median"], 3),
+                "plan_bytes": _plan_bytes(module, x),
+            })
+    return rows
+
+
 def test_serving_perf():
     x = _inputs()
     single = _bench_single_request(x)
     batched = _bench_micro_batched(x)
     speedup = batched["throughput_per_s"] / single["throughput_per_s"]
+    forward = _bench_forward_table()
     payload = {
         "gate_min_speedup": GATE_MIN_SPEEDUP,
         "model": KEY.id,
@@ -136,6 +208,9 @@ def test_serving_perf():
         "single_request": single,
         "micro_batched": batched,
         "speedup": round(speedup, 3),
+        "forward_repeats": FORWARD_REPEATS,
+        "forward_calls": FORWARD_CALLS,
+        "forward_ms": forward,
     }
     out = write_bench_json("BENCH_serving.json", "serving", payload)
     print(f"\n{json.dumps(payload, indent=2)}\n[saved to {out}]")

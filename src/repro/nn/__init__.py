@@ -5,7 +5,7 @@ This package is the substrate substitution for the paper's TensorFlow stack
 noise-robust ones the paper studies), optimisers, and a training loop.
 """
 
-from .compile import CompiledStep, CompileError, compile_tape
+from .compile import CompiledStep, CompileError, ForwardPlan, compile_forward, compile_tape
 from .functional import (
     KERNEL_MODES,
     avg_pool2d,
@@ -125,7 +125,7 @@ __all__ = [
     "KERNEL_MODES",
     "row_stable_inference",
     "row_stable_enabled",
-    # op registry / tape / compiled step
+    # op registry / tape / compiled step and forward plan
     "OpCtx",
     "OpDef",
     "OP_REGISTRY",
@@ -137,6 +137,8 @@ __all__ = [
     "CompiledStep",
     "CompileError",
     "compile_tape",
+    "ForwardPlan",
+    "compile_forward",
     # workspace
     "Workspace",
     "get_workspace",

@@ -1,4 +1,4 @@
-"""Plan & execute: compile a recorded tape into a static training step.
+"""Plan & execute: compile a recorded tape into a static training step or forward.
 
 This is the *plan* stage of the record → plan → execute pipeline
 (:mod:`repro.nn.tape` is the record stage).  :func:`compile_tape` takes one
@@ -41,11 +41,25 @@ and :func:`~repro.nn.functional.log_softmax` subtract as constants.  Scalar
 leaves (shape-derived factors like ``1/N``) are assumed step-invariant for a
 fixed geometry.  A non-leaf input computed before the recording scope opened
 is refused too: the tape holds no entry that could recompute it.
+
+Forward plans
+-------------
+:func:`compile_forward` plans one recorded *inference* forward (a
+``forward_only`` tape, run under ``no_grad``) into a :class:`ForwardPlan`:
+the forward schedule alone, with no adjoint slots, and every entry's
+``discard`` right after its ``apply``, as the training step does for entries
+outside its backward graph.  The plan's op contexts draw every buffer from a
+liveness arena: a buffer's memory is reused once the last op that reads it
+has run, so a plan holds about one stage's buffers instead of every op's.
+Only the logits are copied out.  The same refusals apply, and the same
+bitwise contract: ``tests/nn/test_forward_plan.py`` locks plan ≡ eager for
+all registry networks.  :class:`~repro.serve.registry.ServableModel` serves
+every prediction from one plan per thread and input shape.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -53,7 +67,7 @@ from .ops import OpCtx
 from .tape import Tape
 from .tensor import Tensor
 
-__all__ = ["CompileError", "CompiledStep", "compile_tape"]
+__all__ = ["CompileError", "CompiledStep", "ForwardPlan", "compile_forward", "compile_tape"]
 
 
 class CompileError(RuntimeError):
@@ -76,6 +90,27 @@ class _SlotSpace:
         self.slot_of[key] = index
         self.tensors.append(tensor)
         return index
+
+
+def _replay(steps: list, vals: list) -> None:
+    """Run ``(apply, ctx, in_slots, out_slot, kwargs, cleanup)`` steps in order.
+
+    The one forward loop of both replays; the common arities unpack without
+    building a generator.
+    """
+    for apply, ctx, in_slots, out_slot, kwargs, cleanup in steps:
+        k = len(in_slots)
+        if k == 1:
+            inputs = (vals[in_slots[0]],)
+        elif k == 2:
+            inputs = (vals[in_slots[0]], vals[in_slots[1]])
+        elif k == 3:
+            inputs = (vals[in_slots[0]], vals[in_slots[1]], vals[in_slots[2]])
+        else:
+            inputs = tuple(vals[s] for s in in_slots)
+        vals[out_slot] = apply(ctx, inputs, kwargs)
+        if cleanup is not None:
+            cleanup(ctx)
 
 
 class CompiledStep:
@@ -188,19 +223,7 @@ class CompiledStep:
         for param, slot in self._param_slots:
             # Read .data fresh each step: load_state_dict swaps the array.
             vals[slot] = param.data
-        for apply, ctx, in_slots, out_slot, kwargs, cleanup in self._fwd:
-            k = len(in_slots)
-            if k == 1:
-                inputs = (vals[in_slots[0]],)
-            elif k == 2:
-                inputs = (vals[in_slots[0]], vals[in_slots[1]])
-            elif k == 3:
-                inputs = (vals[in_slots[0]], vals[in_slots[1]], vals[in_slots[2]])
-            else:
-                inputs = tuple(vals[s] for s in in_slots)
-            vals[out_slot] = apply(ctx, inputs, kwargs)
-            if cleanup is not None:
-                cleanup(ctx)
+        _replay(self._fwd, vals)
         return vals[self._loss_slot], vals[self._logits_slot]
 
     def _forward_profiled(self, feeds: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
@@ -285,11 +308,296 @@ class CompiledStep:
                 param.grad = grads[slot]
 
 
+#: Byte alignment of every arena block (one cache line).
+_ALIGNMENT = 64
+
+
+class _Arena:
+    """Liveness-shared memory for a :class:`ForwardPlan`'s op buffers.
+
+    Buffers are assigned during the plan's first run, in op order.  Each new
+    buffer an op asks for takes the smallest free block that fits, or a new
+    block.  A block is free again once no live value sits in it: a scratch
+    buffer after its own op, an output (and any view of it) after the last
+    op that reads it.  Later runs make the same requests in the same order
+    and find every buffer already in place, so they allocate nothing.
+    """
+
+    def __init__(self) -> None:
+        self.blocks: list[np.ndarray] = []  # flat uint8 memory, aligned
+        self._end: list[int] = []  # last step each block is live
+        self._index_of: dict[int, int] = {}  # id(block's allocation) -> index
+        self.step = 0
+        self.planning = True
+
+    def take(self, shape: tuple[int, ...], dtype) -> np.ndarray:
+        if not self.planning:  # pragma: no cover - a plan's shapes never change
+            return np.empty(shape, dtype)
+        dtype = np.dtype(dtype)
+        nbytes = int(np.prod(shape, dtype=np.int64)) * dtype.itemsize
+        free = [
+            i for i, end in enumerate(self._end)
+            if end < self.step and self.blocks[i].nbytes >= nbytes
+        ]
+        if free:
+            index = min(free, key=lambda i: self.blocks[i].nbytes)
+        else:
+            # Cache-line aligned, as NumPy aligns its own allocations: the
+            # ufunc loops run measurably slower on 16-byte aligned output.
+            memory = np.empty(nbytes + _ALIGNMENT, np.uint8)
+            start = -memory.ctypes.data % _ALIGNMENT
+            index = len(self.blocks)
+            self.blocks.append(memory[start : start + nbytes])
+            self._end.append(0)
+            self._index_of[id(memory)] = index
+        self._end[index] = self.step
+        return self.blocks[index][:nbytes].view(dtype).reshape(shape)
+
+    def hold(self, value: np.ndarray, end: int) -> None:
+        """Keep the block ``value`` lives in (if any) until step ``end``."""
+        root = value
+        while isinstance(root.base, np.ndarray):
+            root = root.base
+        index = self._index_of.get(id(root))
+        if index is not None and self._end[index] < end:
+            self._end[index] = end
+
+
+class _ArenaCtx(OpCtx):
+    """A persistent op context whose new buffers come from a plan's arena."""
+
+    __slots__ = ("arena",)
+
+    def __init__(self, arena: _Arena) -> None:
+        super().__init__(persistent=True)
+        self.arena = arena
+
+    def _allocate(self, shape: tuple[int, ...], dtype) -> np.ndarray:
+        return self.arena.take(shape, dtype)
+
+
+def _held_bytes(ctxs: Sequence[OpCtx]) -> int:
+    """Bytes of writable memory the contexts' buffers pin, each block once."""
+    roots: dict[int, np.ndarray] = {}
+    pending = [value for ctx in ctxs for value in ctx.bufs.values()]
+    while pending:
+        value = pending.pop()
+        if isinstance(value, tuple):
+            pending.extend(value)
+        elif isinstance(value, np.ndarray) and value.flags.writeable:
+            # Read-only arrays are the shared index caches or window views
+            # of a buffer listed on its own.
+            while isinstance(value.base, np.ndarray):
+                value = value.base
+            roots[id(value)] = value
+    return sum(root.nbytes for root in roots.values())
+
+
+class ForwardPlan:
+    """A static, replayable inference forward: a batch in, a logits copy out.
+
+    Produced by :func:`compile_forward`; run it as ``logits = plan.run(batch)``
+    with a batch of the recorded shape.  Every op keeps a persistent context,
+    so a replay does no module dispatch, builds no ``Tensor`` and allocates
+    nothing but the returned copy.  The contexts' buffers share memory by
+    liveness (:class:`_Arena`), assigned on the first run.  Parameters are
+    re-read at every run, and eval batch norm reads its module's running
+    statistics inside its op, so weight updates made in place or by
+    swapping arrays reach the next run.
+    """
+
+    def __init__(
+        self,
+        steps: list,
+        arena: _Arena,
+        feed_bindings: list[tuple[int, int]],
+        feed_shape: tuple[int, ...],
+        param_slots: list,
+        vals: list,
+        logits_slot: int,
+        last_read: list[int],
+    ) -> None:
+        self._steps = steps
+        self._arena = arena
+        self._feed_bindings = feed_bindings
+        self.feed_shape = feed_shape
+        self._param_slots = param_slots
+        self._vals = vals
+        self._logits_slot = logits_slot
+        self._last_read = last_read
+        #: Bytes of buffer memory the plan holds (set by the first run).
+        self.nbytes = 0
+
+    def __repr__(self) -> str:
+        return (
+            f"ForwardPlan(entries={len(self._steps)}, feed={self.feed_shape}, "
+            f"bytes={self.nbytes})"
+        )
+
+    def run(self, feed: np.ndarray) -> np.ndarray:
+        """Replay the forward on ``feed``; returns a fresh copy of the logits."""
+        if feed.shape != self.feed_shape:
+            raise ValueError(f"feed shape {feed.shape} does not match planned {self.feed_shape}")
+        vals = self._vals
+        for _, slot in self._feed_bindings:
+            vals[slot] = feed
+        for param, slot in self._param_slots:
+            vals[slot] = param.data
+        if self._arena.planning:
+            self._first_run(vals)
+        else:
+            _replay(self._steps, vals)
+        return vals[self._logits_slot].copy()
+
+    def _first_run(self, vals: list) -> None:
+        """The first replay, assigning every op buffer an arena block."""
+        arena, last_read = self._arena, self._last_read
+        for index, (apply, ctx, in_slots, out_slot, kwargs, discard) in enumerate(self._steps):
+            arena.step = index
+            out = vals[out_slot] = apply(ctx, tuple(vals[s] for s in in_slots), kwargs)
+            if discard is not None:
+                discard(ctx)
+            arena.hold(out, last_read[out_slot])
+        arena.planning = False
+        self.nbytes = _held_bytes([step[1] for step in self._steps])
+
+
+def compile_forward(tape: Tape, feed: np.ndarray, logits: Tensor) -> ForwardPlan:
+    """Plan a :class:`ForwardPlan` from one recorded inference forward.
+
+    ``tape`` is a ``forward_only`` :class:`~repro.nn.tape.Tape` that observed
+    the forward (under ``no_grad``); ``feed`` is the input batch array the
+    forward read, by identity; ``logits`` is its output tensor.  A replay runs
+    the recorded entries in recorded order with the same ``apply`` bodies,
+    and every entry's ``discard`` runs right after its ``apply``: a forward
+    plan has no backward, so no entry keeps scratch for a vjp.  A liveness
+    arena (:class:`_Arena`) backs the op buffers, so a plan holds about the
+    largest set of buffers live at one op, not the sum over its ops.
+
+    Raises
+    ------
+    CompileError
+        As :func:`compile_tape` does, for anything a replay could not
+        reproduce: a non-scalar constant, an array op argument, an input
+        computed outside the recording scope, or logits that no registry op
+        produced.
+    """
+    sched = _forward_schedule(tape, (feed,), {"logits": logits})
+    planned = sched.planned
+    arena = _Arena()
+    steps = [
+        (entry.op.apply, _ArenaCtx(arena), in_slots, out_slot, entry.kwargs, entry.op.discard)
+        for entry, in_slots, out_slot in planned
+    ]
+    last_read = [-1] * len(sched.space.tensors)
+    for index, (_, in_slots, _) in enumerate(planned):
+        for slot in in_slots:
+            last_read[slot] = index
+    logits_slot = sched.space.slot(logits)
+    last_read[logits_slot] = len(planned)  # live until copied out
+    vals: list = [None] * len(sched.space.tensors)
+    for slot, value in sched.const_slots:
+        vals[slot] = value
+    return ForwardPlan(
+        steps,
+        arena,
+        sched.feed_bindings,
+        tuple(sched.feed_shapes[0]),
+        sched.param_slots,
+        vals,
+        logits_slot,
+        last_read,
+    )
+
+
 def _is_array_arg(value) -> bool:
     """Whether an op argument is (or holds) an array a replay would freeze."""
     if isinstance(value, tuple):
         return any(_is_array_arg(v) for v in value)
     return isinstance(value, (np.ndarray, list))
+
+
+class _Schedule(NamedTuple):
+    """The recorded forward, slotted: what both planners start from."""
+
+    space: _SlotSpace
+    #: ``(entry, in_slots, out_slot)`` per recorded entry, in eager order.
+    planned: list
+    entry_index_of: dict
+    feed_bindings: list
+    feed_shapes: list
+    param_slots: list
+    const_slots: list
+
+
+def _forward_schedule(
+    tape: Tape, feeds: Sequence[np.ndarray], outputs: "dict[str, Tensor]"
+) -> _Schedule:
+    """Slot every value of the recorded forward; shared by both planners.
+
+    Leaf tensors that require grad are parameters, re-read at every replay;
+    leaves whose ``.data`` *is* a feed array become feed slots; every other
+    leaf must be a scalar.  ``outputs`` names the tensors a replay returns;
+    each must be a registry-op output.
+    """
+    if not tape.entries:
+        raise CompileError("tape recorded no registry ops")
+    entry_index_of = {id(e.out): i for i, e in enumerate(tape.entries)}
+    for name, tensor in outputs.items():
+        if id(tensor) not in entry_index_of:
+            raise CompileError(
+                f"{name} is not a registry-op output (op={tensor._op or 'leaf'!r})"
+            )
+
+    space = _SlotSpace()
+    feed_list = list(feeds)
+    feed_shapes = [np.asarray(f).shape for f in feed_list]
+    feed_bindings: list[tuple[int, int]] = []
+    param_slots: list[tuple[Tensor, int]] = []
+    const_slots: list[tuple[int, np.ndarray]] = []
+    bound: set[int] = set()
+
+    def bind_leaf(tensor: Tensor) -> None:
+        slot = space.slot(tensor)
+        if slot in bound:
+            return
+        bound.add(slot)
+        if tensor._record is not None:
+            raise CompileError(
+                f"input from op {tensor._op!r} was computed outside the recording scope"
+            )
+        if tensor.requires_grad:
+            param_slots.append((tensor, slot))
+            return
+        for i, feed in enumerate(feed_list):
+            if tensor.data is feed:
+                feed_bindings.append((i, slot))
+                return
+        if tensor.data.size != 1:
+            raise CompileError(
+                f"non-scalar constant of shape {tensor.shape} cannot be proven step-invariant"
+            )
+        const_slots.append((slot, tensor.data))
+
+    # Forward schedule: every recorded entry, in recorded (eager) order.
+    planned: list[tuple] = []
+    for entry in tape.entries:
+        for name, value in entry.kwargs.items():
+            if _is_array_arg(value):
+                raise CompileError(
+                    f"array argument {name!r} of op {entry.op.name!r} "
+                    "cannot be proven step-invariant"
+                )
+        for parent in entry.inputs:
+            if id(parent) not in entry_index_of:
+                bind_leaf(parent)
+        in_slots = tuple(space.slot(t) for t in entry.inputs)
+        out_slot = space.slot(entry.out)
+        bound.add(out_slot)
+        planned.append((entry, in_slots, out_slot))
+    return _Schedule(
+        space, planned, entry_index_of, feed_bindings, feed_shapes, param_slots, const_slots
+    )
 
 
 def compile_tape(
@@ -329,59 +637,8 @@ def compile_tape(
         raise CompileError("no backward() ran inside the recording scope")
     if tape.root is not loss:
         raise CompileError("recorded backward root is not the loss tensor")
-
-    entry_index_of = {id(e.out): i for i, e in enumerate(tape.entries)}
-    if id(loss) not in entry_index_of:
-        raise CompileError(f"loss is not a registry-op output (op={loss._op or 'leaf'!r})")
-    if id(logits) not in entry_index_of:
-        raise CompileError(f"logits is not a registry-op output (op={logits._op or 'leaf'!r})")
-
-    space = _SlotSpace()
-    feed_list = list(feeds)
-    feed_shapes = [np.asarray(f).shape for f in feed_list]
-    feed_bindings: list[tuple[int, int]] = []
-    param_slots: list[tuple[Tensor, int]] = []
-    const_slots: list[tuple[int, np.ndarray]] = []
-    bound: set[int] = set()
-
-    def bind_leaf(tensor: Tensor) -> None:
-        slot = space.slot(tensor)
-        if slot in bound:
-            return
-        bound.add(slot)
-        if tensor._record is not None:
-            raise CompileError(
-                f"input from op {tensor._op!r} was computed outside the recording scope"
-            )
-        if tensor.requires_grad:
-            param_slots.append((tensor, slot))
-            return
-        for i, feed in enumerate(feed_list):
-            if tensor.data is feed:
-                feed_bindings.append((i, slot))
-                return
-        if tensor.data.size != 1:
-            raise CompileError(
-                f"non-scalar constant of shape {tensor.shape} cannot be proven step-invariant"
-            )
-        const_slots.append((slot, tensor.data))
-
-    # Forward schedule: every recorded entry, in recorded (eager) order.
-    planned_fwd: list[tuple] = []
-    for entry in tape.entries:
-        for name, value in entry.kwargs.items():
-            if _is_array_arg(value):
-                raise CompileError(
-                    f"array argument {name!r} of op {entry.op.name!r} "
-                    "cannot be proven step-invariant"
-                )
-        for parent in entry.inputs:
-            if id(parent) not in entry_index_of:
-                bind_leaf(parent)
-        in_slots = tuple(space.slot(t) for t in entry.inputs)
-        out_slot = space.slot(entry.out)
-        bound.add(out_slot)
-        planned_fwd.append((entry, in_slots, out_slot))
+    sched = _forward_schedule(tape, feeds, {"loss": loss, "logits": logits})
+    space, entry_index_of = sched.space, sched.entry_index_of
 
     # Backward schedule: the captured DFS topological order, reversed,
     # restricted to registry-op outputs (leaves receive their gradients
@@ -414,7 +671,7 @@ def compile_tape(
     # Entries outside the backward graph never run a vjp, so their workspace
     # cleanup (normally the vjp's job) runs right after apply instead.
     forward_steps: list[tuple] = []
-    for idx, (entry, in_slots, out_slot) in enumerate(planned_fwd):
+    for idx, (entry, in_slots, out_slot) in enumerate(sched.planned):
         cleanup = None
         if id(entry.out) not in backward_out_ids and entry.op.discard is not None:
             cleanup = entry.op.discard
@@ -423,7 +680,7 @@ def compile_tape(
         )
 
     vals: list = [None] * len(space.tensors)
-    for slot, value in const_slots:
+    for slot, value in sched.const_slots:
         vals[slot] = value
     loss_slot = space.slot(loss)
     vals[loss_slot] = loss.data  # seeds the ones template in CompiledStep
@@ -432,14 +689,14 @@ def compile_tape(
     compiled = CompiledStep(
         forward_steps,
         backward_steps,
-        feed_bindings,
-        feed_shapes,
-        param_slots,
+        sched.feed_bindings,
+        sched.feed_shapes,
+        sched.param_slots,
         vals,
         grad_dtypes,
         loss_slot,
         space.slot(logits),
-        fwd_names=[entry.op.name for entry, _, _ in planned_fwd],
+        fwd_names=[entry.op.name for entry, _, _ in sched.planned],
         bwd_names=bwd_names,
     )
     step[0] = compiled

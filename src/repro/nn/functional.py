@@ -50,7 +50,7 @@ import numpy as np
 
 from .context import current_context, scope
 from .ops import OpCtx, register_op
-from .tensor import Tensor, is_grad_enabled, run_op
+from .tensor import Tensor, _matmul_vjp, is_grad_enabled, run_op
 from .workspace import Workspace, get_workspace
 
 __all__ = [
@@ -64,6 +64,7 @@ __all__ = [
     "avg_pool2d",
     "global_avg_pool2d",
     "batch_norm_2d",
+    "batch_norm_2d_eval",
     "batch_norm_2d_train",
     "dropout_train",
     "im2col",
@@ -77,6 +78,7 @@ __all__ = [
     "row_stable_inference",
     "row_stable_enabled",
     "rowstable_matmul2d",
+    "rowstable_matmul",
     "kernel_tap",
     "kernel_tap_scope",
 ]
@@ -162,6 +164,24 @@ def rowstable_matmul2d(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     single-sample forward makes.
     """
     return np.matmul(x[:, None, :], w)[:, 0, :]
+
+
+def rowstable_matmul(x: Tensor, w: Tensor) -> Tensor:
+    """:func:`rowstable_matmul2d` as a registry op, so a forward plan can
+    replay it; its vjp is matmul's."""
+    return run_op(_ROWSTABLE_MATMUL, (x, w), {})
+
+
+def _rowstable_matmul_apply(ctx: OpCtx, inputs, kwargs) -> np.ndarray:
+    x, w = inputs
+    ctx.saved = (x, w)
+    if ctx.bufs is None:
+        return rowstable_matmul2d(x, w)
+    out = ctx.buffer("out", (x.shape[0], 1, w.shape[1]), np.result_type(x, w))
+    return np.matmul(x[:, None, :], w, out=out)[:, 0, :]
+
+
+_ROWSTABLE_MATMUL = register_op("rowstable_matmul", _rowstable_matmul_apply, _matmul_vjp)
 
 
 # ----------------------------------------------------------------------
@@ -433,7 +453,6 @@ def im2col(
     stride: int,
     padding: int,
     out: np.ndarray | None = None,
-    padded_out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Unfold NCHW image patches into matrices of shape ``(N, C*KH*KW, OH*OW)``.
 
@@ -451,11 +470,7 @@ def im2col(
 
     ``out``, when given, must be a ``(N, C*KH*KW, OH*OW)`` C-contiguous buffer
     of the image dtype (e.g. from the :mod:`repro.nn.workspace` arena); it is
-    fully overwritten and returned.  ``padded_out``, when given with
-    ``padding > 0``, is a persistent pad buffer whose border is already zero
-    (compiled replay arms one per conv site): only the interior is written, so
-    the border stays zero and the per-step pad allocation + memset disappear.
-    The narrow path has no pad buffer and ignores it.
+    fully overwritten and returned.
     """
     n, c, h, w = images.shape
     out_h = conv_output_size(h, kernel_h, stride, padding)
@@ -467,10 +482,7 @@ def im2col(
         index = _unfold_index(c, h, w, kernel_h, kernel_w, stride, padding)
         return _gather_patches(images, index, out, rows)
     if padding > 0:
-        if padded_out is not None:
-            padded = padded_out
-        else:
-            padded = np.zeros((n, c, h + 2 * padding, w + 2 * padding), dtype=images.dtype)
+        padded = np.zeros((n, c, h + 2 * padding, w + 2 * padding), dtype=images.dtype)
         padded[:, :, padding:-padding, padding:-padding] = images
         images = padded
 
@@ -675,20 +687,25 @@ def _fold_patch_grads(
             ws.release(buf)
 
 
-def _ctx_pad_zeros(ctx: OpCtx, key: str, x_shape, padding: int, dtype) -> np.ndarray | None:
-    """A persistent zero-bordered pad buffer for an armed (compiled) op site.
+def _armed_pad(ctx: OpCtx, x: np.ndarray, padding: int) -> np.ndarray:
+    """``x`` zero-padded into an armed context's ``pad`` buffer.
 
-    Allocated zeroed once; :func:`im2col` only ever writes the interior, so
-    the border invariantly stays zero across replays.
+    The buffer may share memory with other ops (a forward plan's arena), so
+    every call writes the border as well as the interior, through views
+    built once per buffer: four small fills keep the border zero whatever
+    wrote there since.
     """
-    if padding == 0:
-        return None
-    n, c, h, w = x_shape
-    shape = (n, c, h + 2 * padding, w + 2 * padding)
-    buf = ctx.bufs.get(key)
-    if buf is None or buf.shape != shape or buf.dtype != dtype:
-        buf = ctx.bufs[key] = np.zeros(shape, dtype)
-    return buf
+    n, c, h, w = x.shape
+    p = padding
+    pad = ctx.buffer("pad", (n, c, h + 2 * p, w + 2 * p), x.dtype)
+    views = ctx.bufs.get("pad_views")
+    if views is None or views[0] is not pad:
+        border = (pad[:, :, :p], pad[:, :, -p:], pad[:, :, p:-p, :p], pad[:, :, p:-p, -p:])
+        views = ctx.bufs["pad_views"] = (pad, pad[:, :, p:-p, p:-p], border)
+    for view in views[2]:
+        view.fill(0)
+    views[1][...] = x
+    return pad
 
 
 def _armed_im2col(
@@ -696,46 +713,41 @@ def _armed_im2col(
 ) -> np.ndarray:
     """:func:`im2col` into an armed cols buffer, with plan-cached strided views.
 
-    Narrow maps keep the flat index and a zero-column row buffer on the ctx
-    and gather with one ``np.take``.  For the stride-1 window path the
-    sliding-window source view and the target six-axis view are pure
+    Narrow maps keep the flat index on the ctx and gather with one
+    ``np.take``.  Wider maps pad into the ctx's pad buffer (:func:`_armed_pad`)
+    and unfold that with no further padding.  For the stride-1 window path
+    the sliding-window source view and the target six-axis view are pure
     functions of the (persistent) pad buffer and cols buffer, so they are
     built once and cached on the ctx; steady-state steps run exactly two
     copies — pad interior and window gather — the identical element
-    movement :func:`im2col` performs, minus its per-call view setup.
+    movement :func:`im2col` performs, minus its per-call view setup.  Every
+    buffer is rewritten on each call, so a forward plan's arena may share
+    its memory with other ops.
     """
     n, c, h, w = x.shape
     plan = ctx.bufs.get("gather")
     if plan is None or plan[0] != x.shape:
-        index = rows = None
+        index = None
         if _narrow(conv_output_size(w, kw, stride, padding)):
             index = _unfold_index(c, h, w, kh, kw, stride, padding)
-            rows = np.zeros((n, c * h * w + 1), x.dtype) if padding > 0 else None
-        plan = ctx.bufs["gather"] = (x.shape, index, rows)
+        plan = ctx.bufs["gather"] = (x.shape, index)
     if plan[1] is not None:
-        return _gather_patches(x, plan[1], cols, plan[2])
+        rows = None
+        if padding > 0:
+            rows = ctx.buffer("rows", (n, c * h * w + 1), x.dtype)
+            rows[:, -1] = 0
+        return _gather_patches(x, plan[1], cols, rows)
+    src = x if padding == 0 else _armed_pad(ctx, x, padding)
     if stride != 1:
-        return im2col(
-            x,
-            kh,
-            kw,
-            stride,
-            padding,
-            out=cols,
-            padded_out=_ctx_pad_zeros(ctx, "pad", x.shape, padding, x.dtype),
-        )
-    pad = _ctx_pad_zeros(ctx, "pad", x.shape, padding, x.dtype)
-    if pad is not None:
-        pad[:, :, padding:-padding, padding:-padding] = x
-        src = pad
-    else:
-        src = x
+        return im2col(src, kh, kw, stride, 0, out=cols)
     plan = ctx.bufs.get("i2c")
-    if plan is None or plan[0] is not src or plan[2].base is not cols:
+    # Keyed on the buffer objects themselves: ``cols`` may be a view (a
+    # forward plan's arena hands out views), whose reshape shares its base.
+    if plan is None or plan[0] is not src or plan[3] is not cols:
         windows = np.lib.stride_tricks.sliding_window_view(src, (kh, kw), axis=(2, 3))
         out_h, out_w = windows.shape[2], windows.shape[3]
         cols6 = cols.reshape(n, c, kh, kw, out_h, out_w)
-        plan = ctx.bufs["i2c"] = (src, windows.transpose(0, 1, 4, 5, 2, 3), cols6)
+        plan = ctx.bufs["i2c"] = (src, windows.transpose(0, 1, 4, 5, 2, 3), cols6, cols)
     plan[2][...] = plan[1]
     return cols
 
@@ -1176,18 +1188,48 @@ def batch_norm_2d(
     return run_op(_BATCH_NORM_2D, (x, gamma, beta), kwargs)
 
 
+def batch_norm_2d_eval(x: Tensor, gamma: Tensor, beta: Tensor, bn) -> Tensor:
+    """Eval-mode batch norm over ``bn``'s running statistics, read at every call.
+
+    The float sequence of :func:`batch_norm_2d` with ``training=False``.  The
+    statistics travel as the owning :class:`~repro.nn.layers.BatchNorm2D`
+    module, never as arrays, so a forward plan (:mod:`repro.nn.compile`)
+    re-reads them at every replay: ``load_state_dict``, a shared-block
+    ``attach`` and in-place weight faults all reach the next replay.
+    """
+    return run_op(_BATCH_NORM_2D_EVAL, (x, gamma, beta), {"bn": bn})
+
+
 def _bn_apply(ctx: OpCtx, inputs, kwargs) -> np.ndarray:
+    return _bn_normalize(
+        ctx, inputs, kwargs["mean"], kwargs["var"], kwargs["eps"], kwargs["training"]
+    )
+
+
+def _bn_eval_apply(ctx: OpCtx, inputs, kwargs) -> np.ndarray:
+    bn = kwargs["bn"]
+    return _bn_normalize(ctx, inputs, bn.running_mean, bn.running_var, bn.eps, False)
+
+
+def _bn_normalize(ctx: OpCtx, inputs, mean, var, eps: float, training: bool) -> np.ndarray:
+    """``gamma * (x - mean) / sqrt(var + eps) + beta`` over NCHW channels."""
     x, g, b = inputs
     c = x.shape[1]
     shape = (1, c, 1, 1)
-    mean_b = kwargs["mean"].reshape(shape).astype(x.dtype)
-    inv_std = (1.0 / np.sqrt(kwargs["var"] + kwargs["eps"])).reshape(shape).astype(x.dtype)
-    x_hat = (x - mean_b) * inv_std
-    out_data = g.reshape(shape) * x_hat + b.reshape(shape)
+    mean_b = mean.reshape(shape).astype(x.dtype)
+    inv_std = (1.0 / np.sqrt(var + eps)).reshape(shape).astype(x.dtype)
+    if ctx.bufs is None:
+        x_hat = (x - mean_b) * inv_std
+        out_data = g.reshape(shape) * x_hat + b.reshape(shape)
+    else:
+        x_hat = np.subtract(x, mean_b, out=ctx.buffer("x_hat", x.shape, x.dtype))
+        x_hat *= inv_std
+        out_data = np.multiply(g.reshape(shape), x_hat, out=ctx.buffer("out", x.shape, x.dtype))
+        out_data += b.reshape(shape)
     tap = current_context().tap
     if tap is not None:
         tap("batch_norm_2d", out_data)
-    ctx.saved = (x_hat, inv_std, g, shape, c, kwargs["training"])
+    ctx.saved = (x_hat, inv_std, g, shape, c, training)
     return out_data
 
 
@@ -1237,6 +1279,7 @@ def _bn_vjp(ctx: OpCtx, grad, needs, acc) -> None:
 
 
 _BATCH_NORM_2D = register_op("batch_norm_2d", _bn_apply, _bn_vjp)
+_BATCH_NORM_2D_EVAL = register_op("batch_norm_2d_eval", _bn_eval_apply, _bn_vjp)
 
 
 # ----------------------------------------------------------------------

@@ -62,7 +62,7 @@ class Dense(Module):
             # set.  Computed per sample so coalesced serving batches are
             # bitwise-identical to one-at-a-time calls (see
             # :func:`repro.nn.functional.row_stable_inference`).
-            out = Tensor(F.rowstable_matmul2d(x.data, self.weight.data))
+            out = F.rowstable_matmul(x, self.weight)
         else:
             out = x @ self.weight
         if self.bias is not None:
@@ -189,9 +189,9 @@ class BatchNorm2D(Module):
             # stateful registry op so a compiled replay re-runs all of it
             # (see functional.batch_norm_2d_train).
             return F.batch_norm_2d_train(x, self.gamma, self.beta, self)
-        return F.batch_norm_2d(
-            x, self.gamma, self.beta, self.running_mean, self.running_var, self.eps, training=False
-        )
+        # The op reads the running statistics off this module at every call,
+        # so a forward plan sees buffers swapped or rewritten since recording.
+        return F.batch_norm_2d_eval(x, self.gamma, self.beta, self)
 
 
 class Dropout(Module):

@@ -69,8 +69,6 @@ class Module:
     def modules(self) -> Iterator["Module"]:
         """Yield this module and every descendant module."""
         yield self
-        for value in vars(self).items():
-            pass  # placeholder to keep attribute order explicit below
         for value in vars(self).values():
             if isinstance(value, Module):
                 yield from value.modules()

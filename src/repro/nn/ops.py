@@ -70,8 +70,13 @@ class OpCtx:
             return np.empty(shape, dtype)
         buf = self.bufs.get(key)
         if buf is None or buf.shape != shape or buf.dtype != dtype:
-            buf = self.bufs[key] = np.empty(shape, dtype)
+            buf = self.bufs[key] = self._allocate(shape, dtype)
         return buf
+
+    def _allocate(self, shape: tuple[int, ...], dtype) -> np.ndarray:
+        """Memory for a new persistent buffer (a forward plan's contexts
+        draw it from the plan's liveness arena instead)."""
+        return np.empty(shape, dtype)
 
 
 class OpDef:

@@ -3,10 +3,12 @@
 A :class:`Tape` passively observes one training step: every registry op that
 runs while a tape is active appends a :class:`TapeEntry` (op, input tensors,
 output tensor, kwargs), and the first ``backward()`` that runs hands the tape
-its topologically-sorted node list.  Recording changes nothing about the step
-itself — ops still execute eagerly and the recorded step's results are used
-normally — so the record step is just a regular step that happens to leave a
-trace behind.
+its topologically-sorted node list.  A ``forward_only`` tape observes one
+inference forward instead: it also records the ops that run under
+``no_grad``, which a training tape skips.  Recording changes nothing about
+the step itself — ops still execute eagerly and the recorded step's results
+are used normally — so the record step is just a regular step that happens
+to leave a trace behind.
 
 The captured topo order matters: gradient accumulation (``+=`` chains into
 shared tensors) is order-sensitive in float32, and eager backward runs vjps
@@ -42,12 +44,15 @@ class Tape:
 
     Holds strong references to every tensor it saw, which keeps ``id()``-based
     bookkeeping in the planner unambiguous for the tape's lifetime.
+    ``forward_only`` tapes record ops run under ``no_grad`` too: they feed
+    :func:`~repro.nn.compile.compile_forward`, not a training step.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, forward_only: bool = False) -> None:
         self.entries: list[TapeEntry] = []
         self.topo: list | None = None
         self.root = None
+        self.forward_only = forward_only
 
     def record(self, op, inputs, out, kwargs) -> None:
         self.entries.append(TapeEntry(op, inputs, out, kwargs))

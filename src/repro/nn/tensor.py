@@ -382,11 +382,13 @@ def run_op(op: OpDef, inputs: tuple["Tensor", ...], kwargs: dict) -> "Tensor":
         if op.discard is not None:
             op.discard(ctx)
         out = Tensor(out_data)
-        if state.grad and state.tape is not None:
+        tape = state.tape
+        if tape is not None and (state.grad or tape.forward_only):
             # Grad-free ops still go on a recording tape: their outputs feed
             # later entries as *computed* values, and the planner must re-run
-            # them every step rather than freeze them as constants.
-            state.tape.record(op, inputs, out, kwargs)
+            # them every step rather than freeze them as constants.  Under
+            # ``no_grad`` only a forward plan's tape records.
+            tape.record(op, inputs, out, kwargs)
         return out
     needs = tuple(t.requires_grad for t in inputs)
     out = Tensor(out_data, requires_grad=True, _parents=inputs, _record=(op, ctx, needs))
@@ -404,13 +406,23 @@ def run_op(op: OpDef, inputs: tuple["Tensor", ...], kwargs: dict) -> "Tensor":
 # allocate in both modes.
 
 
+def _out_spec(a: np.ndarray, b: np.ndarray) -> tuple:
+    """Shape and dtype of a binary ufunc's result, without the per-call cost
+    of ``np.broadcast_shapes`` in the common cases: equal shapes, or ``b``
+    matching ``a``'s trailing axes (a bias, a scalar)."""
+    shape = a.shape
+    if shape != b.shape and shape[a.ndim - b.ndim :] != b.shape:
+        shape = np.broadcast_shapes(shape, b.shape)
+    dtype = a.dtype if a.dtype == b.dtype else np.result_type(a, b)
+    return shape, dtype
+
+
 def _add_apply(ctx: OpCtx, inputs, kwargs) -> np.ndarray:
     a, b = inputs
     ctx.saved = (a.shape, b.shape)
     if ctx.bufs is None:
         return a + b
-    out = ctx.buffer("out", np.broadcast_shapes(a.shape, b.shape), np.result_type(a, b))
-    return np.add(a, b, out=out)
+    return np.add(a, b, out=ctx.buffer("out", *_out_spec(a, b)))
 
 
 def _add_vjp(ctx: OpCtx, grad, needs, acc) -> None:
@@ -426,8 +438,7 @@ def _mul_apply(ctx: OpCtx, inputs, kwargs) -> np.ndarray:
     ctx.saved = (a, b)
     if ctx.bufs is None:
         return a * b
-    out = ctx.buffer("out", np.broadcast_shapes(a.shape, b.shape), np.result_type(a, b))
-    return np.multiply(a, b, out=out)
+    return np.multiply(a, b, out=ctx.buffer("out", *_out_spec(a, b)))
 
 
 def _mul_vjp(ctx: OpCtx, grad, needs, acc) -> None:

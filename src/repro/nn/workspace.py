@@ -15,10 +15,10 @@ after the gradient has been accumulated.  Buffers that are never released are
 simply garbage-collected; the arena never hands out a buffer twice without an
 intervening release.
 
-The process-global workspace (:func:`get_workspace`) is flushed by
-``Module.train()``/``Module.eval()`` so mode transitions (epoch boundaries,
-evaluation passes) act as natural free points and shape changes between
-phases cannot strand memory.
+Each thread has its own workspace (:func:`get_workspace`).  The calling
+thread's arena is flushed by ``Module.train()``/``Module.eval()`` so mode
+transitions (epoch boundaries, evaluation passes) act as natural free points
+and shape changes between phases cannot strand memory.
 """
 
 from __future__ import annotations

@@ -6,7 +6,10 @@ coalesce them into batches bounded by ``max_batch_size`` and
 the latency bound for company, and a full batch dispatches immediately.  The
 coalesced batch runs one forward pass per batch (im2col and the conv gemms
 genuinely vectorise across the coalesced samples), and the per-sample rows
-are handed back to each caller's future.
+are handed back to each caller's future.  That forward replays the
+servable's forward plan for the batch shape, which each worker thread
+records on its first batch of that shape
+(:meth:`~repro.serve.registry.ServableModel.predict_logits`).
 
 **Equivalence discipline.**  Responses are bitwise-independent of how
 requests were coalesced: inference runs under

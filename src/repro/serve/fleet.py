@@ -14,7 +14,9 @@ into ``N`` replicas behind a :class:`~repro.serve.router.Router`:
   up to ``FleetSettings.chunk`` requests as one forward pass and sends one
   reply — one worker thread draining a FIFO of chunks
   (:class:`ThreadReplica`), or a forked child's recv → forward → send loop
-  over the block mapping it inherited (:class:`ProcessReplica`).
+  over the block mapping it inherited (:class:`ProcessReplica`).  Each
+  replica's servables keep their own forward plans, one per chunk size,
+  built by that replica's first chunk of the size.
 - **Replicas are disposable.**  A health monitor evicts a replica whose
   process or worker died, or whose oldest dispatched request overran
   ``replica_deadline_s``, requeues everything it held (the router guarantees

@@ -17,13 +17,17 @@ Inference goes through :meth:`ServableModel.predict_logits`, which runs in
 eval mode under ``no_grad`` and :func:`~repro.nn.functional.row_stable_inference`
 — the property that makes micro-batching (:mod:`repro.serve.engine`) safe:
 coalesced batches are bitwise-identical to one-at-a-time
-:func:`~repro.nn.trainer.predict_logits` calls.
+:func:`~repro.nn.trainer.predict_logits` calls.  Each call replays a
+*forward plan* (:class:`~repro.nn.compile.ForwardPlan`) recorded on the
+calling thread's first call with that input shape: the same bits as the
+eager forward, without its per-op dispatch and allocations.
 """
 
 from __future__ import annotations
 
 import os
 import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,10 +37,19 @@ from ..experiments.config import ExperimentConfig, resolve_scale
 from ..experiments.runner import refit_cell_network
 from ..models.registry import build_model
 from ..nn import Module, Tensor, load_into, no_grad
+from ..nn.compile import CompileError, compile_forward
+from ..nn.context import current_context, scope
 from ..nn.functional import row_stable_inference, softmax_np
 from ..nn.serialization import StateFileError
+from ..nn.tape import Tape
+from ..nn.workspace import get_workspace
+from ..telemetry import get_metrics, get_telemetry
 
-__all__ = ["ModelKey", "ServableModel", "ModelRegistry"]
+__all__ = ["ModelKey", "ServableModel", "ModelRegistry", "PLAN_CAP"]
+
+#: Forward plans one servable keeps per thread, one per input shape, least
+#: recently used out first.  Engine and fleet batches hold at most 8 samples.
+PLAN_CAP = 8
 
 
 @dataclass(frozen=True)
@@ -76,6 +89,11 @@ class ServableModel:
     workspace), no gradient tape, row-stable kernels.  Access is not
     serialised here — forward passes only read weights, so any number of
     engine worker threads may infer concurrently.
+
+    Each thread keeps its own forward plans, here on the servable rather than
+    on the module (fleet thread replicas deep-copy modules): at most
+    :data:`PLAN_CAP`, one per input shape.  Nothing is planned at
+    registration.
     """
 
     def __init__(
@@ -90,6 +108,11 @@ class ServableModel:
         self.source = source
         self.metadata = dict(metadata or {})
         self.predictions = 0  # samples served (engine- or fleet-maintained tally)
+        self._local = threading.local()  # .plans: this thread's plans by shape
+        self._plan_lock = threading.Lock()
+        self._plans_built = 0
+        self._plan_replays = 0
+        self._plan_fallbacks: dict[str, int] = {}
 
     def predict_logits(self, inputs: np.ndarray) -> np.ndarray:
         """Logits for a ``(N, ...)`` input batch, bitwise batch-size-invariant.
@@ -98,10 +121,87 @@ class ServableModel:
         samples — one call of 8, two calls of 4, eight calls of 1 — produces
         bitwise-identical per-sample rows, equal to what a plain one-at-a-time
         :func:`repro.nn.trainer.predict_logits` call returns.
+
+        The first call per thread and input shape runs the forward eagerly
+        under a recording tape and plans it; later calls replay the plan and
+        return a copy of its logits.  The forward runs eagerly instead while
+        a kernel tap is armed, under ``reference`` kernels, or for a shape
+        whose planning was refused; ``/models`` counts each such call by
+        reason.
         """
         batch = np.ascontiguousarray(inputs, dtype=np.float32)
+        state = current_context()
+        if state.tap is not None:
+            return self._eager(batch, "kernel tap armed")
+        if state.kernels == "reference":
+            return self._eager(batch, "reference kernels")
+        plans = getattr(self._local, "plans", None)
+        if plans is None:
+            plans = self._local.plans = OrderedDict()
+        plan = plans.get(batch.shape)
+        if plan is None:
+            return self._record(plans, batch)
+        plans.move_to_end(batch.shape)
+        if isinstance(plan, str):  # planning was refused for this shape
+            return self._eager(batch, plan)
+        try:
+            logits = plan.run(batch)
+        except BaseException:
+            del plans[batch.shape]
+            raise
+        with self._plan_lock:
+            self._plan_replays += 1
+        return logits
+
+    def _eager(self, batch: np.ndarray, reason: str) -> np.ndarray:
+        """The unplanned forward, counted as a fallback for ``reason``."""
+        self._count_fallback(reason)
         with no_grad(), row_stable_inference():
             return self.module(Tensor(batch)).data
+
+    def _count_fallback(self, reason: str) -> None:
+        """Tally one eager call; the first per reason emits a telemetry event."""
+        with self._plan_lock:
+            first = reason not in self._plan_fallbacks
+            self._plan_fallbacks[reason] = self._plan_fallbacks.get(reason, 0) + 1
+        _plan_counters()[1].inc()
+        if first:
+            get_telemetry().event("forward_plan_fallback", model=self.key.id, reason=reason)
+
+    def _record(self, plans: OrderedDict, batch: np.ndarray) -> np.ndarray:
+        """Run the forward eagerly on a recording tape and plan it.
+
+        A forward that raises propagates and caches nothing.  The eager
+        pass's pooled scratch is dropped afterwards: plans never draw on the
+        thread's workspace.
+        """
+        tape = Tape(forward_only=True)
+        with scope(grad=False, row_stable=True, tape=tape):
+            logits = self.module(Tensor(batch))
+        get_workspace().clear()
+        try:
+            plan = compile_forward(tape, batch, logits)
+        except CompileError as exc:
+            reason = f"refused: {exc}"
+            plans[batch.shape] = reason
+            self._count_fallback(reason)
+        else:
+            plans[batch.shape] = plan
+            with self._plan_lock:
+                self._plans_built += 1
+            _plan_counters()[0].inc()
+        if len(plans) > PLAN_CAP:
+            plans.popitem(last=False)
+        return logits.data
+
+    def plan_stats(self) -> dict:
+        """Plans built, plan replays and eager fallbacks by reason, over all threads."""
+        with self._plan_lock:
+            return {
+                "built": self._plans_built,
+                "replays": self._plan_replays,
+                "fallbacks": dict(self._plan_fallbacks),
+            }
 
     def predict_proba(self, inputs: np.ndarray) -> np.ndarray:
         """Softmax probabilities (same softmax as the training stack)."""
@@ -122,8 +222,25 @@ class ServableModel:
             "source": self.source,
             "parameters": self.module.num_parameters(),
             "predictions": self.predictions,
+            "plans": self.plan_stats(),
             **self.metadata,
         }
+
+
+def _plan_counters():
+    """The live ``(plans built, eager fallbacks)`` counters, both registered
+    together so a scrape shows a zero fallback count."""
+    metrics = get_metrics()
+    return (
+        metrics.counter(
+            "serve_forward_plans_total",
+            help="Forward plans built (one per servable, thread and input shape)",
+        ),
+        metrics.counter(
+            "serve_forward_plan_fallbacks_total",
+            help="predict_logits calls that ran the eager forward",
+        ),
+    )
 
 
 class ModelRegistry:

@@ -479,8 +479,8 @@ class TestNarrowPathThreads:
         ]
 
         def run_case(case):
-            # Fast is the default mode; switching it is process-global, so
-            # the threads never touch it.
+            # Fast is the default mode, and every new thread starts in it:
+            # the kernel mode is per thread, so the threads never set it.
             x, w, stride, padding = case
             tx, tw = Tensor(x, requires_grad=True), Tensor(w, requires_grad=True)
             out = conv2d(tx, tw, None, stride=stride, padding=padding)

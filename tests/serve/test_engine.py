@@ -15,7 +15,13 @@ import numpy as np
 import pytest
 
 from repro.serve import BatchSettings, EngineClosedError, ServingEngine
-from repro.telemetry import RecordingTelemetry, span_tree, validate_trace
+from repro.telemetry import (
+    MetricsRegistry,
+    RecordingTelemetry,
+    metrics_scope,
+    span_tree,
+    validate_trace,
+)
 
 from .conftest import KEY, NUM_CLASSES
 
@@ -34,6 +40,14 @@ class TestBatchedEquivalence:
         with make_engine(registry, max_batch_size=max_batch_size) as engine:
             out = engine.predict(KEY, inputs)
         np.testing.assert_array_equal(out, reference)
+
+    def test_batches_replay_forward_plans(self, registry, inputs, reference):
+        metrics = MetricsRegistry()
+        with metrics_scope(metrics), make_engine(registry, workers=2) as engine:
+            out = engine.predict(KEY, inputs)
+        np.testing.assert_array_equal(out, reference)
+        assert metrics.get("serve_forward_plans_total").value >= 1
+        assert metrics.get("serve_forward_plan_fallbacks_total").value == 0
 
     @pytest.mark.parametrize("workers", [1, 3])
     def test_concurrent_clients_bitwise_equal(

@@ -25,6 +25,7 @@ from repro.serve import (
     ServingServer,
     ShedError,
 )
+from repro.telemetry import MetricsRegistry, metrics_scope
 
 from .conftest import KEY, NUM_CLASSES
 from .loadgen import FleetTarget, make_schedule, run_closed_loop
@@ -137,6 +138,16 @@ class TestFleetEquivalence:
         with make_fleet(registry, replicas=2, backend="process") as fleet:
             out = fleet.predict(KEY, inputs[:8])
             assert np.array_equal(out, reference[:8])
+
+    def test_thread_replicas_serve_from_forward_plans(self, registry, inputs, reference):
+        # Each thread replica plans on its own clone; the live registry
+        # counts the plans built and no eager fallback.
+        metrics = MetricsRegistry()
+        with metrics_scope(metrics), make_fleet(registry, replicas=2) as fleet:
+            out = fleet.predict(KEY, inputs[:8])
+        np.testing.assert_array_equal(out, reference[:8])
+        assert metrics.get("serve_forward_plans_total").value >= 1
+        assert metrics.get("serve_forward_plan_fallbacks_total").value == 0
 
 
 # ----------------------------------------------------------------------

@@ -10,6 +10,7 @@ from repro.models.registry import build_model
 from repro.nn import StateFileError, save_model
 from repro.nn.trainer import predict_logits
 from repro.serve import ModelKey, ModelRegistry, ServableModel
+from repro.telemetry import MetricsRegistry, metrics_scope
 
 from .conftest import IMAGE_SHAPE, KEY, NUM_CLASSES
 
@@ -55,6 +56,22 @@ class TestServableModel:
     def test_predict_logits_matches_trainer(self, registry, inputs, reference):
         servable = registry.get(KEY)
         np.testing.assert_array_equal(servable.predict_logits(inputs), reference)
+
+    def test_describe_counts_forward_plans(self, inputs, reference):
+        # A fresh servable builds nothing at registration; the first call
+        # per shape plans, later calls replay, and /models shows both.
+        module = build_model("convnet", image_shape=IMAGE_SHAPE, num_classes=NUM_CLASSES, seed=3)
+        servable = ServableModel(KEY, module)
+        assert servable.describe()["plans"] == {"built": 0, "replays": 0, "fallbacks": {}}
+        metrics = MetricsRegistry()
+        with metrics_scope(metrics):
+            for i in range(3):
+                np.testing.assert_array_equal(
+                    servable.predict_logits(inputs[i : i + 1]), reference[i : i + 1]
+                )
+        assert servable.describe()["plans"] == {"built": 1, "replays": 2, "fallbacks": {}}
+        assert metrics.get("serve_forward_plans_total").value == 1
+        assert metrics.get("serve_forward_plan_fallbacks_total").value == 0
 
     def test_proba_and_labels_consistent(self, registry, inputs):
         servable = registry.get(KEY)
