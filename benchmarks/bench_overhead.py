@@ -97,13 +97,16 @@ def test_telemetry_overhead(tmp_path):
 def test_kernel_tap_overhead():
     """The disabled kernel-tap path must cost < 2% of inference wall-clock.
 
-    The tap (``repro.nn.functional.kernel_tap``) is the hardware-fault
-    injector's hook into every kernel's forward output.  When no injection
-    context is armed it is one execution-context read (``repro.nn.context``)
-    per op, and this bench gates that cost: forward passes with no tap
-    installed are timed against forward passes under an armed *identity*
-    tap — an upper bound on the disabled check, since the armed path runs
-    the read, the branch, and a no-op call.  Results land in
+    The tap (``repro.nn.functional.kernel_tap_scope``) is the hardware-fault
+    injector's hook into every tap site's forward output.  The op registry
+    reads it once per site op, right after the op's ``apply``
+    (``register_op(..., site=...)`` in ``repro.nn.ops``); no kernel body
+    reads it.  When no injection context is armed that is one
+    execution-context read (``repro.nn.context``) per site op, and this
+    bench gates that cost: forward passes with no tap installed are timed
+    against forward passes under an armed *identity* tap — an upper bound
+    on the disabled check, since the armed path runs the read, the branch,
+    and a no-op call.  Results land in
     ``benchmarks/results/BENCH_hardware_tap_overhead.json``.
     """
     import numpy as np

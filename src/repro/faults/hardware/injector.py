@@ -11,7 +11,9 @@ threads, and worker processes (Python's salted ``hash()`` is never used).
 :class:`hardware_fault_injection` is the arming context manager:
 
 - ``activation`` targets install a kernel output tap
-  (:func:`repro.nn.functional.kernel_tap_scope`) on the calling thread;
+  (:func:`repro.nn.functional.kernel_tap_scope`) on the calling thread; the
+  op registry runs it on each tap-site op's output (:mod:`repro.nn.ops`), so
+  eager, compiled-replay and forward-plan passes strike the same sites;
 - ``weight`` targets snapshot the model's parameters, corrupt them in place
   (an upset persisting for the context's lifetime), and restore the saved
   bytes bitwise on exit.

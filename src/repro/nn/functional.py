@@ -50,7 +50,7 @@ import numpy as np
 
 from .context import current_context, scope
 from .ops import OpCtx, register_op
-from .tensor import Tensor, _matmul_vjp, is_grad_enabled, run_op
+from .tensor import Tensor, _matmul_apply, _matmul_vjp, _unbroadcast, run_op
 from .workspace import Workspace, get_workspace
 
 __all__ = [
@@ -77,8 +77,7 @@ __all__ = [
     "use_kernel_mode",
     "row_stable_inference",
     "row_stable_enabled",
-    "rowstable_matmul2d",
-    "rowstable_matmul",
+    "dense",
     "kernel_tap",
     "kernel_tap_scope",
 ]
@@ -155,46 +154,17 @@ def row_stable_inference() -> scope:
     return scope(row_stable=True)
 
 
-def rowstable_matmul2d(x: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """``x @ w`` computed sample-by-sample via a batched gemm.
-
-    ``x`` is ``(N, D)``, ``w`` is ``(D, K)``; the result equals
-    ``np.concatenate([x[i:i+1] @ w for i in range(N)])`` bitwise, because each
-    item of the stacked product is its own M=1 gemm — the same call a
-    single-sample forward makes.
-    """
-    return np.matmul(x[:, None, :], w)[:, 0, :]
-
-
-def rowstable_matmul(x: Tensor, w: Tensor) -> Tensor:
-    """:func:`rowstable_matmul2d` as a registry op, so a forward plan can
-    replay it; its vjp is matmul's."""
-    return run_op(_ROWSTABLE_MATMUL, (x, w), {})
-
-
-def _rowstable_matmul_apply(ctx: OpCtx, inputs, kwargs) -> np.ndarray:
-    x, w = inputs
-    ctx.saved = (x, w)
-    if ctx.bufs is None:
-        return rowstable_matmul2d(x, w)
-    out = ctx.buffer("out", (x.shape[0], 1, w.shape[1]), np.result_type(x, w))
-    return np.matmul(x[:, None, :], w, out=out)[:, 0, :]
-
-
-_ROWSTABLE_MATMUL = register_op("rowstable_matmul", _rowstable_matmul_apply, _matmul_vjp)
-
-
 # ----------------------------------------------------------------------
 # Kernel output taps
 # ----------------------------------------------------------------------
 # The hook point the hardware-fault injector (:mod:`repro.faults.hardware`)
-# uses to corrupt activations at inference time.  A tap is a callable
-# ``tap(site, array) -> None`` that mutates the freshly computed output array
-# of a kernel op in place; ``site`` names the op ("conv2d", "max_pool2d",
-# "dense", ...).  Like every context knob it holds only on the thread that
-# armed it, so an armed injection context never perturbs other threads.  With
-# no tap installed every op pays one context read returning ``None`` —
-# outputs are bitwise-identical to a build without the hook.
+# uses to corrupt activations: a callable ``tap(site, array) -> None`` that
+# mutates a kernel op's fresh output in place.  The sites are the ``site=``
+# of the :func:`~repro.nn.ops.register_op` calls below, and the registry runs
+# the tap inside those ops, so eager steps, compiled replays and forward
+# plans are struck alike.  Like every context knob a tap holds only on the
+# thread that armed it.  With none armed a site op pays one context read and
+# its outputs are bitwise-identical to a build without the hook.
 def kernel_tap():
     """The active kernel output tap on the calling thread, or ``None``."""
     return current_context().tap
@@ -209,6 +179,43 @@ def kernel_tap_scope(fn) -> scope:
     if not callable(fn):
         raise TypeError("kernel tap must be callable as tap(site, array)")
     return scope(tap=fn)
+
+
+# ----------------------------------------------------------------------
+# Dense
+# ----------------------------------------------------------------------
+def dense(x: Tensor, weight: Tensor, bias: Tensor | None, row_stable: bool = False) -> Tensor:
+    """``x @ weight + bias`` as one op: a matmul then an add, float for float.
+
+    ``row_stable`` runs each row of an ``(N, D)`` input as its own M=1 gemm
+    of a batched matmul (see :func:`row_stable_inference`).
+    """
+    inputs = (x, weight) if bias is None else (x, weight, bias)
+    return run_op(_DENSE, inputs, {"row_stable": row_stable})
+
+
+def _dense_apply(ctx: OpCtx, inputs, kwargs) -> np.ndarray:
+    x, w = inputs[0], inputs[1]
+    if kwargs["row_stable"]:
+        ctx.saved = (x, w)
+        out3 = None
+        if ctx.bufs is not None:
+            out3 = ctx.buffer("out", (x.shape[0], 1, w.shape[1]), np.result_type(x, w))
+        out = np.matmul(x[:, None, :], w, out=out3)[:, 0, :]
+    else:
+        out = _matmul_apply(ctx, (x, w), kwargs)
+    if len(inputs) == 3:
+        out += inputs[2]  # the add's bits, into the product's buffer
+    return out
+
+
+def _dense_vjp(ctx: OpCtx, grad, needs, acc) -> None:
+    if len(needs) == 3 and needs[2]:
+        acc(2, _unbroadcast(grad, grad.shape[-1:]))
+    _matmul_vjp(ctx, grad, needs, acc)
+
+
+_DENSE = register_op("dense", _dense_apply, _dense_vjp, site="dense")
 
 
 # ----------------------------------------------------------------------
@@ -808,9 +815,6 @@ def _conv2d_apply(ctx: OpCtx, inputs, kwargs) -> np.ndarray:
     if b is not None:
         out3 += b[:, None]
     out_data = out3.reshape(n, c_out, out_h, out_w)
-    tap = current_context().tap
-    if tap is not None:
-        tap("conv2d", out_data)
     ctx.saved = (x.shape, w.shape, cols, flat_weight, ws, (n, c_out, ohw, kh, kw, stride, padding))
     return out_data
 
@@ -853,7 +857,7 @@ def _conv2d_vjp(ctx: OpCtx, grad, needs, acc) -> None:
         ws.release(cols)
 
 
-_CONV2D = register_op("conv2d", _conv2d_apply, _conv2d_vjp, discard=_conv2d_discard)
+_CONV2D = register_op("conv2d", _conv2d_apply, _conv2d_vjp, _conv2d_discard, site="conv2d")
 
 
 def depthwise_conv2d(
@@ -905,9 +909,6 @@ def _depthwise_apply(ctx: OpCtx, inputs, kwargs) -> np.ndarray:
     if b is not None:
         out += b[:, None]
     out_data = out.reshape(n, c, out_h, out_w)
-    tap = current_context().tap
-    if tap is not None:
-        tap("depthwise_conv2d", out_data)
     ctx.saved = (x.shape, w.shape, cols, cols4, flat_weight, ws, (n, c, kk, ohw, kh, kw, stride, padding))
     return out_data
 
@@ -939,7 +940,7 @@ def _depthwise_vjp(ctx: OpCtx, grad, needs, acc) -> None:
 
 
 _DEPTHWISE_CONV2D = register_op(
-    "depthwise_conv2d", _depthwise_apply, _depthwise_vjp, discard=_depthwise_discard
+    "depthwise_conv2d", _depthwise_apply, _depthwise_vjp, _depthwise_discard, site="depthwise_conv2d"
 )
 
 
@@ -1012,9 +1013,6 @@ def _max_pool2d_apply(ctx: OpCtx, inputs, kwargs) -> np.ndarray:
     out_h = conv_output_size(h, kernel, stride, 0)
     out_w = conv_output_size(w, kernel, stride, 0)
     out_data = _window_max(x, kernel, stride, ctx.buffer("out", (n, c, out_h, out_w), x.dtype))
-    tap = current_context().tap
-    if tap is not None:
-        tap("max_pool2d", out_data)
     # Only a backward pass needs the argmax; it takes it from the input.
     ctx.saved = (x, (kernel, stride, out_h, out_w))
     return out_data
@@ -1078,7 +1076,7 @@ def _max_pool2d_vjp(ctx: OpCtx, grad, needs, acc) -> None:
     _fold_patch_grads(ctx, ws, acc, x_shape, kernel, kernel, stride, 0, c * kk, x_dtype, fill)
 
 
-_MAX_POOL2D = register_op("max_pool2d", _max_pool2d_apply, _max_pool2d_vjp)
+_MAX_POOL2D = register_op("max_pool2d", _max_pool2d_apply, _max_pool2d_vjp, site="max_pool2d")
 
 
 def avg_pool2d(images: Tensor, kernel: int = 2, stride: int | None = None) -> Tensor:
@@ -1111,9 +1109,6 @@ def _avg_pool2d_apply(ctx: OpCtx, inputs, kwargs) -> np.ndarray:
         out_data = cols4.mean(axis=2, out=ctx.buffer("out", (n, c, ohw), x.dtype)).reshape(
             n, c, out_h, out_w
         )
-    tap = current_context().tap
-    if tap is not None:
-        tap("avg_pool2d", out_data)
     if ws is not None:
         # Average-pool backward is a uniform spread; the patches are not needed.
         ws.release(cols)
@@ -1158,7 +1153,7 @@ def _avg_pool2d_vjp(ctx: OpCtx, grad, needs, acc) -> None:
     )
 
 
-_AVG_POOL2D = register_op("avg_pool2d", _avg_pool2d_apply, _avg_pool2d_vjp)
+_AVG_POOL2D = register_op("avg_pool2d", _avg_pool2d_apply, _avg_pool2d_vjp, site="avg_pool2d")
 
 
 def global_avg_pool2d(images: Tensor) -> Tensor:
@@ -1226,9 +1221,6 @@ def _bn_normalize(ctx: OpCtx, inputs, mean, var, eps: float, training: bool) -> 
         x_hat *= inv_std
         out_data = np.multiply(g.reshape(shape), x_hat, out=ctx.buffer("out", x.shape, x.dtype))
         out_data += b.reshape(shape)
-    tap = current_context().tap
-    if tap is not None:
-        tap("batch_norm_2d", out_data)
     ctx.saved = (x_hat, inv_std, g, shape, c, training)
     return out_data
 
@@ -1278,8 +1270,8 @@ def _bn_vjp(ctx: OpCtx, grad, needs, acc) -> None:
         acc(0, gx)
 
 
-_BATCH_NORM_2D = register_op("batch_norm_2d", _bn_apply, _bn_vjp)
-_BATCH_NORM_2D_EVAL = register_op("batch_norm_2d_eval", _bn_eval_apply, _bn_vjp)
+_BATCH_NORM_2D = register_op("batch_norm_2d", _bn_apply, _bn_vjp, site="batch_norm_2d")
+_BATCH_NORM_2D_EVAL = register_op("batch_norm_2d_eval", _bn_eval_apply, _bn_vjp, site="batch_norm_2d")
 
 
 # ----------------------------------------------------------------------
@@ -1341,15 +1333,12 @@ def _bn_train_apply(ctx: OpCtx, inputs, kwargs) -> np.ndarray:
         x_hat *= inv_std
         out_data = np.multiply(g.reshape(shape), x_hat, out=ctx.buffer("out", x.shape, x.dtype))
         out_data += b.reshape(shape)
-    tap = current_context().tap
-    if tap is not None:
-        tap("batch_norm_2d", out_data)
     ctx.saved = (x_hat, inv_std, g, shape, c, True)
     return out_data
 
 
 _BATCH_NORM_2D_TRAIN = register_op(
-    "batch_norm_2d_train", _bn_train_apply, _bn_vjp, stateful=True
+    "batch_norm_2d_train", _bn_train_apply, _bn_vjp, stateful=True, site="batch_norm_2d"
 )
 
 

@@ -57,22 +57,10 @@ class Dense(Module):
 
     def forward(self, x: Tensor) -> Tensor:
         state = current_context()
-        if state.row_stable and not state.grad and x.data.ndim == 2:
-            # Row-stable inference: the only batch-crossing gemm in the layer
-            # set.  Computed per sample so coalesced serving batches are
-            # bitwise-identical to one-at-a-time calls (see
-            # :func:`repro.nn.functional.row_stable_inference`).
-            out = F.rowstable_matmul(x, self.weight)
-        else:
-            out = x @ self.weight
-        if self.bias is not None:
-            out = out + self.bias
-        if state.tap is not None:
-            # Mutates the forward value in place; the tape node is preserved,
-            # so an armed injection context corrupts downstream values only —
-            # the transient-fault semantics of repro.faults.hardware.
-            state.tap("dense", out.data)
-        return out
+        # The layer set's only batch-crossing gemm: per sample under
+        # :func:`~repro.nn.functional.row_stable_inference`.
+        row_stable = state.row_stable and not state.grad and x.data.ndim == 2
+        return F.dense(x, self.weight, self.bias, row_stable=row_stable)
 
 
 class Conv2D(Module):

@@ -38,6 +38,12 @@ Contracts:
 ``discard(ctx)``
     Optional cleanup for the not-recording eager path (returns workspace
     buffers that ``vjp`` would otherwise release).
+
+An op registered with a ``site`` is a hardware-fault tap site: its
+:class:`OpDef` wraps ``apply`` once, so the calling thread's armed kernel tap
+(:func:`repro.nn.functional.kernel_tap_scope`) mutates the output right
+after it.  Eager dispatch, compiled replay and forward plans all call that
+``apply``, so no executor or kernel body looks for the tap.
 """
 
 from __future__ import annotations
@@ -45,6 +51,8 @@ from __future__ import annotations
 from typing import Callable
 
 import numpy as np
+
+from .context import current_context
 
 __all__ = ["OpCtx", "OpDef", "OP_REGISTRY", "register_op"]
 
@@ -82,7 +90,7 @@ class OpCtx:
 class OpDef:
     """A differentiable op as data: name + pure apply/vjp (+ cleanup)."""
 
-    __slots__ = ("name", "apply", "vjp", "discard", "stateful")
+    __slots__ = ("name", "apply", "vjp", "discard", "stateful", "site")
 
     def __init__(
         self,
@@ -91,19 +99,35 @@ class OpDef:
         vjp: Callable,
         discard: Callable | None = None,
         stateful: bool = False,
+        site: str | None = None,
     ) -> None:
         self.name = name
-        self.apply = apply
+        self.apply = apply if site is None else _tapped(apply, site)
         self.vjp = vjp
         self.discard = discard
         # Stateful ops advance external state (an rng stream, batch-norm
         # running statistics) inside ``apply``; a planner must re-run them
         # every step and may never prune them.
         self.stateful = stateful
+        #: The tap site this op's output is handed to, or ``None``.
+        self.site = site
 
     def __repr__(self) -> str:
         flag = ", stateful" if self.stateful else ""
         return f"OpDef({self.name!r}{flag})"
+
+
+def _tapped(apply: Callable, site: str) -> Callable:
+    """``apply``, then the calling thread's armed tap on its output."""
+
+    def tapped_apply(ctx: OpCtx, inputs, kwargs) -> np.ndarray:
+        out = apply(ctx, inputs, kwargs)
+        tap = current_context().tap
+        if tap is not None:
+            tap(site, out)
+        return out
+
+    return tapped_apply
 
 
 #: Every registered op, by name.  Populated by :mod:`repro.nn.tensor` (tensor
@@ -118,10 +142,11 @@ def register_op(
     vjp: Callable,
     discard: Callable | None = None,
     stateful: bool = False,
+    site: str | None = None,
 ) -> OpDef:
     """Create and register an :class:`OpDef`; returns it for direct dispatch."""
     if name in OP_REGISTRY:
         raise ValueError(f"op {name!r} is already registered")
-    op = OpDef(name, apply, vjp, discard=discard, stateful=stateful)
+    op = OpDef(name, apply, vjp, discard=discard, stateful=stateful, site=site)
     OP_REGISTRY[name] = op
     return op

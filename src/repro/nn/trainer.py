@@ -17,12 +17,12 @@ import numpy as np
 
 from ..telemetry import get_metrics, get_telemetry
 from .compile import CompileError, compile_tape
-from .functional import kernel_mode, kernel_tap, softmax_np
+from .functional import kernel_mode, softmax_np
 from .losses import Loss
 from .module import Module
 from .optim import LRScheduler, Optimizer
 from .tape import Tape, tape_scope
-from .tensor import Tensor, is_grad_enabled, no_grad
+from .tensor import Tensor, no_grad
 from .workspace import get_workspace
 
 __all__ = [
@@ -164,20 +164,16 @@ class _CompiledFitState:
         "cache",
         "compiled_steps",
         "eager_steps",
-        "tap_fallback_steps",
         "compiles",
         "compile_fallbacks",
-        "tap_event_sent",
     )
 
     def __init__(self) -> None:
         self.cache: dict = {}
         self.compiled_steps = 0
         self.eager_steps = 0
-        self.tap_fallback_steps = 0
         self.compiles = 0
         self.compile_fallbacks = 0
-        self.tap_event_sent = False
 
 
 class Trainer:
@@ -360,7 +356,6 @@ class Trainer:
                 "compiled_fit",
                 compiled_steps=compiled.compiled_steps,
                 eager_steps=compiled.eager_steps,
-                tap_fallback_steps=compiled.tap_fallback_steps,
                 compiles=compiled.compiles,
                 compile_fallbacks=compiled.compile_fallbacks,
                 workspace_hits=workspace.hits,
@@ -397,29 +392,15 @@ class Trainer:
     ) -> tuple[float, np.ndarray]:
         """One optimisation step in compiled kernel mode.
 
-        Dispatch, in order: an armed hardware-fault tap or disabled grad mode
-        forces a per-step eager downgrade (the tap mutates per-op outputs a
-        static replay would not route through the layer hooks); a cached
-        :class:`CompiledStep` for this feed shape is replayed; an uncached
-        shape runs one eager step under a recording tape and compiles it; a
-        shape whose recording refused to compile stays eager for the rest of
-        the fit.  Every path produces bitwise-identical floats.
+        Dispatch: a cached :class:`CompiledStep` for this feed shape is
+        replayed; an uncached shape runs one eager step under a recording
+        tape and compiles it; a shape whose recording refused to compile
+        stays eager for the rest of the fit.  Every path produces
+        bitwise-identical floats, under an armed kernel tap too (it runs
+        inside its site ops).  Under ``no_grad`` the recording step raises.
         """
         xb = np.asarray(xb, dtype=np.float32)
         t_arr = np.asarray(effective_targets, dtype=np.float32)
-        if kernel_tap() is not None or not is_grad_enabled():
-            state.tap_fallback_steps += 1
-            if not state.tap_event_sent:
-                state.tap_event_sent = True
-                tel.event(
-                    "tape_replay_fallback",
-                    reason="kernel tap armed" if kernel_tap() is not None else "grad disabled",
-                    epoch=epoch,
-                    batch=batch_index,
-                )
-            batch_loss, logits_t, _ = self._eager_step(xb, t_arr, epoch, batch_index)
-            return batch_loss, logits_t.data
-
         key = (xb.shape, t_arr.shape)
         if key not in state.cache:
             tape = Tape()

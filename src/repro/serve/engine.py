@@ -9,7 +9,8 @@ genuinely vectorise across the coalesced samples), and the per-sample rows
 are handed back to each caller's future.  That forward replays the
 servable's forward plan for the batch shape, which each worker thread
 records on its first batch of that shape
-(:meth:`~repro.serve.registry.ServableModel.predict_logits`).
+(:meth:`~repro.serve.registry.ServableModel.predict_logits`); a servable
+keeps one plan per batch size up to ``max_batch_size``.
 
 **Equivalence discipline.**  Responses are bitwise-independent of how
 requests were coalesced: inference runs under
@@ -364,6 +365,7 @@ class ServingEngine:
         started = time.perf_counter()
         queue_wait = started - min(item.enqueued for item in items)
         servable = self.registry.get(key)
+        servable.plan_cap = max(servable.plan_cap, self.settings.max_batch_size)
         span = recorder.span(
             "serve_batch", model=key.id, batch=len(items)
         ) if recorder else None

@@ -56,7 +56,7 @@ from ..telemetry import (
     get_metrics,
     latency_summary_ms,
 )
-from .registry import ModelKey, ModelRegistry, ServableModel
+from .registry import PLAN_CAP, ModelKey, ModelRegistry, ServableModel
 from .router import Chunk, ReplicaGone, Router, ShedError
 
 __all__ = [
@@ -72,14 +72,19 @@ __all__ = [
 REPLICA_BACKENDS = ("auto", "process", "thread")
 
 
-def _attached_clone(servable: ServableModel, block: SharedBlock) -> ServableModel:
+def _attached_clone(servable: ServableModel, block: SharedBlock, plan_cap: int) -> ServableModel:
     """A structural copy of ``servable``'s module wired to the shared block."""
     module = copy.deepcopy(servable.module)
     block.attach(module)
     return ServableModel(
         servable.key, module, source=f"fleet:{servable.source}",
-        metadata=dict(servable.metadata),
+        metadata=dict(servable.metadata), plan_cap=plan_cap,
     )
+
+
+def _plan_cap(router: Router) -> int:
+    """Plans a replica's servables keep: one per chunk size the router sends."""
+    return max(PLAN_CAP, min(router.chunk, router.replica_cap))
 
 
 def _stall_inference(registry: ModelRegistry, delay_s: float, wait=time.sleep) -> None:
@@ -140,7 +145,7 @@ class ThreadReplica:
         self.pid = os.getpid()
         self.registry = ModelRegistry()
         for key in template.keys():
-            self.registry.register(_attached_clone(template.get(key), blocks[key]))
+            self.registry.register(_attached_clone(template.get(key), blocks[key], _plan_cap(router)))
         self._inbox: "queue.SimpleQueue[Chunk | None]" = queue.SimpleQueue()
         self._stopped = threading.Event()
         self._worker = threading.Thread(
@@ -181,7 +186,7 @@ class ThreadReplica:
 
 
 def _replica_main(child_conn, template: ModelRegistry,
-                  blocks: "dict[ModelKey, SharedBlock]") -> None:
+                  blocks: "dict[ModelKey, SharedBlock]", plan_cap: int) -> None:
     """Forked replica body: attach the shared blocks, then recv → forward → send.
 
     The child inherited the template modules and the blocks' mappings via
@@ -197,7 +202,7 @@ def _replica_main(child_conn, template: ModelRegistry,
     for key in template.keys():
         module = template.get(key).module  # inherited; ours to mutate now
         blocks[key].attach(module)
-        registry.register(ServableModel(key, module, source="fleet-fork"))
+        registry.register(ServableModel(key, module, source="fleet-fork", plan_cap=plan_cap))
     try:
         while True:
             frame = child_conn.recv()
@@ -233,7 +238,7 @@ class ProcessReplica:
         self._conn, child_conn = ctx.Pipe()
         self._proc = ctx.Process(
             target=_replica_main,
-            args=(child_conn, template, blocks),
+            args=(child_conn, template, blocks, _plan_cap(router)),
             daemon=True,
             name=f"fleet-replica-{slot}",
         )

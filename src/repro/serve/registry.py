@@ -47,8 +47,9 @@ from ..telemetry import get_metrics, get_telemetry
 
 __all__ = ["ModelKey", "ServableModel", "ModelRegistry", "PLAN_CAP"]
 
-#: Forward plans one servable keeps per thread, one per input shape, least
-#: recently used out first.  Engine and fleet batches hold at most 8 samples.
+#: The fewest forward plans a servable keeps per thread, one per input shape,
+#: least recently used out first; an engine or fleet replica raises its
+#: servables' ``plan_cap`` to the largest batch it can send.
 PLAN_CAP = 8
 
 
@@ -92,8 +93,7 @@ class ServableModel:
 
     Each thread keeps its own forward plans, here on the servable rather than
     on the module (fleet thread replicas deep-copy modules): at most
-    :data:`PLAN_CAP`, one per input shape.  Nothing is planned at
-    registration.
+    ``plan_cap``, one per input shape.  Nothing is planned at registration.
     """
 
     def __init__(
@@ -102,12 +102,14 @@ class ServableModel:
         module: Module,
         source: str = "registered",
         metadata: dict | None = None,
+        plan_cap: int = PLAN_CAP,
     ) -> None:
         self.key = key
         self.module = module.eval()
         self.source = source
         self.metadata = dict(metadata or {})
         self.predictions = 0  # samples served (engine- or fleet-maintained tally)
+        self.plan_cap = plan_cap  # forward plans kept per thread
         self._local = threading.local()  # .plans: this thread's plans by shape
         self._plan_lock = threading.Lock()
         self._plans_built = 0
@@ -124,16 +126,13 @@ class ServableModel:
 
         The first call per thread and input shape runs the forward eagerly
         under a recording tape and plans it; later calls replay the plan and
-        return a copy of its logits.  The forward runs eagerly instead while
-        a kernel tap is armed, under ``reference`` kernels, or for a shape
-        whose planning was refused; ``/models`` counts each such call by
-        reason.
+        return a copy of its logits.  An armed kernel tap strikes a replay's
+        site ops as it strikes the eager forward's.  The forward runs eagerly
+        instead under ``reference`` kernels, or for a shape whose planning
+        was refused; ``/models`` counts each such call by reason.
         """
         batch = np.ascontiguousarray(inputs, dtype=np.float32)
-        state = current_context()
-        if state.tap is not None:
-            return self._eager(batch, "kernel tap armed")
-        if state.kernels == "reference":
+        if current_context().kernels == "reference":
             return self._eager(batch, "reference kernels")
         plans = getattr(self._local, "plans", None)
         if plans is None:
@@ -190,7 +189,7 @@ class ServableModel:
             with self._plan_lock:
                 self._plans_built += 1
             _plan_counters()[0].inc()
-        if len(plans) > PLAN_CAP:
+        if len(plans) > self.plan_cap:
             plans.popitem(last=False)
         return logits.data
 

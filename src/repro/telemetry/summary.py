@@ -110,7 +110,6 @@ def summarize_trace(
                 for field_name in (
                     "compiled_steps",
                     "eager_steps",
-                    "tap_fallback_steps",
                     "compiles",
                     "compile_fallbacks",
                 ):
@@ -211,8 +210,7 @@ def render_trace_summary(summary: TraceSummary) -> str:
         lines.append("compiled execution:")
         lines.append(
             f"  steps: {ce.get('compiled_steps', 0)} compiled, "
-            f"{ce.get('eager_steps', 0)} eager, "
-            f"{ce.get('tap_fallback_steps', 0)} tap-fallback"
+            f"{ce.get('eager_steps', 0)} eager"
         )
         lines.append(
             f"  plans: {ce.get('compiles', 0)} compiled, "

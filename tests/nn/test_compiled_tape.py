@@ -4,10 +4,11 @@ The record → plan → execute pipeline (``repro.nn.compile``) promises that a
 replayed :class:`CompiledStep` is *bitwise* identical to the define-by-run
 step it was recorded from — same floats in every weight and gradient, not
 merely close.  These tests pin that contract across every registered
-architecture, the direct ``compile_tape`` API, and each of the automatic
-eager-fallback paths (armed kernel tap, disabled grad mode, uncompilable
-tape), the op registry's parity with the closure formulas it replaced, plus
-the telemetry the trainer emits about its decisions.
+architecture, the direct ``compile_tape`` API, fits under an armed kernel
+tap (which replay too: the registry runs the tap inside each site op), the
+automatic eager paths (disabled grad mode, uncompilable tape), the op
+registry's parity with the closure formulas it replaced, plus the telemetry
+the trainer emits about its decisions.
 """
 
 from __future__ import annotations
@@ -349,11 +350,11 @@ class TestCompileApi:
         assert str(excinfo.value) == reason
 
 
-class TestEagerFallbacks:
-    def test_armed_kernel_tap_forces_eager_and_stays_bitwise(self):
-        # The tap perturbs conv/pool outputs in place — exactly what the
-        # hardware-fault injector does — so a static replay would skip it.
-        # Both modes must route every step through the tap identically.
+class TestTappedFits:
+    def test_armed_kernel_tap_replays_and_stays_bitwise(self):
+        # The tap perturbs conv/pool/dense outputs in place — exactly what
+        # the hardware-fault injector does.  It runs inside each site op, so
+        # a replayed step routes every output through it as eager does.
         def tap(site, out):
             out += np.float32(1e-3)
 
@@ -363,13 +364,48 @@ class TestEagerFallbacks:
             compiled = _fit("convnet", "compiled", tap=tap)
         _assert_bitwise_same(fast, compiled)
 
-        fallbacks = [e for e in tel.events if e.get("name") == "tape_replay_fallback"]
-        assert len(fallbacks) == 1  # emitted once per fit, not per step
-        assert fallbacks[0]["reason"] == "kernel tap armed"
+        assert not [e for e in tel.events if e.get("name") == "tape_replay_fallback"]
         (fit_event,) = [e for e in tel.events if e.get("name") == "compiled_fit"]
-        assert fit_event["tap_fallback_steps"] == EPOCHS * STEPS_PER_EPOCH
-        assert fit_event["compiled_steps"] == 0
-        assert fit_event["compiles"] == 0
+        assert fit_event["compiled_steps"] == EPOCHS * STEPS_PER_EPOCH - FEED_SHAPES
+        assert fit_event["compiles"] == FEED_SHAPES
+
+    def test_fault_aware_activation_fit_replays_bitwise(self, monkeypatch):
+        # Activation-mode fault-aware training flips bits through the tap in
+        # every training forward; its injector's flip sites must not depend
+        # on whether the step was eager or replayed.
+        from repro.data.dataset import ArrayDataset
+        from repro.faults.hardware import injector as injector_module
+        from repro.mitigation import FaultAwareTrainingTechnique, TrainingBudget
+
+        injectors = []
+
+        class RecordingInjector(injector_module.HardwareFaultInjector):
+            def __init__(self, spec, seed, record_sites=False):
+                super().__init__(spec, seed, record_sites=True)
+                injectors.append(self)
+
+        monkeypatch.setattr(injector_module, "HardwareFaultInjector", RecordingInjector)
+        _, x, y = _data("convnet")
+        train = ArrayDataset(x, y.argmax(axis=1), NUM_CLASSES)
+        budget = TrainingBudget(epochs=EPOCHS, batch_size=BATCH, width=2)
+        technique = FaultAwareTrainingTechnique(mode="activation", hw_rate=1e-2)
+        fits = {}
+        tel = RecordingTelemetry()
+        for mode in ("fast", "compiled"):
+            with use_kernel_mode(mode), telemetry_scope(tel):
+                fitted = technique.fit(train, "convnet", budget, np.random.default_rng(5))
+            fits[mode] = (fitted.model, fitted.history)
+        _assert_bitwise_same(fits["fast"], fits["compiled"])
+
+        fast_injector, compiled_injector = injectors
+        assert fast_injector.flips  # the tap struck during both fits
+        assert compiled_injector.flip_signature() == fast_injector.flip_signature()
+        (fit_event,) = [e for e in tel.events if e.get("name") == "compiled_fit"]
+        assert fit_event["compiled_steps"] == EPOCHS * STEPS_PER_EPOCH - FEED_SHAPES
+        assert not [e for e in tel.events if e.get("name") == "tape_replay_fallback"]
+
+
+class TestEagerFallbacks:
 
     def test_uncompilable_tape_falls_back_per_shape(self):
         # NCE's log_softmax subtracts an (N, 1) row-max constant the planner
@@ -434,7 +470,6 @@ class TestTelemetry:
         assert fit_event["compiles"] == FEED_SHAPES
         assert fit_event["eager_steps"] == FEED_SHAPES  # the recording steps
         assert fit_event["compiled_steps"] == total - FEED_SHAPES
-        assert fit_event["tap_fallback_steps"] == 0
         assert fit_event["compile_fallbacks"] == 0
         for key in ("workspace_hits", "workspace_misses", "workspace_dropped"):
             assert key in fit_event

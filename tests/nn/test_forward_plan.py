@@ -6,8 +6,9 @@ liveness.  ``ServableModel.predict_logits`` serves every call from one, so
 the plan must return the eager forward's bits for every registry network,
 see weights changed after it was recorded (in place, by ``load_state_dict``
 or by a shared-block ``attach`` in a forked child), stay correct when two
-threads share a servable, and step aside — counted — whenever a replay could
-not reproduce the eager forward.
+threads share a servable, strike an armed kernel tap at the eager forward's
+sites, and step aside — counted — whenever a replay could not reproduce the
+eager forward.
 """
 
 from __future__ import annotations
@@ -25,7 +26,15 @@ from repro.nn.compile import CompileError
 from repro.nn.functional import batch_norm_2d, kernel_tap_scope, row_stable_inference
 from repro.nn.shared import SharedBlock
 from repro.nn.tape import Tape, tape_scope
-from repro.serve import ModelKey, ServableModel
+from repro.serve import (
+    BatchSettings,
+    FleetSettings,
+    ModelKey,
+    ModelRegistry,
+    ServableModel,
+    ServingEngine,
+    ServingFleet,
+)
 from repro.serve.registry import PLAN_CAP
 from repro.telemetry import (
     MetricsRegistry,
@@ -137,10 +146,28 @@ class TestPlanMatchesEager:
         again = [ctx.bufs["i2c"] for _, ctx, *_ in plan._steps if "i2c" in ctx.bufs]
         assert all(a is b for a, b in zip(cached, again))
 
+    @pytest.mark.parametrize("batch", [1, 8])
+    @pytest.mark.parametrize("name", NETWORKS)
+    def test_tapped_replay_is_bitwise_tapped_eager(self, name, batch):
+        module = _model(name)
+        servable = _servable(module)
+        x = _batch(name, batch, 1)
+        servable.predict_logits(x)  # records the plan, untapped
+        eager_tap, plan_tap = _VisitTap(), _VisitTap()
+        with kernel_tap_scope(eager_tap):
+            eager = _eager(module, x)
+        with kernel_tap_scope(plan_tap):
+            replayed = servable.predict_logits(x)
+        assert servable.plan_stats() == {"built": 1, "replays": 1, "fallbacks": {}}
+        assert plan_tap.visits == eager_tap.visits
+        assert ("dense", (batch, NUM_CLASSES)) in plan_tap.visits
+        assert same_bits(replayed, eager)
+        assert not same_bits(replayed, servable.predict_logits(x))  # the tap struck
+
     def test_row_stable_dense_is_a_registry_op(self):
         dense = Dense(4, 3, rng=np.random.default_rng(0)).eval()
         tape, _, _ = _record(dense, np.ones((2, 4), np.float32))
-        assert [entry.op.name for entry in tape.entries] == ["rowstable_matmul", "add"]
+        assert [entry.op.name for entry in tape.entries] == ["dense"]
 
     def test_training_tape_still_skips_no_grad_ops(self):
         tape = Tape()
@@ -257,6 +284,18 @@ class TestConcurrency:
         assert stats["replays"] == 2 * 5 * 4 - 8
 
 
+class _VisitTap:
+    """A deterministic tap: logs each ``(site, shape)`` and scales the output
+    by a factor that depends on how many outputs it has struck so far."""
+
+    def __init__(self) -> None:
+        self.visits: list = []
+
+    def __call__(self, site: str, array: np.ndarray) -> None:
+        self.visits.append((site, array.shape))
+        array *= np.float32(1.0 + len(self.visits) / 64)
+
+
 class _ScaledByConstant(Module):
     """Scales its features by a non-scalar constant: a replay would freeze it."""
 
@@ -270,22 +309,22 @@ class _ScaledByConstant(Module):
 
 
 class TestFallbacks:
-    def test_armed_tap_runs_eager_and_is_counted(self):
+    def test_armed_tap_is_no_fallback(self):
         module = _model("convnet")
         servable = _servable(module)
         x = _batch("convnet", 2, 0)
-        servable.predict_logits(x)  # a plan exists for this shape
         sites: list[str] = []
         metrics, tel = MetricsRegistry(), RecordingTelemetry()
         with metrics_scope(metrics), telemetry_scope(tel):
+            servable.predict_logits(x)  # a plan exists for this shape
             with kernel_tap_scope(lambda site, array: sites.append(site)):
                 for _ in range(2):
                     servable.predict_logits(x)
-        assert "dense" in sites and "conv2d" in sites  # the eager forward ran
-        assert servable.plan_stats()["fallbacks"] == {"kernel tap armed": 2}
-        assert metrics.get("serve_forward_plan_fallbacks_total").value == 2
-        events = [e for e in tel.events if e.get("name") == "forward_plan_fallback"]
-        assert [e["reason"] for e in events] == ["kernel tap armed"]
+        assert "dense" in sites and "conv2d" in sites  # the replay's site ops ran it
+        assert servable.plan_stats() == {"built": 1, "replays": 2, "fallbacks": {}}
+        assert metrics.get("serve_forward_plans_total").value == 1
+        assert metrics.get("serve_forward_plan_fallbacks_total").value == 0
+        assert not [e for e in tel.events if e.get("name") == "forward_plan_fallback"]
 
     def test_reference_kernels_run_eager_and_are_counted(self):
         module = _model("resnet18")
@@ -338,3 +377,67 @@ class TestPlanCache:
         # misses every time: no shape is ever replayed.
         assert servable.plan_stats()["built"] == 2 * len(sizes)
         assert len(servable._local.plans) == PLAN_CAP
+
+
+#: A batch cap above :data:`PLAN_CAP`: one plan per batch size must fit.
+BATCH_CAP = 16
+
+
+def _feed_every_size(servable: ServableModel, module: Module, submit, held_lock):
+    """Two passes over batch sizes 1..BATCH_CAP; returns the plan stats after each.
+
+    Holding the driver's lock while a batch's samples are submitted hands
+    the worker all of them at once, so each size is one forward pass.
+    """
+    stats = []
+    for _ in range(2):
+        for n in range(1, BATCH_CAP + 1):
+            x = _batch("convnet", n, n)
+            with held_lock:
+                futures = [submit(sample) for sample in x]
+            rows = np.stack([future.result(timeout=60) for future in futures])
+            assert same_bits(rows, _eager(module, x))
+        stats.append(servable.plan_stats())
+    return stats
+
+
+class TestPlanCapFollowsTheBatchCap:
+    def test_engine_keeps_a_plan_per_batch_size(self):
+        module = _model("convnet")
+        registry = ModelRegistry()
+        servable = registry.register(_servable(module))
+        settings = BatchSettings(max_batch_size=BATCH_CAP, max_latency_ms=0.0)
+        with ServingEngine(registry, settings) as engine:
+            stats = _feed_every_size(
+                servable, module, lambda x: engine.submit(servable.key, x), engine._cond
+            )
+        assert servable.plan_cap == BATCH_CAP
+        assert stats == [
+            {"built": BATCH_CAP, "replays": 0, "fallbacks": {}},
+            {"built": BATCH_CAP, "replays": BATCH_CAP, "fallbacks": {}},
+        ]
+
+    def test_thread_fleet_keeps_a_plan_per_chunk_size(self):
+        module = _model("convnet")
+        registry = ModelRegistry()
+        key = registry.register(_servable(module)).key
+        settings = FleetSettings(replicas=1, backend="thread", chunk=BATCH_CAP)
+        with ServingFleet(registry, settings) as fleet:
+            replica = fleet._slots[0].handle.registry.get(key)
+            stats = _feed_every_size(
+                replica, module, lambda x: fleet.submit(key, x), fleet.router._cond
+            )
+        assert replica.plan_cap == BATCH_CAP
+        assert stats == [
+            {"built": BATCH_CAP, "replays": 0, "fallbacks": {}},
+            {"built": BATCH_CAP, "replays": BATCH_CAP, "fallbacks": {}},
+        ]
+
+    def test_default_cap_stays_put(self):
+        registry = ModelRegistry()
+        servable = registry.register(_servable(_model("convnet")))
+        with ServingEngine(registry, BatchSettings()) as engine:
+            engine.predict(servable.key, _batch("convnet", 2, 0))
+        with ServingFleet(registry, FleetSettings(replicas=1, backend="thread")) as fleet:
+            replica = fleet._slots[0].handle.registry.get(servable.key)
+        assert servable.plan_cap == replica.plan_cap == PLAN_CAP == 8
