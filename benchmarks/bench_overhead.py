@@ -124,21 +124,21 @@ def test_kernel_tap_overhead():
         with no_grad():
             model(Tensor(batch))
 
-    def best_of(repeats: int = 7, loops: int = 5) -> float:
-        # Min-of-N: immune to scheduler noise in a shared CI runner.
-        best = float("inf")
-        for _ in range(repeats):
-            start = time.perf_counter()
-            for _ in range(loops):
-                forward()
-            best = min(best, time.perf_counter() - start)
-        return best
+    def timed_block(loops: int = 5) -> float:
+        start = time.perf_counter()
+        for _ in range(loops):
+            forward()
+        return time.perf_counter() - start
 
+    # Interleaved min-of-N: each repeat times one disabled and one armed
+    # block back to back, so a slow spell on a shared CI runner cannot land
+    # on one side only.
     forward()  # warm-up: workspace allocation, numpy init
-    disabled_s = best_of()
-    with kernel_tap_scope(lambda site, array: None):
-        forward()
-        armed_s = best_of()
+    disabled_s = armed_s = float("inf")
+    for _ in range(7):
+        disabled_s = min(disabled_s, timed_block())
+        with kernel_tap_scope(lambda site, array: None):
+            armed_s = min(armed_s, timed_block())
 
     overhead_frac = (armed_s - disabled_s) / disabled_s
     payload = {

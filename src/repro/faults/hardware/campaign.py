@@ -15,6 +15,12 @@ dataset pair loaded once per process), records clean test-set predictions
 CRC32-derived trial seed — and reports accuracy and SDC rate (the
 fraction of predictions that silently changed versus the clean pass).
 
+Every pass replays one forward plan (:class:`~repro.nn.compile.ForwardPlan`)
+per cell and chunk shape, recorded by the cell's clean pass.  A weight fault
+strikes the parameters once, before the pass, so a weight trial replays each
+chunk only from the first op reading a struck parameter, on values the clean
+pass kept there; bit for bit, that is the whole eager pass.
+
 A unit is a plan unit like a study cell: it runs on
 :func:`~repro.experiments.executors.run_study_plan` with any executor
 (serial, ``--jobs N``, or a cluster), which journals results through
@@ -34,9 +40,14 @@ import numpy as np
 
 from ...log import get_logger
 from ...metrics.stats import MeanWithCI, mean_confidence_interval
+from ...nn import Tensor, no_grad
+from ...nn.compile import CompileError, ForwardPlan, compile_forward
+from ...nn.context import current_context, scope
+from ...nn.tape import Tape
+from ...nn.workspace import get_workspace
 from ...telemetry import get_telemetry
 from .injector import hardware_fault_injection
-from .spec import HardwareFaultSpec
+from .spec import FaultTarget, HardwareFaultSpec
 
 # Runtime imports of repro.experiments stay function-local: this module sits
 # below experiments in the import graph (experiments.hardware_study and
@@ -216,10 +227,56 @@ def hardware_results_equivalent(
 # Per-process memoization
 # ----------------------------------------------------------------------
 
-#: Per cell identity, ``[module, training_s, clean labels or None]`` — a
-#: worker process fits each study cell, and takes its clean test-set pass,
-#: at most once across all its campaign units.
-_FITTED_CACHE: dict[tuple, list] = {}
+class _Cell:
+    """One fitted study cell, a :data:`_FITTED_CACHE` entry.
+
+    Besides the network and its training time, the entry holds what the
+    cell's clean pass takes: ``clean`` (the clean test-set labels),
+    ``plans`` (per chunk shape, the forward plan every pass replays, or why
+    planning was refused) and ``kept`` (per chunk, the values the clean pass
+    kept at each resume point of its plan).  One cell holds these at a time.
+    """
+
+    __slots__ = ("module", "training_s", "clean", "plans", "kept")
+
+    def __init__(self, module, training_s: float) -> None:
+        self.module = module
+        self.training_s = training_s
+        self.drop_passes()
+
+    def drop_passes(self) -> None:
+        """Forget the clean pass; the cell's next unit takes it again."""
+        self.clean: "np.ndarray | None" = None
+        self.plans: dict = {}
+        self.kept: dict = {}
+
+    def labels(self, chunk: int, batch: np.ndarray, struck) -> np.ndarray:
+        """One chunk's labels through the plan for its shape.
+
+        The clean pass records each shape's plan, then runs it and keeps the
+        values live at its resume points.  A later pass replays the plan: a
+        whole run, or with ``struck`` (the struck parameters of a weight
+        trial) from the first op reading one of them; a chunk whose plan
+        reads none reuses its clean labels.
+        """
+        plan = self.plans.get(batch.shape)
+        if self.clean is None:
+            if plan is None:
+                plan = self.plans[batch.shape] = _record_plan(self.module, batch)
+            if isinstance(plan, ForwardPlan):
+                return plan.run(batch, keep=self.kept.setdefault(chunk, {})).argmax(axis=1)
+        if not isinstance(plan, ForwardPlan):
+            return _eager_labels(self.module, batch, plan or "clean pass ran eager")
+        start = 0 if struck is None else plan.first_reader(struck)
+        if start == len(plan):
+            return self.clean[chunk * PREDICT_BATCH:][:len(batch)]
+        return plan.resume(batch, self.kept[chunk], start).argmax(axis=1)
+
+
+#: Per cell identity, a :class:`_Cell` — a worker process fits each study
+#: cell, and takes its clean test-set pass, at most once across all its
+#: campaign units.
+_FITTED_CACHE: dict[tuple, _Cell] = {}
 #: Loaded ``(train, test)`` pairs per (scale fingerprint, dataset): every
 #: cell of one dataset re-fits on the same pair, as the cells of a study do.
 _TESTSET_CACHE: dict[tuple, tuple] = {}
@@ -247,30 +304,40 @@ def _fitted_cell(unit: HardwareCampaignUnit):
     cell = _cell_key(unit)
     cached = _FITTED_CACHE.get(cell)
     if cached is not None:
-        return cached[0], cached[1]
+        return cached.module, cached.training_s
     fitted, _ = refit_cell_network(
         unit.scale, unit.dataset, unit.model, unit.technique, unit.data_fault,
         unit.repetition, unit.clean_fraction, data=lambda: _dataset_pair(unit),
     )
     module, training_s = fitted.model.eval(), float(fitted.cost.training_s)
-    _FITTED_CACHE[cell] = [module, training_s, None]
+    _FITTED_CACHE[cell] = _Cell(module, training_s)
     return module, training_s
 
 
-def _clean_labels(unit: HardwareCampaignUnit, module, images: np.ndarray) -> np.ndarray:
+def _memoized_cell(unit: HardwareCampaignUnit, module) -> "_Cell | None":
+    """The unit's :data:`_FITTED_CACHE` entry, if it holds ``module``."""
+    cell = _FITTED_CACHE.get(_cell_key(unit))
+    return cell if cell is not None and cell.module is module else None
+
+
+def _clean_labels(cell: "_Cell | None", module, images: np.ndarray) -> np.ndarray:
     """The cell's clean test-set predictions, taken once per fitted cell.
 
     Every unit of a cell measures the same module on the same test split,
     and the injector restores weights bitwise on exit, so the first clean
     pass stands for all of them.  It is kept in the cell's
-    :data:`_FITTED_CACHE` entry, so clearing that memo drops it too.
+    :data:`_FITTED_CACHE` entry, so clearing that memo drops it too.  The
+    pass also plans the cell's forward and keeps its resume values; to hold
+    one cell's at a time, it drops every other cell's clean pass.
     """
-    entry = _FITTED_CACHE.get(_cell_key(unit))
-    if entry is None or entry[0] is not module:
+    if cell is None:
         return _predict_labels(module, images)
-    if entry[2] is None:
-        entry[2] = _predict_labels(module, images)
-    return entry[2]
+    if cell.clean is None:
+        for other in _FITTED_CACHE.values():
+            if other is not cell:
+                other.drop_passes()
+        cell.clean = _predict_labels(module, images, cell=cell)
+    return cell.clean
 
 
 def _dataset_pair(unit: HardwareCampaignUnit):
@@ -291,21 +358,68 @@ def _dataset_pair(unit: HardwareCampaignUnit):
     return pair
 
 
-def _predict_labels(module, images: np.ndarray) -> np.ndarray:
+def _predict_labels(
+    module, images: np.ndarray, cell: "_Cell | None" = None, struck=None
+) -> np.ndarray:
     """Chunked eval-mode label predictions (fixed :data:`PREDICT_BATCH`).
 
     The chunking is part of the determinism contract: an armed injector's
     per-site visit counters advance once per kernel call, so the same seed
     reproduces the same flip sites only if every run chunks identically.
-    """
-    from ...nn import Tensor, no_grad
 
+    Without ``cell`` each chunk runs the eager forward; with it, the cell's
+    plans (:meth:`_Cell.labels`), resumed after ``struck`` when given.
+    Under ``reference`` kernels every chunk runs eager, counted as a
+    ``hw_plan_fallback``.
+    """
+    fallback = None
+    if cell is not None and current_context().kernels == "reference":
+        fallback = "reference kernels"
     out = []
     with no_grad():
-        for start in range(0, len(images), PREDICT_BATCH):
+        for chunk, start in enumerate(range(0, len(images), PREDICT_BATCH)):
             batch = np.ascontiguousarray(images[start:start + PREDICT_BATCH], dtype=np.float32)
-            out.append(module(Tensor(batch)).data.argmax(axis=1))
+            if cell is None or fallback:
+                out.append(_eager_labels(module, batch, fallback))
+            else:
+                out.append(cell.labels(chunk, batch, struck))
     return np.concatenate(out) if out else np.empty(0, dtype=np.int64)
+
+
+def _eager_labels(module, batch: np.ndarray, fallback: "str | None" = None) -> np.ndarray:
+    """One chunk's labels from the eager forward; a ``fallback`` reason
+    counts it as a ``hw_plan_fallback``."""
+    if fallback is not None:
+        get_telemetry().counter("hw_plan_fallback", reason=fallback)
+    return module(Tensor(batch)).data.argmax(axis=1)
+
+
+def _record_plan(module, batch: np.ndarray) -> "ForwardPlan | str":
+    """Plan the eager forward of ``batch``, or say why planning was refused.
+
+    Records under ``no_grad`` alone, as every eager pass ran: row-stable
+    inference would change the dense layers' bits.  The eager pass's pooled
+    scratch is dropped afterwards; plans never draw on the workspace.
+    """
+    tape = Tape(forward_only=True)
+    with scope(tape=tape):
+        logits = module(Tensor(batch))
+    get_workspace().clear()
+    try:
+        return compile_forward(tape, batch, logits)
+    except CompileError as exc:
+        return f"refused: {exc}"
+
+
+def _trial_path(cell: "_Cell | None", struck) -> dict:
+    """The ``hw_trial`` attributes of a pass with ``struck``: ``plan_ops``,
+    the length of the cell's plan (0 for an eager pass), and ``resume_op``,
+    the first op replayed (0 for a whole pass, ``plan_ops`` when none is)."""
+    plan = next(iter(cell.plans.values()), None) if cell is not None else None
+    if not isinstance(plan, ForwardPlan) or current_context().kernels == "reference":
+        return {"resume_op": 0, "plan_ops": 0}
+    start = 0 if struck is None else plan.first_reader(struck)
+    return {"resume_op": start, "plan_ops": len(plan)}
 
 
 # ----------------------------------------------------------------------
@@ -318,35 +432,38 @@ def run_campaign_unit(unit: HardwareCampaignUnit) -> HardwareCampaignResult:
     Clean predictions are taken outside any injection context, once per
     fitted cell (see :func:`_clean_labels`); each trial arms
     :class:`~repro.faults.hardware.injector.hardware_fault_injection` with
-    :meth:`HardwareCampaignUnit.trial_seed` around one full test-set pass.
-    Deterministic per unit — not per schedule — so serial and worker
-    execution yield identical results.
+    :meth:`HardwareCampaignUnit.trial_seed` around one test-set pass, which
+    a weight trial resumes after the parameters it struck.  Each
+    ``hw_trial`` span carries the pass's ``resume_op`` and ``plan_ops``
+    (:func:`_trial_path`).  Deterministic per unit — not per schedule — so
+    serial and worker execution yield identical results.
     """
-    from ...telemetry import get_telemetry
-
     tel = get_telemetry()
     with tel.span("hw_fit", key=unit.key) as span:
         module, training_s = _fitted_cell(unit)
         span.set(training_s=round(training_s, 3))
     test = _dataset_pair(unit)[1]
-    clean = _clean_labels(unit, module, test.images)
+    cell = _memoized_cell(unit, module)
+    clean = _clean_labels(cell, module, test.images)
     clean_accuracy = float((clean == test.labels).mean())
     spec = unit.spec
     trials = []
     for trial in range(unit.trials):
         seed = unit.trial_seed(trial)
         with tel.span("hw_trial", key=unit.key, trial=trial, seed=seed) as span:
+            injection = hardware_fault_injection(spec, seed, model=module)
             # Flipped exponent/sign bits legitimately produce inf/NaN that
             # propagate through the forward pass; silence numpy's warnings
             # for the corrupted passes only.
-            with hardware_fault_injection(spec, seed, model=module) as injector, \
-                    np.errstate(all="ignore"):
-                faulty = _predict_labels(module, test.images)
+            with injection as injector, np.errstate(all="ignore"):
+                struck = injection.struck if spec.target is FaultTarget.WEIGHT else None
+                faulty = _predict_labels(module, test.images, cell=cell, struck=struck)
             accuracy = float((faulty == test.labels).mean())
             sdc = float((faulty != clean).mean())
             span.set(
                 accuracy=round(accuracy, 4), sdc_rate=round(sdc, 4),
                 faults=injector.stats.elements_faulted,
+                **_trial_path(cell, struck),
             )
         trials.append({
             "accuracy": accuracy,
@@ -376,12 +493,14 @@ def run_campaign(
     """Run campaign units on :func:`~repro.experiments.executors.run_study_plan`;
     returns results in unit order.
 
-    ``checkpoint`` journals units with an ``hw|<scale fingerprint>`` header
-    and this module's codec, so a resumed campaign re-fits nothing;
-    ``jobs > 1`` fans out to that many local lease workers with
-    bitwise-identical results; ``trace`` merges
-    unit batches under a ``hw_campaign`` root span.  A failed unit is
-    journaled, the rest still run, then ``StudyFailedError`` is raised.
+    The units run cell by cell, in order of each cell's first appearance, so
+    a process takes each cell's clean pass once while holding one cell's
+    plans at a time.  ``checkpoint`` journals units with an
+    ``hw|<scale fingerprint>`` header and this module's codec, so a resumed
+    campaign re-fits nothing; ``jobs > 1`` fans out to that many local lease
+    workers with bitwise-identical results; ``trace`` merges unit batches
+    under a ``hw_campaign`` root span.  A failed unit is journaled, the rest
+    still run, then ``StudyFailedError`` is raised (its report in run order).
     """
     from ...experiments.config import scale_fingerprint
     from ...experiments import ParallelExecutor, SerialExecutor, run_study_plan
@@ -395,8 +514,13 @@ def run_campaign(
             encode=HardwareCampaignResult.to_dict,
             decode=HardwareCampaignResult.from_dict,
         )
+    cells = [_cell_key(unit) for unit in units]
+    first_seen: dict[tuple, int] = {}
+    for cell in cells:
+        first_seen.setdefault(cell, len(first_seen))
+    order = sorted(range(len(units)), key=lambda i: first_seen[cells[i]])
     report = run_study_plan(
-        units,
+        [units[i] for i in order],
         executor=ParallelExecutor(jobs) if jobs > 1 else SerialExecutor(),
         checkpoint=checkpoint,
         trace=trace,
@@ -404,4 +528,7 @@ def run_campaign(
     )
     if not report.ok:
         raise StudyFailedError(report)
-    return report.results
+    results: list = [None] * len(units)
+    for i, result in zip(order, report.results):
+        results[i] = result
+    return results

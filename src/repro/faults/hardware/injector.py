@@ -174,6 +174,10 @@ class hardware_fault_injection:
     ignored for ``activation`` targets, which corrupt kernel outputs through
     the calling thread's kernel tap while the context is active.  ``spec`` may be a
     :class:`HardwareFaultSpec` or its label string.
+
+    After entry, :attr:`struck` holds the parameters a weight target faulted
+    (those ``perturb`` counted elements in, even a stuck-at bit that was
+    already set); it stays empty for an activation target.
     """
 
     def __init__(
@@ -193,6 +197,7 @@ class hardware_fault_injection:
         self.model = model
         self.record_sites = record_sites
         self.injector: HardwareFaultInjector | None = None
+        self.struck: tuple = ()
         self._saved: "list[tuple[object, np.ndarray]] | None" = None
         self._tap: scope | None = None
 
@@ -205,8 +210,10 @@ class hardware_fault_injection:
                 raise ValueError("weight-target injection needs model=<Module>")
             named = list(self.model.named_parameters())
             self._saved = [(param, param.data.copy()) for _, param in named]
-            for name, param in named:
-                self.injector.perturb(f"weight:{name}", param.data)
+            self.struck = tuple(
+                param for name, param in named
+                if self.injector.perturb(f"weight:{name}", param.data)
+            )
         else:
             self._tap = kernel_tap_scope(self._on_kernel_output)
             self._tap.__enter__()

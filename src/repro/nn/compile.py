@@ -55,6 +55,14 @@ Only the logits are copied out.  The same refusals apply, and the same
 bitwise contract: ``tests/nn/test_forward_plan.py`` locks plan ≡ eager for
 all registry networks.  :class:`~repro.serve.registry.ServableModel` serves
 every prediction from one plan per thread and input shape.
+
+A plan also knows which op first reads each parameter.  Every value computed
+before that op is independent of the parameter, so after a change to some
+parameters alone a replay may start at the first op reading any of them
+(:meth:`ForwardPlan.first_reader`), from copies of the values live there that
+an earlier run of the same feed kept (``run(feed, keep=...)``, then
+:meth:`ForwardPlan.resume`).  The hardware-fault campaign resumes its
+weight-fault trials this way.
 """
 
 from __future__ import annotations
@@ -404,6 +412,10 @@ class ForwardPlan:
     re-read at every run, and eval batch norm reads its module's running
     statistics inside its op, so weight updates made in place or by
     swapping arrays reach the next run.
+
+    The *resume points* are the first-reader ops of the parameters, but op 0.
+    A run given ``keep`` copies the values live at each resume point, and
+    :meth:`resume` replays a feed from one of them on those copies.
     """
 
     def __init__(
@@ -427,6 +439,24 @@ class ForwardPlan:
         self._last_read = last_read
         #: Bytes of buffer memory the plan holds (set by the first run).
         self.nbytes = 0
+        n = len(steps)
+        first_read: dict[int, int] = {}
+        produced_at: dict[int, int] = {}
+        for index, (_, _, in_slots, out_slot, _, _) in enumerate(steps):
+            for slot in in_slots:
+                first_read.setdefault(slot, index)
+            produced_at[out_slot] = index
+        # By id(): the parameter tensors stay referenced by ``param_slots``.
+        self._first_read = {id(param): first_read.get(slot, n) for param, slot in param_slots}
+        #: Per resume point, in op order: the slots computed before it and
+        #: read at or after it, which a resumed replay takes from kept copies.
+        self._resume_slots = {
+            point: tuple(s for s, at in produced_at.items() if at < point <= last_read[s])
+            for point in sorted(set(self._first_read.values()) - {0, n})
+        }
+
+    def __len__(self) -> int:
+        return len(self._steps)
 
     def __repr__(self) -> str:
         return (
@@ -434,8 +464,57 @@ class ForwardPlan:
             f"bytes={self.nbytes})"
         )
 
-    def run(self, feed: np.ndarray) -> np.ndarray:
-        """Replay the forward on ``feed``; returns a fresh copy of the logits."""
+    def first_reader(self, params) -> int:
+        """The first op reading any of ``params`` (tensors, by identity).
+
+        The plan's length when no op reads one of them.  Values computed
+        before that op do not depend on ``params``, so a replay after a
+        change to those parameters alone may :meth:`resume` there.
+        """
+        n = len(self._steps)
+        return min((self._first_read.get(id(param), n) for param in params), default=n)
+
+    def run(self, feed: np.ndarray, keep: "dict | None" = None) -> np.ndarray:
+        """Replay the forward on ``feed``; returns a fresh copy of the logits.
+
+        With ``keep`` (a dict), the run also stores in it, per resume point,
+        copies of the values live there: what :meth:`resume` needs to replay
+        ``feed`` from that op.  Each is copied before its resume point runs,
+        since the arena reuses its memory once its last reader has run.
+        """
+        vals = self._bind(feed)
+        if self._arena.planning:
+            self._first_run(vals, keep)
+        elif keep is None:
+            _replay(self._steps, vals)
+        else:
+            start = 0
+            for point in self._resume_slots:
+                _replay(self._steps[start:point], vals)
+                keep[point] = self._copy_live(point, vals)
+                start = point
+            _replay(self._steps[start:], vals)
+        return vals[self._logits_slot].copy()
+
+    def resume(self, feed: np.ndarray, kept: dict, start: int) -> np.ndarray:
+        """Replay ``feed``'s forward from op ``start``; returns a copy of the logits.
+
+        ``kept`` holds what ``run(feed, keep=kept)`` stored and ``start`` is
+        one of its resume points, or 0 for a whole run.  The ops from
+        ``start`` on read the kept values, the feed and the parameters as
+        they are now, so the logits equal a whole run's when no parameter
+        read before ``start`` changed since ``kept`` was stored.
+        """
+        if not start:
+            return self.run(feed)
+        vals = self._bind(feed)
+        for slot, value in zip(self._resume_slots[start], kept[start]):
+            vals[slot] = value
+        _replay(self._steps[start:], vals)
+        return vals[self._logits_slot].copy()
+
+    def _bind(self, feed: np.ndarray) -> list:
+        """The value slots, with ``feed`` and the current parameters bound."""
         if feed.shape != self.feed_shape:
             raise ValueError(f"feed shape {feed.shape} does not match planned {self.feed_shape}")
         vals = self._vals
@@ -443,16 +522,18 @@ class ForwardPlan:
             vals[slot] = feed
         for param, slot in self._param_slots:
             vals[slot] = param.data
-        if self._arena.planning:
-            self._first_run(vals)
-        else:
-            _replay(self._steps, vals)
-        return vals[self._logits_slot].copy()
+        return vals
 
-    def _first_run(self, vals: list) -> None:
+    def _copy_live(self, point: int, vals: list) -> tuple:
+        # Layout-preserving copies: an op reads a copy as it read the value.
+        return tuple(np.copy(vals[slot], order="K") for slot in self._resume_slots[point])
+
+    def _first_run(self, vals: list, keep: "dict | None") -> None:
         """The first replay, assigning every op buffer an arena block."""
         arena, last_read = self._arena, self._last_read
         for index, (apply, ctx, in_slots, out_slot, kwargs, discard) in enumerate(self._steps):
+            if keep is not None and index in self._resume_slots:
+                keep[index] = self._copy_live(index, vals)
             arena.step = index
             out = vals[out_slot] = apply(ctx, tuple(vals[s] for s in in_slots), kwargs)
             if discard is not None:

@@ -1,10 +1,10 @@
 """Trace summarization — the analysis behind ``repro-study trace <file>``.
 
 Reduces a (possibly multi-hour) trace to the questions an operator actually
-asks: which kernel mode the cells ran under, where did the wall-clock go per
-phase, which cells were slowest, how many retries/divergences/failures
-happened, how cache-effective was the run, and how time splits across the
-technique × dataset grid.
+asks: which kernel mode the cells ran under, which path each hardware-fault
+trial took, where did the wall-clock go per phase, which cells were slowest,
+how many retries/divergences/failures happened, how cache-effective was the
+run, and how time splits across the technique × dataset grid.
 """
 
 from __future__ import annotations
@@ -55,6 +55,11 @@ class TraceSummary:
     #: aggregated ``compiled_fit`` events (compiled vs eager step counts,
     #: workspace effectiveness) — empty when no fit ran in compiled mode
     compiled_exec: dict = field(default_factory=dict)
+    #: hardware-fault trials by the ``resume_op``/``plan_ops`` of their
+    #: ``hw_trial`` spans — ``whole``, ``resumed`` and ``clean_reused``
+    #: counts, plus ``ops_replayed`` and ``plan_ops`` summed — empty when no
+    #: span says its path
+    hw_trials: dict = field(default_factory=dict)
     #: the final ``metrics_snapshot`` event's registry snapshot — empty when
     #: the run had live metrics disabled
     metrics: dict = field(default_factory=dict)
@@ -131,9 +136,16 @@ def summarize_trace(
     units: list[tuple[str, float]] = []
     tech_dataset: defaultdict = defaultdict(float)
     kernels: Counter = Counter()
+    hw_trials: Counter = Counter()
     for root in span_tree(events):
         summary.total_s += root.dur_s
         for node in root.walk():
+            if node.name == "hw_trial" and "resume_op" in node.attrs:
+                start, ops = node.attrs["resume_op"], node.attrs["plan_ops"]
+                hw_trials["whole" if start == 0 else "clean_reused" if start == ops
+                          else "resumed"] += 1
+                hw_trials["ops_replayed"] += ops - start
+                hw_trials["plan_ops"] += ops
             if node.name not in UNIT_SPANS:
                 continue
             units.append((str(node.attrs.get("key", "?")), node.dur_s))
@@ -143,6 +155,7 @@ def summarize_trace(
     summary.slowest_units = sorted(units, key=lambda kv: kv[1], reverse=True)[:top]
     summary.technique_dataset_s = dict(tech_dataset)
     summary.unit_kernels = dict(kernels)
+    summary.hw_trials = dict(hw_trials)
     return summary
 
 
@@ -203,6 +216,16 @@ def render_trace_summary(summary: TraceSummary) -> str:
         lines.append("tallies:")
         for name, count in tallies:
             lines.append(f"  {name:<18} {count:>6}")
+
+    if summary.hw_trials:
+        hw = summary.hw_trials
+        share = hw["ops_replayed"] / hw["plan_ops"] if hw["plan_ops"] else 0.0
+        lines.append("")
+        lines.append(
+            f"hardware trials: {hw.get('whole', 0)} whole, {hw.get('resumed', 0)} resumed, "
+            f"{hw.get('clean_reused', 0)} clean-reused; "
+            f"{100 * share:.1f}% of plan ops replayed"
+        )
 
     if summary.compiled_exec:
         ce = summary.compiled_exec

@@ -185,10 +185,10 @@ class TestCleanPassMemo:
         predict = campaign._predict_labels
         injection = campaign.hardware_fault_injection
 
-        def counting_predict(module, images):
+        def counting_predict(module, images, **kwargs):
             if not armed[0]:
                 unarmed_calls.append(len(images))
-            return predict(module, images)
+            return predict(module, images, **kwargs)
 
         class FlaggedInjection(injection):
             def __enter__(self):

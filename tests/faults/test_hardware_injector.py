@@ -195,3 +195,50 @@ class TestInjectionContext:
                 inner_again = forward(convnet, images)
         np.testing.assert_array_equal(inner, inner_again)
         np.testing.assert_array_equal(forward(convnet, images), clean)
+
+
+class TestStruckParameters:
+    """A weight injection reports which parameters ``perturb`` counted."""
+
+    @staticmethod
+    def _counted(monkeypatch) -> dict:
+        counts, perturb = {}, HardwareFaultInjector.perturb
+
+        def counting(self, site, array):
+            counts[site] = count = perturb(self, site, array)
+            return count
+
+        monkeypatch.setattr(HardwareFaultInjector, "perturb", counting)
+        return counts
+
+    @pytest.mark.parametrize("spec, struck_unchanged", [
+        (bit_flip(1e-3, target="weight"), False),
+        # Bit 31 is already set in every negative weight: a count > 0 that
+        # changes no byte still counts as struck.
+        (stuck_at_1(1e-2, target="weight", bit=31), True),
+    ])
+    def test_weight_struck_set_is_the_counted_parameters(
+        self, convnet, monkeypatch, spec, struck_unchanged
+    ):
+        counts = self._counted(monkeypatch)
+        named = dict(convnet.named_parameters())
+        before = {name: param.data.copy() for name, param in named.items()}
+        injection = hardware_fault_injection(spec, seed=5, model=convnet)
+        with injection:
+            unchanged = {
+                name for name, param in named.items()
+                if param.data.tobytes() == before[name].tobytes()
+            }
+        counted = {name for name in named if counts[f"weight:{name}"] > 0}
+        assert 0 < len(counted) < len(named)
+        assert [id(p) for p in injection.struck] == [
+            id(param) for name, param in named.items() if name in counted
+        ]
+        assert bool(counted & unchanged) is struck_unchanged
+
+    def test_activation_struck_set_is_empty(self, convnet, images):
+        injection = hardware_fault_injection(bit_flip(0.01), seed=4)
+        with injection as injector:
+            forward(convnet, images)
+        assert injector.stats.elements_faulted > 0
+        assert injection.struck == ()

@@ -428,9 +428,9 @@ class TestEagerFallbacks:
         assert fit_event["eager_steps"] == EPOCHS * STEPS_PER_EPOCH
 
     def test_no_grad_surfaces_the_same_eager_error(self):
-        # Training under no_grad is an error either way; the compiled path
-        # must downgrade to eager and surface the identical failure instead
-        # of silently replaying stale gradients.
+        # Training under no_grad is an error either way; in compiled mode the
+        # first feed shape's recording step runs the eager step and raises
+        # the identical failure, so no stale gradients are ever replayed.
         errors = {}
         for mode in ("fast", "compiled"):
             feature_shape, x, y = _data("convnet")

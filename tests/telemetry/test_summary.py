@@ -106,6 +106,28 @@ class TestSummarizeTrace:
         # Traces written before units were stamped count under "?".
         assert summarize_trace(_campaign_trace()).unit_kernels == {"?": 2}
 
+    def test_hardware_trials_counted_by_path(self):
+        tel = RecordingTelemetry()
+        with tel.span("hw_campaign", cells=1):
+            with tel.span("hw_unit", key="hw|a"):
+                for trial, resume_op in enumerate((0, 9, 14, 3)):
+                    with tel.span("hw_trial", key="hw|a", trial=trial) as span:
+                        span.set(resume_op=resume_op, plan_ops=14)
+                # An eager pass (no plan) and a trace written before trials
+                # said their path.
+                with tel.span("hw_trial", key="hw|a", trial=4) as span:
+                    span.set(resume_op=0, plan_ops=0)
+                with tel.span("hw_trial", key="hw|a", trial=5):
+                    pass
+        summary = summarize_trace(tel.drain())
+        assert summary.hw_trials == {
+            "whole": 2, "resumed": 2, "clean_reused": 1,
+            "ops_replayed": 14 + 5 + 0 + 11, "plan_ops": 4 * 14,
+        }
+        assert "\nhardware trials: 2 whole, 2 resumed, 1 clean-reused; " \
+            "53.6% of plan ops replayed\n" in render_trace_summary(summary)
+        assert summarize_trace(_campaign_trace()).hw_trials == {}
+
     def test_invalid_trace_is_refused(self):
         events = _study_trace()[:-1]  # unclosed study span
         with pytest.raises(TraceError):
