@@ -3,13 +3,14 @@
 Serves the bench ConvNet (GTSRB geometry) through four regimes and writes
 ``benchmarks/results/BENCH_fleet.json``:
 
-* ``single_engine`` — one micro-batching :class:`ServingEngine` (batch cap
-  32), closed-loop clients;
+* ``single_replica`` — what ``repro-study serve --replicas 1`` runs: a
+  fleet of one in-process thread replica (``auto`` backend) at chunk 32,
+  closed-loop clients;
 * ``fleet`` / ``fleet_thread`` — ``FLEET_REPLICAS`` process / thread
   replicas behind the router, same schedule, same closed-loop concurrency.
-  The router's chunk (32, the engine's batch cap) is each replica's
-  forward batch; shared-memory weights mean the replicas cost one copy of
-  the arrays, and process replicas sidestep the GIL;
+  The router's chunk (32) is each replica's forward batch; shared-memory
+  weights mean the replicas cost one copy of the arrays, and process
+  replicas sidestep the GIL;
 * ``overload`` — an under-provisioned, deliberately slowed fleet driven
   far past capacity: admission control must shed the excess *immediately*
   (429-path) while every accepted request still completes.
@@ -25,7 +26,7 @@ Gates:
   fleet backends and in the overload phase.  Latency is a correctness property of the
   admission design, not a hardware lottery: a bounded queue plus shedding
   keeps p99 flat no matter the offered load.
-- **>= 3x single-engine throughput (multicore only)** — enforced when
+- **>= 3x single-replica throughput (multicore only)** — enforced when
   ``REPRO_BENCH_ENFORCE_SPEEDUP=1`` and >= 4 cores are present (the CI
   fleet-smoke job); recorded but not gated on the 1-core containers where
   four replicas time-slice one core.
@@ -44,14 +45,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
 
 from bench_common import write_bench_json
 from repro.models.registry import build_model
-from repro.serve import (
-    BatchSettings,
-    FleetSettings,
-    ModelKey,
-    ModelRegistry,
-    ServingEngine,
-    ServingFleet,
-)
+from repro.serve import FleetSettings, ModelKey, ModelRegistry, ServingFleet
 from tests.serve.loadgen import FleetTarget, make_schedule, run_closed_loop
 
 GATE_MIN_SPEEDUP = 3.0
@@ -83,16 +77,6 @@ def _schedule(n: int = N_REQUESTS, rate: float = 10_000.0, seed: int = 0):
     )
 
 
-class _EngineAsFleet:
-    """Adapter: drive a bare engine through the fleet-shaped load target."""
-
-    def __init__(self, engine: ServingEngine) -> None:
-        self.engine = engine
-
-    def submit(self, key, sample, client=None, priority=0):
-        return self.engine.submit(key, sample)
-
-
 def _median_row(runs: "list[dict]") -> dict:
     """The median-throughput run, plus every run's throughput."""
     row = dict(sorted(runs, key=lambda r: r["throughput_rps"])[len(runs) // 2])
@@ -100,14 +84,14 @@ def _median_row(runs: "list[dict]") -> dict:
     return row
 
 
-def _bench_single_engine(inputs: np.ndarray) -> dict:
-    settings = BatchSettings(max_batch_size=32, max_latency_ms=2.0, workers=1)
-    with ServingEngine(_registry(), settings) as engine:
-        engine.predict(KEY, inputs[:32])  # warm-up
-        target = FleetTarget(_EngineAsFleet(engine), KEY, inputs, timeout_s=60.0)
+def _bench_single_replica(inputs: np.ndarray) -> dict:
+    with ServingFleet(_registry(), FleetSettings(replicas=1, chunk=32)) as fleet:
+        fleet.predict(KEY, inputs[:32])  # warm-up
+        target = FleetTarget(fleet, KEY, inputs, timeout_s=60.0)
         report = run_closed_loop(target, _schedule(), concurrency=CONCURRENCY)
+        backend = fleet.describe()["backend"]
     assert report.lost == 0 and report.errors == 0, report.summary()
-    return report.summary()
+    return {**report.summary(), "replicas": 1, "backend": backend}
 
 
 def _bench_fleet(inputs: np.ndarray, backend: str) -> dict:
@@ -165,7 +149,7 @@ def _enforce_speedup() -> bool:
 def test_fleet_perf():
     inputs = _inputs()
     runs = [  # interleaved, so host drift hits every regime alike
-        (_bench_single_engine(inputs), _bench_fleet(inputs, "auto"),
+        (_bench_single_replica(inputs), _bench_fleet(inputs, "auto"),
          _bench_fleet(inputs, "thread"))
         for _ in range(RUNS)
     ]
@@ -186,7 +170,7 @@ def test_fleet_perf():
         "concurrency": CONCURRENCY,
         "replicas": FLEET_REPLICAS,
         "runs": RUNS,
-        "single_engine": single,
+        "single_replica": single,
         "fleet": fleet,
         "fleet_thread": fleet_thread,
         "overload": overload,

@@ -1,25 +1,27 @@
 """Bench: micro-batched serving throughput vs single-request inference.
 
-Serves a ConvNet (GTSRB geometry) through the :mod:`repro.serve` engine in
-two regimes and writes ``benchmarks/results/BENCH_serving.json``:
+Serves a ConvNet (GTSRB geometry) through what ``repro-study serve
+--replicas 1`` runs — a :class:`~repro.serve.ServingFleet` of one
+in-process thread replica — in two regimes and writes
+``benchmarks/results/BENCH_serving.json``:
 
-* ``single_request`` — a sequential client, one sample per request, engine
-  capped at ``max_batch_size=1``: every forward pass carries the full
-  per-call overhead (python dispatch, im2col setup, workspace lookups);
+* ``single_request`` — a sequential client, one sample per request, the
+  router's chunk capped at 1: every forward pass carries the full per-call
+  overhead (plan replay, router and replica thread hops);
 * ``micro_batched`` — concurrent clients streaming samples into the same
-  engine with ``max_batch_size=32``: the coalescer amortises that overhead
-  across the batch while row-stable kernels keep every response
+  kind of fleet with chunk 32: one forward pass per chunk amortises that
+  overhead across the chunk while row-stable kernels keep every response
   bitwise-identical to the single-request answers.
 
 Both regimes report throughput and per-request p50/p95/p99 latency.  The
 percentiles come from the same :class:`repro.telemetry.Histogram` +
-:func:`latency_summary_ms` pair that backs the engine's ``/stats``
+:func:`latency_summary_ms` pair that backs the fleet's ``/stats``
 endpoint, so the bench numbers and the live endpoint agree by
 construction.  The gate requires micro-batching to reach >= 3x the
 single-request throughput (raw batch-32 forwards measured ~5x per sample
 with eager forwards and ~3.4x with forward plans, which cut the per-call
-overhead batching amortises; the margin absorbs engine and scheduler
-overhead on shared CI runners).
+overhead batching amortises; the sequential client's two thread hops per
+request widen the margin).
 
 A third table, ``forward_ms``, times one forward per registry network at
 batch 1 and 8 two ways: the eager forward ``predict_logits`` ran before
@@ -41,7 +43,7 @@ import numpy as np
 from bench_common import write_bench_json
 from repro.models.registry import build_model, model_names
 from repro.nn import Tape, Tensor, compile_forward, no_grad, row_stable_inference, tape_scope
-from repro.serve import BatchSettings, ModelKey, ModelRegistry, ServableModel, ServingEngine
+from repro.serve import FleetSettings, ModelKey, ModelRegistry, ServableModel, ServingFleet
 from repro.telemetry import Histogram, latency_summary_ms
 
 GATE_MIN_SPEEDUP = 3.0
@@ -56,18 +58,19 @@ FORWARD_CALLS = 20
 
 
 def _latency_summary(latencies_ms: "list[float]") -> dict:
-    """p50/p95/p99 via the engine's own histogram machinery (``/stats``)."""
+    """p50/p95/p99 via the fleet's own histogram machinery (``/stats``)."""
     hist = Histogram("bench_request_latency_seconds")
     for ms in latencies_ms:
         hist.observe(ms / 1e3)
     return latency_summary_ms(hist)
 
 
-def _make_engine(settings: BatchSettings) -> ServingEngine:
+def _make_fleet(chunk: int) -> ServingFleet:
+    """A fleet of one (``auto`` runs it as a thread) that never sheds the bench."""
     registry = ModelRegistry()
     module = build_model("convnet", image_shape=(3, 16, 16), num_classes=43, seed=0)
     registry.register_module(KEY, module)
-    return ServingEngine(registry, settings)
+    return ServingFleet(registry, FleetSettings(replicas=1, chunk=chunk, max_queue=N_SAMPLES))
 
 
 def _inputs() -> np.ndarray:
@@ -77,17 +80,16 @@ def _inputs() -> np.ndarray:
 
 def _bench_single_request(x: np.ndarray) -> dict:
     """Sequential client, one sample per request, no coalescing possible."""
-    settings = BatchSettings(max_batch_size=1, max_latency_ms=0.0, workers=1)
     latencies: list[float] = []
-    with _make_engine(settings) as engine:
-        engine.predict(KEY, x[0])  # warm-up
+    with _make_fleet(chunk=1) as fleet:
+        fleet.predict(KEY, x[0])  # warm-up
         started = time.perf_counter()
         for sample in x:
             t0 = time.perf_counter()
-            engine.predict(KEY, sample)
+            fleet.predict(KEY, sample)
             latencies.append((time.perf_counter() - t0) * 1e3)
         elapsed = time.perf_counter() - started
-        stats = engine.stats.snapshot()
+        stats = fleet.stats_snapshot()
     return {
         "throughput_per_s": round(len(x) / elapsed, 1),
         **_latency_summary(latencies),
@@ -96,19 +98,18 @@ def _bench_single_request(x: np.ndarray) -> dict:
 
 
 def _bench_micro_batched(x: np.ndarray) -> dict:
-    """Concurrent clients streaming samples; the engine coalesces them."""
-    settings = BatchSettings(max_batch_size=32, max_latency_ms=5.0, workers=1)
+    """Concurrent clients streaming samples; the router chunks them."""
     per_client = len(x) // CLIENTS
     latencies: list[float] = []
     lock = threading.Lock()
-    with _make_engine(settings) as engine:
-        engine.predict(KEY, x[:32])  # warm-up
+    with _make_fleet(chunk=32) as fleet:
+        fleet.predict(KEY, x[:32])  # warm-up
 
         def client(shard: np.ndarray) -> None:
             # Stream: submit everything, then collect — the open-loop load
-            # pattern that lets the coalescer actually fill batches.
+            # pattern that keeps a queue for the router to chunk.
             submitted = [
-                (time.perf_counter(), engine.submit(KEY, sample))
+                (time.perf_counter(), fleet.submit(KEY, sample))
                 for sample in shard
             ]
             times = []
@@ -128,13 +129,14 @@ def _bench_micro_batched(x: np.ndarray) -> dict:
         for thread in threads:
             thread.join()
         elapsed = time.perf_counter() - started
-        stats = engine.stats.snapshot()
+        stats = fleet.stats_snapshot()
+        max_batch = fleet.metrics.get("fleet_batch_size").max
     return {
         "throughput_per_s": round(CLIENTS * per_client / elapsed, 1),
         **_latency_summary(latencies),
         "mean_batch": stats["mean_batch"],
-        "max_batch": stats["max_batch"],
-        "engine_latency_ms": stats["latency_ms"],
+        "max_batch": int(max_batch),
+        "fleet_latency_ms": stats["latency_ms"],
         "clients": CLIENTS,
     }
 

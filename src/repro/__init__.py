@@ -17,7 +17,7 @@ Public surface:
 - :mod:`repro.survey` -- the Table I technique catalog and selection
 - :mod:`repro.analysis` -- mechanism analyses (memorization, diversity, per-class AD)
 - :mod:`repro.telemetry` -- structured trace events, span timers, live sweep progress
-- :mod:`repro.serve` -- model registry, micro-batched inference engine, HTTP endpoint
+- :mod:`repro.serve` -- model registry, replicated serving fleet, HTTP endpoint
 """
 
 import importlib

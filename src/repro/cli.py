@@ -318,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     serve = sub.add_parser(
-        "serve", help="serve a trained model over micro-batched HTTP inference"
+        "serve", help="serve a trained model over HTTP through a replicated fleet"
     )
     serve.add_argument("--model", default="convnet")
     serve.add_argument("--dataset", default="gtsrb")
@@ -336,25 +336,18 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--port", type=int, default=8777)
     serve.add_argument(
         "--max-batch-size", type=int, default=8,
-        help="largest batch one forward pass runs: the engine's micro-batch, "
-        "or in fleet mode the router's chunk per replica (default 8)",
-    )
-    serve.add_argument(
-        "--max-latency-ms", type=float, default=2.0,
-        help="longest a request waits for its batch to fill; single engine "
-        "only (default 2.0)",
-    )
-    serve.add_argument(
-        "--serve-workers", type=int, default=2,
-        help="inference worker threads; single engine only (default 2)",
+        help="largest batch one forward pass runs: the router's chunk per "
+        "replica; an idle replica takes whatever is queued, up to this "
+        "(default 8)",
     )
     serve.add_argument(
         "--trace", default=None,
-        help="write serve/serve_batch telemetry spans to this JSONL file",
+        help="write the fleet span, its events and thread replicas' "
+        "serve_batch spans to this JSONL file",
     )
     serve.add_argument(
         "--request-timeout", type=float, default=30.0,
-        help="seconds one /predict request may wait on the engine before the "
+        help="seconds one /predict request may wait on the fleet before the "
         "server answers 503 instead of hanging (default 30; 0 = unbounded)",
     )
     serve.add_argument(
@@ -367,19 +360,21 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--replicas", type=int, default=1,
-        help="serving replicas; >= 2 runs a fleet with shared-memory weights, "
-        "admission control, and health-checked respawn (default 1: one engine)",
+        help="health-checked replicas behind the router, sharing one copy of "
+        "the weights (default 1: one in-process thread replica under "
+        "--replica-backend auto)",
     )
     serve.add_argument(
         "--replica-backend", choices=_ServeChoices("REPLICA_BACKENDS"),
         metavar="BACKEND", default="auto",
-        help="fleet replica backend, one of %(choices)s: forked processes, "
-        "in-process threads, or auto (processes where fork exists; default auto)",
+        help="replica backend, one of %(choices)s: forked processes, "
+        "in-process threads, or auto (a thread for one replica, processes "
+        "for more where fork exists; default auto)",
     )
     serve.add_argument(
         "--max-queue", type=int, default=256,
         help="per-model admission-queue bound before requests are shed with "
-        "429 + Retry-After (fleet mode; default 256)",
+        "429 + Retry-After (default 256)",
     )
     serve.add_argument(
         "--shed-policy", choices=_ServeChoices("SHED_POLICIES"),
@@ -707,32 +702,25 @@ def _run_hardware_faults_command(args: argparse.Namespace) -> int:
     return 1 if failures else 0
 
 
-def _serve_settings(args: argparse.Namespace) -> "BatchSettings | FleetSettings":
-    """One engine's batcher, or a fleet whose router chunk is the forward batch."""
-    from .serve import BatchSettings, FleetSettings
+def _serve_settings(args: argparse.Namespace) -> "FleetSettings":
+    """The fleet behind ``serve``: its router chunk is the forward batch."""
+    from .serve import FleetSettings
 
-    if args.replicas >= 2:
-        return FleetSettings(
-            replicas=args.replicas,
-            backend=args.replica_backend,
-            max_queue=args.max_queue,
-            shed_policy=args.shed_policy,
-            client_rate=args.client_rate,
-            client_burst=args.client_burst,
-            chunk=args.max_batch_size,
-            replica_deadline_s=args.replica_deadline,
-        )
-    return BatchSettings(
-        max_batch_size=args.max_batch_size,
-        max_latency_ms=args.max_latency_ms,
-        workers=args.serve_workers,
+    return FleetSettings(
+        replicas=args.replicas,
+        backend=args.replica_backend,
+        max_queue=args.max_queue,
+        shed_policy=args.shed_policy,
+        client_rate=args.client_rate,
+        client_burst=args.client_burst,
+        chunk=args.max_batch_size,
+        replica_deadline_s=args.replica_deadline,
     )
 
 
 def _run_serve_command(args: argparse.Namespace) -> int:
-    """The ``serve`` subcommand: registry + engine or fleet + HTTP endpoint."""
-    from .serve import (FleetSettings, ModelKey, ModelRegistry, ServingEngine,
-                        ServingFleet, serve_forever)
+    """The ``serve`` subcommand: registry + fleet + HTTP endpoint."""
+    from .serve import ModelKey, ModelRegistry, ServingFleet, serve_forever
 
     if args.kernels is not None:
         logger.info("[kernels=%s]", args.kernels)
@@ -775,28 +763,25 @@ def _run_serve_command(args: argparse.Namespace) -> int:
         telemetry = FileTelemetry(args.trace)
         logger.info("[tracing to %s]", args.trace)
     # Serving always runs with live metrics enabled: the /metrics endpoint
-    # scrapes the process-global registry, which the backend adopts.
+    # scrapes the process-global registry, which the fleet adopts.
     with metrics_scope(MetricsRegistry()):
-        if isinstance(settings, FleetSettings):
-            backend = ServingFleet(registry, settings, telemetry=telemetry).start()
-            logger.info(
-                "[fleet: %d %s replicas, chunk %d, max-queue %d, shed-policy %s]",
-                args.replicas, backend.settings.resolved_backend(),
-                settings.chunk, args.max_queue, args.shed_policy,
-            )
-        else:
-            backend = ServingEngine(registry, settings, telemetry=telemetry).start()
+        fleet = ServingFleet(registry, settings, telemetry=telemetry).start()
+        logger.info(
+            "[fleet: %d %s replica(s), chunk %d, max-queue %d, shed-policy %s]",
+            settings.replicas, settings.resolved_backend(),
+            settings.chunk, settings.max_queue, settings.shed_policy,
+        )
         try:
             logger.info(
                 "[serving %d model(s) at http://%s:%d — POST /predict, POST /shutdown]",
                 len(registry), args.host, args.port,
             )
             serve_forever(
-                backend, host=args.host, port=args.port, verbose=args.verbose,
+                fleet, host=args.host, port=args.port, verbose=args.verbose,
                 request_timeout_s=args.request_timeout if args.request_timeout > 0 else None,
             )
         finally:
-            backend.close()
+            fleet.close()
             if telemetry is not None:
                 telemetry.close()
     return 0

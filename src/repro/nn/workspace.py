@@ -122,10 +122,11 @@ def get_workspace() -> Workspace:
 
     One arena per thread: the kernels acquire and release buffers without
     locking, which is only safe if no two threads ever share a free-list.
-    The serving engine (:mod:`repro.serve`) runs inference on worker threads
-    concurrently with whatever the main thread is doing, so each thread gets
-    its own pool — the main-thread behaviour (and the training hot path) is
-    unchanged, and a worker's steady-state buffers stay hot per worker.
+    Serving fleet thread replicas (:mod:`repro.serve`) run inference on
+    worker threads concurrently with whatever the main thread is doing, so
+    each thread gets its own pool — the main-thread behaviour (and the
+    training hot path) is unchanged, and a worker's steady-state buffers stay
+    hot per worker.
     """
     workspace = getattr(_WORKSPACES, "workspace", None)
     if workspace is None:

@@ -1,25 +1,23 @@
-"""``repro.serve`` — model serving, from one engine to a replicated fleet.
+"""``repro.serve`` — model serving through a replicated fleet.
 
 The deployment-facing end of the study pipeline: trained models (loaded from
 ``save_model`` archives or deterministically re-fit from archived study
 cells) are registered in a :class:`ModelRegistry` and served through a
-:class:`ServingEngine` that coalesces concurrent predict requests into
-micro-batches — with the guarantee that batching never changes a single bit
-of any response.
+:class:`ServingFleet` — with the guarantee that batching never changes a
+single bit of any response.
 
-At fleet scale, a :class:`ServingFleet` runs N health-checked replicas
-(threads or forked processes) over a single shared-memory copy of every
-model's weights (one :class:`~repro.nn.shared.SharedBlock` per model),
-behind a :class:`Router` that does bounded admission, per-client
+A :class:`ServingFleet` runs N health-checked replicas (threads or forked
+processes; one replica runs as a thread) over a single shared-memory copy
+of every model's weights (one :class:`~repro.nn.shared.SharedBlock` per
+model), behind a :class:`Router` that does bounded admission, per-client
 token-bucket fairness, priorities, least-outstanding dispatch, and
-exactly-once failover when replicas die.  A replica runs each
-router chunk as one forward pass; :class:`BatchSettings` is single-engine.
-An optional stdlib-only HTTP front-end (:class:`ServingServer`) exposes
-either an engine or a fleet as a JSON endpoint for the ``repro-study
-serve`` CLI subcommand (429 + ``Retry-After`` on shed, ``/fleet`` status).
+exactly-once failover when replicas die.  A replica runs each router chunk
+as one forward pass: the chunk is the only batch.  An optional stdlib-only
+HTTP front-end (:class:`ServingServer`) exposes the fleet as a JSON endpoint
+for the ``repro-study serve`` CLI subcommand (429 + ``Retry-After`` on shed,
+``/fleet`` status).
 """
 
-from .engine import BatchSettings, EngineClosedError, ServingEngine, ServingStats
 from .fleet import (
     REPLICA_BACKENDS,
     FleetSettings,
@@ -35,10 +33,6 @@ __all__ = [
     "ModelKey",
     "ServableModel",
     "ModelRegistry",
-    "BatchSettings",
-    "ServingStats",
-    "ServingEngine",
-    "EngineClosedError",
     "Router",
     "Chunk",
     "ShedError",

@@ -16,7 +16,9 @@ into ``N`` replicas behind a :class:`~repro.serve.router.Router`:
   (:class:`ThreadReplica`), or a forked child's recv → forward → send loop
   over the block mapping it inherited (:class:`ProcessReplica`).  Each
   replica's servables keep their own forward plans, one per chunk size,
-  built by that replica's first chunk of the size.
+  built by that replica's first chunk of the size.  One replica is a fleet
+  too: ``repro-study serve`` runs every replica count through this module,
+  and ``auto`` keeps a single replica in-process as a thread.
 - **Replicas are disposable.**  A health monitor evicts a replica whose
   process or worker died, or whose oldest dispatched request overran
   ``replica_deadline_s``, requeues everything it held (the router guarantees
@@ -25,7 +27,7 @@ into ``N`` replicas behind a :class:`~repro.serve.router.Router`:
 - **Responses are bitwise-stable.**  Replicas share the same weight bytes
   and inference runs under row-stable kernels, so a sample's logits are
   identical no matter which replica, chunk, or respawn served it — the
-  fleet equivalence tests pin fleet output against one-engine
+  fleet equivalence tests pin fleet output against one-at-a-time
   ``predict_logits``.
 
 Chaos hooks (``kill_replica``, ``slow_replica``) exist for the test and CI
@@ -50,14 +52,17 @@ import numpy as np
 
 from ..nn.shared import SharedBlock
 from ..telemetry import (
+    BATCH_SIZE_BUCKETS,
     LATENCY_BUCKETS_S,
     NULL,
+    Histogram,
     MetricsRegistry,
+    RecordingTelemetry,
     get_metrics,
     latency_summary_ms,
 )
 from .registry import PLAN_CAP, ModelKey, ModelRegistry, ServableModel
-from .router import Chunk, ReplicaGone, Router, ShedError
+from .router import SHED_POLICIES, Chunk, ReplicaGone, Router, ShedError
 
 __all__ = [
     "FleetSettings",
@@ -67,8 +72,8 @@ __all__ = [
 ]
 
 #: Replica backends: ``process`` forks children attaching the inherited
-#: shared blocks; ``thread`` keeps replicas in-process; ``auto`` prefers
-#: ``process`` where ``fork`` exists.
+#: shared blocks; ``thread`` keeps replicas in-process; ``auto`` runs one
+#: replica as a thread and more as processes where ``fork`` exists.
 REPLICA_BACKENDS = ("auto", "process", "thread")
 
 
@@ -127,7 +132,11 @@ def _deliver(router: Router, slot: int, generation: int, frame: tuple) -> None:
 
 
 class ThreadReplica:
-    """An in-process replica: one worker thread over shared-block views."""
+    """An in-process replica: one worker thread over shared-block views.
+
+    ``trace`` (optional) receives each chunk's recorded ``serve_batch`` span;
+    without it the worker records nothing.
+    """
 
     backend = "thread"
 
@@ -138,11 +147,13 @@ class ThreadReplica:
         template: ModelRegistry,
         blocks: "dict[ModelKey, SharedBlock]",
         router: Router,
+        trace=None,
     ) -> None:
         self.slot = slot
         self.generation = generation
         self.router = router
         self.pid = os.getpid()
+        self._trace = trace
         self.registry = ModelRegistry()
         for key in template.keys():
             self.registry.register(_attached_clone(template.get(key), blocks[key], _plan_cap(router)))
@@ -158,7 +169,23 @@ class ThreadReplica:
             chunk = self._inbox.get()
             if self._stopped.is_set():
                 return
-            _deliver(self.router, self.slot, self.generation, _run_chunk(self.registry, chunk))
+            if self._trace is None:
+                frame = _run_chunk(self.registry, chunk)
+            else:
+                frame = self._traced_chunk(chunk)
+            _deliver(self.router, self.slot, self.generation, frame)
+
+    def _traced_chunk(self, chunk: Chunk) -> tuple:
+        """:func:`_run_chunk` inside one ``serve_batch`` span, handed to ``trace``."""
+        recorder = RecordingTelemetry()
+        with recorder.span("serve_batch", model=chunk.key.id, batch=len(chunk)) as span:
+            started = time.perf_counter()
+            frame = _run_chunk(self.registry, chunk)
+            span.set(infer_s=time.perf_counter() - started)
+            if frame[0] == "err":
+                span.set(outcome="error", error=frame[2].partition(":")[0])
+        self._trace(recorder.drain())
+        return frame
 
     def send(self, chunk: Chunk) -> None:
         if self._stopped.is_set():
@@ -313,7 +340,11 @@ class ProcessReplica:
 
 @dataclass(frozen=True)
 class FleetSettings:
-    """Fleet-level knobs; ``chunk`` also caps a replica's forward batch."""
+    """Fleet-level knobs; ``chunk`` also caps a replica's forward batch.
+
+    The defaults are the library's two-replica fleet; ``repro-study serve``
+    asks for one replica unless ``--replicas`` says otherwise.
+    """
 
     replicas: int = 2
     backend: str = "auto"
@@ -328,10 +359,20 @@ class FleetSettings:
     max_respawns: int = 16
 
     def __post_init__(self) -> None:
+        # The router's own checks too: start() has packed the weights by the
+        # time it builds the router, so a bad value must fail here.
         if self.replicas < 1:
             raise ValueError("replicas must be >= 1")
         if self.chunk < 1:
             raise ValueError("chunk must be >= 1")
+        if self.max_queue < 1:
+            raise ValueError("max_queue must be >= 1")
+        if self.replica_cap < 1:
+            raise ValueError("replica_cap must be >= 1")
+        if self.shed_policy not in SHED_POLICIES:
+            raise ValueError(
+                f"unknown shed policy {self.shed_policy!r}; choose from {SHED_POLICIES}"
+            )
         if self.backend not in REPLICA_BACKENDS:
             raise ValueError(
                 f"unknown replica backend {self.backend!r}; choose from {REPLICA_BACKENDS}"
@@ -344,13 +385,12 @@ class FleetSettings:
             raise ValueError("max_respawns must be >= 0")
 
     def resolved_backend(self) -> str:
+        """``auto`` keeps a single replica in-process; more fork where possible."""
         if self.backend != "auto":
             return self.backend
-        return (
-            "process"
-            if "fork" in multiprocessing.get_all_start_methods()
-            else "thread"
-        )
+        if self.replicas > 1 and "fork" in multiprocessing.get_all_start_methods():
+            return "process"
+        return "thread"
 
 
 class _Slot:
@@ -378,7 +418,10 @@ class ServingFleet:
     shared blocks at :meth:`start`, and the template itself is kept pristine
     as the source for respawned replicas.  ``telemetry`` (optional) gets a
     root ``fleet`` span plus ``replica_evicted`` / ``replica_respawned``
-    events from the health monitor.
+    events from the health monitor, and one ``serve_batch`` span per chunk
+    a thread replica runs, written under the root span through one lock.
+    Process replicas send no spans.  A fleet is single-use: after
+    :meth:`close`, :meth:`start` and :meth:`submit` raise.
     """
 
     def __init__(
@@ -413,6 +456,9 @@ class ServingFleet:
 
     # -- lifecycle -----------------------------------------------------
     def start(self) -> "ServingFleet":
+        """Pack the weights, spawn the replicas and the health monitor (idempotent)."""
+        if self._stop.is_set():
+            raise RuntimeError("fleet closed; fleets are single-use, build a new one")
         if self._running:
             return self
         if self._root_span is None and self._telemetry is not NULL:
@@ -422,6 +468,7 @@ class ServingFleet:
                 backend=self._backend,
                 max_queue=self.settings.max_queue,
                 shed_policy=self.settings.shed_policy,
+                chunk=self.settings.chunk,
             )
             self._root_span.__enter__()
         for key in self.registry.keys():
@@ -445,8 +492,15 @@ class ServingFleet:
         return self
 
     def _spawn(self, position: int, generation: int) -> None:
-        cls = ProcessReplica if self._backend == "process" else ThreadReplica
-        handle = cls(position, generation, self.registry, self._blocks, self.router)
+        if self._backend == "process":
+            handle = ProcessReplica(
+                position, generation, self.registry, self._blocks, self.router
+            )
+        else:
+            trace = None if self._telemetry is NULL else self._write_batch
+            handle = ThreadReplica(
+                position, generation, self.registry, self._blocks, self.router, trace
+            )
         with self._lock:
             slot = self._slots.get(position)
             if slot is None:
@@ -503,12 +557,21 @@ class ServingFleet:
         with self._tel_lock:
             self._telemetry.event(name, **attrs)
 
+    def _write_batch(self, events: list) -> None:
+        """Funnel a replica's recorded span under the root span (dropped once closed)."""
+        with self._tel_lock:
+            if self._root_span is not None:
+                self._telemetry.write_batch(events, parent=self._root_span.id)
+
     def close(self) -> None:
-        """Evict everything, shed leftovers, release the shared blocks."""
+        """Evict everything, shed leftovers, release the shared blocks.
+
+        Closing is terminal, also for a fleet that never started.
+        """
+        self._stop.set()
         if not self._running:
             return
         self._running = False
-        self._stop.set()
         if self._health is not None:
             self._health.join(timeout=5)
             self._health = None
@@ -525,16 +588,16 @@ class ServingFleet:
         for block in self._blocks.values():
             block.close()
         self._blocks.clear()
-        if self._root_span is not None:
-            with self._tel_lock:
+        with self._tel_lock:
+            if self._root_span is not None:
                 self._telemetry.event(
                     "metrics_snapshot", metrics=self.metrics.snapshot()
                 )
-            self._root_span.set(
-                evictions=self._evictions.value, respawns=self._respawns.value
-            )
-            self._root_span.__exit__(None, None, None)
-            self._root_span = None
+                self._root_span.set(
+                    evictions=self._evictions.value, respawns=self._respawns.value
+                )
+                self._root_span.__exit__(None, None, None)
+                self._root_span = None
 
     def __enter__(self) -> "ServingFleet":
         return self.start()
@@ -556,6 +619,8 @@ class ServingFleet:
         admission control refuses the request.
         """
         if not self._running:
+            if self._stop.is_set():
+                raise RuntimeError("fleet closed; submit() followed close()")
             raise RuntimeError("fleet is not running (call start())")
         if isinstance(key, str):
             key = ModelKey.parse(key)
@@ -582,7 +647,7 @@ class ServingFleet:
         client: "str | None" = None,
         priority: int = 0,
     ) -> np.ndarray:
-        """Predict logits for one sample or a stack — the engine-compatible API.
+        """Predict logits for one sample or a stack.
 
         Samples are admitted individually (the equivalence unit), so the
         result is bitwise-identical however the router spreads them across
@@ -654,8 +719,14 @@ class ServingFleet:
         }
 
     def stats_snapshot(self) -> dict:
-        """The ``/stats`` payload in fleet mode: router + latency summary."""
+        """The ``/stats`` payload: router counts, latency and chunk-size summaries.
+
+        A batch is one router chunk, i.e. one replica forward pass.
+        """
         router = self.router.snapshot() if self.router else {}
+        sizes = self.metrics.get("fleet_batch_size")
+        if sizes is None:  # not started: the router registers it
+            sizes = Histogram("fleet_batch_size", BATCH_SIZE_BUCKETS)
         return {
             "requests": router.get("requests", 0),
             "accepted": router.get("accepted", 0),
@@ -664,6 +735,15 @@ class ServingFleet:
             "queued": router.get("queued", 0),
             "evictions": self._evictions.value,
             "respawns": self._respawns.value,
+            "batches": sizes.count,
+            "mean_batch": round(sizes.mean, 3),
             "latency_ms": latency_summary_ms(self._request_latency),
+            "batch_size": {
+                "p50": round(sizes.quantile(0.50), 3),
+                "p95": round(sizes.quantile(0.95), 3),
+                "p99": round(sizes.quantile(0.99), 3),
+                "counts": list(sizes.counts),
+                "buckets": list(sizes.bounds),
+            },
             "router": router,
         }

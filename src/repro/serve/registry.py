@@ -15,8 +15,8 @@ three ways:
 
 Inference goes through :meth:`ServableModel.predict_logits`, which runs in
 eval mode under ``no_grad`` and :func:`~repro.nn.functional.row_stable_inference`
-— the property that makes micro-batching (:mod:`repro.serve.engine`) safe:
-coalesced batches are bitwise-identical to one-at-a-time
+— the property that makes the fleet's router chunks (:mod:`repro.serve.fleet`)
+safe: a chunk's rows are bitwise-identical to one-at-a-time
 :func:`~repro.nn.trainer.predict_logits` calls.  Each call replays a
 *forward plan* (:class:`~repro.nn.compile.ForwardPlan`) recorded on the
 calling thread's first call with that input shape: the same bits as the
@@ -48,8 +48,8 @@ from ..telemetry import get_metrics, get_telemetry
 __all__ = ["ModelKey", "ServableModel", "ModelRegistry", "PLAN_CAP"]
 
 #: The fewest forward plans a servable keeps per thread, one per input shape,
-#: least recently used out first; an engine or fleet replica raises its
-#: servables' ``plan_cap`` to the largest batch it can send.
+#: least recently used out first; a fleet replica raises its servables'
+#: ``plan_cap`` to the largest chunk its router can send.
 PLAN_CAP = 8
 
 
@@ -89,7 +89,7 @@ class ServableModel:
     registration, so repeated predictions do not re-flush the kernel
     workspace), no gradient tape, row-stable kernels.  Access is not
     serialised here — forward passes only read weights, so any number of
-    engine worker threads may infer concurrently.
+    threads may infer concurrently.
 
     Each thread keeps its own forward plans, here on the servable rather than
     on the module (fleet thread replicas deep-copy modules): at most
@@ -108,7 +108,7 @@ class ServableModel:
         self.module = module.eval()
         self.source = source
         self.metadata = dict(metadata or {})
-        self.predictions = 0  # samples served (engine- or fleet-maintained tally)
+        self.predictions = 0  # samples served (the fleet's tally)
         self.plan_cap = plan_cap  # forward plans kept per thread
         self._local = threading.local()  # .plans: this thread's plans by shape
         self._plan_lock = threading.Lock()

@@ -1,20 +1,18 @@
-"""Stdlib HTTP front-end for the serving engine or a replicated fleet.
+"""Stdlib HTTP front-end for a serving fleet.
 
-A thin JSON endpoint over :class:`~repro.serve.engine.ServingEngine` or
-:class:`~repro.serve.fleet.ServingFleet`, built on
-``http.server.ThreadingHTTPServer`` only — no third-party web framework.  Each
-HTTP request thread submits its samples to the shared micro-batching backend,
-so concurrent clients' requests coalesce into batches exactly like in-process
-callers.
+A thin JSON endpoint over :class:`~repro.serve.fleet.ServingFleet` (one
+replica or many), built on ``http.server.ThreadingHTTPServer`` only — no
+third-party web framework.  Each HTTP request thread submits its samples to
+the fleet's router, so concurrent clients' requests share chunks exactly
+like in-process callers.
 
 Routes::
 
-    GET  /healthz   liveness + model count (+ healthy replicas in fleet mode)
+    GET  /healthz   liveness, model count and healthy replicas
     GET  /models    registry catalog (one summary dict per model)
-    GET  /stats     engine counters + latency/batch-size percentiles
-                    (router/latency summary in fleet mode)
+    GET  /stats     router counts + latency and chunk-size percentiles
     GET  /fleet     fleet status: replicas, generations, evictions, router
-                    queues (fleet mode only; 404 behind a single engine)
+                    queues
     GET  /metrics   live metrics registry — Prometheus text exposition
                     format by default, ``?format=json`` for the raw snapshot
     POST /predict   {"model": "<dataset/model/technique/fault>",
@@ -24,8 +22,8 @@ Routes::
 
 ``/predict`` accepts a single sample or a stack of samples as nested lists;
 the response carries per-sample rows plus the argmax labels.  Logits are
-bitwise-identical to one-at-a-time inference regardless of how the server
-coalesced them — or, in fleet mode, which replica served them.  ``client``
+bitwise-identical to one-at-a-time inference regardless of how the router
+chunked them or which replica served them.  ``client``
 (or an ``X-Client-Id`` header) and ``priority`` feed the fleet's fairness
 and priority admission; a shed request is answered ``429`` with a
 ``Retry-After`` header, never left hanging.
@@ -44,7 +42,6 @@ import numpy as np
 from ..log import get_logger
 from ..nn.functional import softmax_np
 from ..telemetry import get_metrics, render_prometheus
-from .engine import ServingEngine
 from .router import ShedError
 
 __all__ = ["ServingServer", "serve_forever"]
@@ -56,7 +53,7 @@ _MAX_BODY = 64 * 1024 * 1024
 
 
 class _Handler(BaseHTTPRequestHandler):
-    """One HTTP exchange; the backend and registry hang off ``self.server``."""
+    """One HTTP exchange; the fleet and registry hang off ``self.server``."""
 
     protocol_version = "HTTP/1.1"
     server: "ServingServer"
@@ -119,22 +116,16 @@ class _Handler(BaseHTTPRequestHandler):
         server = self.server
         path, _, query = self.path.partition("?")
         if path == "/healthz":
-            payload = {"status": "ok", "models": len(server.registry)}
-            if server.fleet is not None:
-                payload["replicas"] = server.fleet.healthy_replicas()
-            self._send_json(payload)
+            self._send_json({
+                "status": "ok", "models": len(server.registry),
+                "replicas": server.fleet.healthy_replicas(),
+            })
         elif path == "/models":
             self._send_json({"models": server.registry.describe()})
         elif path == "/stats":
-            self._send_json(server.stats_snapshot())
+            self._send_json(server.fleet.stats_snapshot())
         elif path == "/fleet":
-            if server.fleet is None:
-                self._send_json(
-                    {"error": "fleet mode not enabled (serving a single engine)"},
-                    status=404,
-                )
-            else:
-                self._send_json(server.fleet.describe())
+            self._send_json(server.fleet.describe())
         elif path == "/metrics":
             self._send_metrics(query)
         else:
@@ -173,7 +164,7 @@ class _Handler(BaseHTTPRequestHandler):
                 },
                 status=503,
             )
-        except Exception as exc:  # engine/inference failure
+        except Exception as exc:  # inference failure
             self._send_json(
                 {"error": f"{type(exc).__name__}: {exc}"}, status=500
             )
@@ -198,18 +189,12 @@ class _Handler(BaseHTTPRequestHandler):
                 f"(single sample) or {sample_ndim + 1} (stack) dims; "
                 f"got shape {inputs.shape}"
             )
-        if server.fleet is not None:
-            client = payload.get("client") or self.headers.get("X-Client-Id")
-            priority = int(payload.get("priority", 0))
-            logits = server.fleet.predict(
-                servable.key, inputs,
-                timeout=server.request_timeout_s,
-                client=client, priority=priority,
-            )
-        else:
-            logits = server.engine.predict(
-                servable.key, inputs, timeout=server.request_timeout_s
-            )
+        client = payload.get("client") or self.headers.get("X-Client-Id")
+        logits = server.fleet.predict(
+            servable.key, inputs,
+            timeout=server.request_timeout_s,
+            client=client, priority=int(payload.get("priority", 0)),
+        )
         rows = logits if logits.ndim == 2 else logits[None]
         out: dict = {
             "model": servable.key.id,
@@ -224,16 +209,15 @@ class _Handler(BaseHTTPRequestHandler):
 
 
 class ServingServer(ThreadingHTTPServer):
-    """HTTP server bound to one serving backend (engine or fleet).
+    """HTTP server bound to one :class:`~repro.serve.fleet.ServingFleet`.
 
-    ``backend`` is a started :class:`~repro.serve.engine.ServingEngine` or
-    :class:`~repro.serve.fleet.ServingFleet`; the server does not own its
-    lifecycle (the CLI composes backend + server and closes both).
+    ``fleet`` is started by the caller; the server does not own its
+    lifecycle (the CLI composes fleet + server and closes both).
 
     ``request_timeout_s`` bounds how long one ``/predict`` exchange may wait
-    on the backend before the handler answers 503 (service unavailable)
+    on the fleet before the handler answers 503 (service unavailable)
     instead of hanging its client; ``None`` disables the bound.  Shed
-    requests (fleet admission control) are answered 429 immediately.
+    requests (admission control) are answered 429 immediately.
     """
 
     daemon_threads = True
@@ -243,38 +227,24 @@ class ServingServer(ThreadingHTTPServer):
     request_queue_size = 512
 
     def __init__(
-        self, backend, host: str = "127.0.0.1", port: int = 8777,
+        self, fleet, host: str = "127.0.0.1", port: int = 8777,
         verbose: bool = False, request_timeout_s: "float | None" = 30.0,
     ) -> None:
         if request_timeout_s is not None and request_timeout_s <= 0:
             raise ValueError(
                 f"request_timeout_s must be positive or None; got {request_timeout_s}"
             )
-        is_engine = isinstance(backend, ServingEngine)
-        self.engine: "ServingEngine | None" = backend if is_engine else None
-        self.fleet = None if is_engine else backend
-        self.registry = backend.registry
+        self.fleet = fleet
+        self.registry = fleet.registry
         self.verbose = verbose
         self.request_timeout_s = request_timeout_s
         super().__init__((host, port), _Handler)
 
-    @property
-    def metrics_registry(self):
-        """The backend's own metrics registry (the ``/metrics`` fallback)."""
-        if self.fleet is not None:
-            return self.fleet.metrics
-        return self.engine.stats.registry
-
     def exported_metrics(self):
         """The registry ``/metrics`` exports: the process-global one when live
-        metrics are on (training + serving together), else the backend's."""
+        metrics are on (training + serving together), else the fleet's."""
         active = get_metrics()
-        return active if active.enabled else self.metrics_registry
-
-    def stats_snapshot(self) -> dict:
-        if self.fleet is not None:
-            return self.fleet.stats_snapshot()
-        return self.engine.stats.snapshot()
+        return active if active.enabled else self.fleet.metrics
 
     @property
     def url(self) -> str:
@@ -283,19 +253,20 @@ class ServingServer(ThreadingHTTPServer):
 
 
 def serve_forever(
-    backend, host: str = "127.0.0.1", port: int = 8777,
+    fleet, host: str = "127.0.0.1", port: int = 8777,
     verbose: bool = False, ready: "threading.Event | None" = None,
     request_timeout_s: "float | None" = 30.0,
 ) -> ServingServer:
     """Run the HTTP endpoint until ``/shutdown`` or interrupt.
 
-    ``backend`` is a started engine or fleet.  ``ready`` (optional) is set
-    once the socket is bound and the URL is known — tests and the smoke job
-    use it to avoid polling for startup.  ``request_timeout_s`` is the
-    per-request 503 bound (see :class:`ServingServer`).
+    ``fleet`` is a started :class:`~repro.serve.fleet.ServingFleet`.
+    ``ready`` (optional) is set once the socket is bound and the URL is
+    known — tests and the smoke job use it to avoid polling for startup.
+    ``request_timeout_s`` is the per-request 503 bound (see
+    :class:`ServingServer`).
     """
     server = ServingServer(
-        backend, host=host, port=port, verbose=verbose,
+        fleet, host=host, port=port, verbose=verbose,
         request_timeout_s=request_timeout_s,
     )
     if ready is not None:

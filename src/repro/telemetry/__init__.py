@@ -2,7 +2,7 @@
 
 A cross-cutting layer over the whole pipeline: :mod:`repro.nn` training
 loops, the :mod:`repro.experiments` runner/resilience/executor stack, the
-serving engine, and the CLI all emit structured JSONL trace events through
+serving fleet, and the CLI all emit structured JSONL trace events through
 a process-global :class:`Telemetry` handle (span timers, counters, gauges)
 and live metrics through a process-global :class:`MetricsRegistry`
 (counters, gauges, bucketed histograms) — both disabled by default at zero

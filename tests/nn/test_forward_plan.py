@@ -26,15 +26,7 @@ from repro.nn.compile import CompileError
 from repro.nn.functional import batch_norm_2d, kernel_tap_scope, row_stable_inference
 from repro.nn.shared import SharedBlock
 from repro.nn.tape import Tape, tape_scope
-from repro.serve import (
-    BatchSettings,
-    FleetSettings,
-    ModelKey,
-    ModelRegistry,
-    ServableModel,
-    ServingEngine,
-    ServingFleet,
-)
+from repro.serve import FleetSettings, ModelKey, ModelRegistry, ServableModel, ServingFleet
 from repro.serve.registry import PLAN_CAP
 from repro.telemetry import (
     MetricsRegistry,
@@ -402,21 +394,6 @@ def _feed_every_size(servable: ServableModel, module: Module, submit, held_lock)
 
 
 class TestPlanCapFollowsTheBatchCap:
-    def test_engine_keeps_a_plan_per_batch_size(self):
-        module = _model("convnet")
-        registry = ModelRegistry()
-        servable = registry.register(_servable(module))
-        settings = BatchSettings(max_batch_size=BATCH_CAP, max_latency_ms=0.0)
-        with ServingEngine(registry, settings) as engine:
-            stats = _feed_every_size(
-                servable, module, lambda x: engine.submit(servable.key, x), engine._cond
-            )
-        assert servable.plan_cap == BATCH_CAP
-        assert stats == [
-            {"built": BATCH_CAP, "replays": 0, "fallbacks": {}},
-            {"built": BATCH_CAP, "replays": BATCH_CAP, "fallbacks": {}},
-        ]
-
     def test_thread_fleet_keeps_a_plan_per_chunk_size(self):
         module = _model("convnet")
         registry = ModelRegistry()
@@ -436,8 +413,7 @@ class TestPlanCapFollowsTheBatchCap:
     def test_default_cap_stays_put(self):
         registry = ModelRegistry()
         servable = registry.register(_servable(_model("convnet")))
-        with ServingEngine(registry, BatchSettings()) as engine:
-            engine.predict(servable.key, _batch("convnet", 2, 0))
         with ServingFleet(registry, FleetSettings(replicas=1, backend="thread")) as fleet:
+            fleet.predict(servable.key, _batch("convnet", 2, 0))
             replica = fleet._slots[0].handle.registry.get(servable.key)
         assert servable.plan_cap == replica.plan_cap == PLAN_CAP == 8

@@ -6,11 +6,23 @@ import numpy as np
 import pytest
 
 from repro.models.registry import build_model
+from repro.nn import Module, Parameter
 from repro.serve import ModelKey, ModelRegistry
 
 IMAGE_SHAPE = (3, 8, 8)
 NUM_CLASSES = 10
 KEY = ModelKey(model="convnet", dataset="gtsrb")
+
+
+class Exploding(Module):
+    """A servable model whose forward pass always raises."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.weight = Parameter(np.zeros(1, dtype=np.float32))
+
+    def forward(self, x):
+        raise ValueError("forward exploded")
 
 
 @pytest.fixture(scope="module")

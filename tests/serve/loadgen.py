@@ -7,7 +7,7 @@ The same schedules drive three consumers:
 
 - the chaos tests in ``tests/serve/test_fleet.py`` (kill a replica mid-run,
   assert zero lost accepted requests),
-- ``benchmarks/bench_fleet.py`` (single-engine baseline vs N-replica fleet),
+- ``benchmarks/bench_fleet.py`` (single-replica baseline vs N-replica fleet),
 - the CI ``fleet-smoke`` job (hundreds of concurrent HTTP connections
   against a ``repro-study serve --replicas`` process).
 

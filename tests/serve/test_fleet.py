@@ -1,7 +1,7 @@
 """Fleet tests: shared weights, bitwise equivalence, chaos, and HTTP 429s.
 
-The chaos suite is the PR's test-archetype core: kill a replica mid-traffic
-(thread backend: abrupt engine close; process backend: SIGKILL) and assert
+The chaos suite is the core: kill a replica mid-traffic (thread backend:
+its worker stops taking chunks; process backend: SIGKILL) and assert
 the invariants the router guarantees — **zero lost accepted requests** and
 **bitwise-identical responses** no matter which replica, batch, or respawn
 served a sample.
@@ -9,13 +9,13 @@ served a sample.
 
 from __future__ import annotations
 
+import multiprocessing
 import threading
 import time
 
 import numpy as np
 import pytest
 
-from repro.nn import Module, Parameter
 from repro.nn.shared import SharedBlock
 from repro.serve import (
     FleetSettings,
@@ -27,7 +27,7 @@ from repro.serve import (
 )
 from repro.telemetry import MetricsRegistry, metrics_scope
 
-from .conftest import KEY, NUM_CLASSES
+from .conftest import KEY, NUM_CLASSES, Exploding
 from .loadgen import FleetTarget, make_schedule, run_closed_loop
 
 
@@ -35,17 +35,6 @@ def make_fleet(registry, **kwargs) -> ServingFleet:
     defaults = dict(replicas=2, backend="thread", health_interval_s=0.05)
     defaults.update(kwargs)
     return ServingFleet(registry, FleetSettings(**defaults))
-
-
-class Exploding(Module):
-    """A servable model whose forward pass always raises."""
-
-    def __init__(self) -> None:
-        super().__init__()
-        self.weight = Parameter(np.zeros(1, dtype=np.float32))
-
-    def forward(self, x):
-        raise ValueError("forward exploded")
 
 
 # ----------------------------------------------------------------------
@@ -353,6 +342,28 @@ class TestFleetAdmission:
             fleet.submit(KEY, inputs[0])
 
 
+class TestFleetLifecycle:
+    def test_close_is_terminal(self, registry, inputs):
+        # A restarted fleet would run its replicas with no health monitor
+        # (close() stopped it for good), so start() after close() refuses,
+        # and submit() says the fleet is closed rather than "call start()".
+        fleet = make_fleet(registry, replicas=1).start()
+        fleet.close()
+        with pytest.raises(RuntimeError, match="closed"):
+            fleet.start()
+        with pytest.raises(RuntimeError, match="closed"):
+            fleet.submit(KEY, inputs[0])
+        assert fleet.healthy_replicas() == 0
+
+    def test_auto_backend_keeps_one_replica_in_process(self):
+        assert FleetSettings(replicas=1).resolved_backend() == "thread"
+        assert FleetSettings(replicas=1, backend="process").resolved_backend() == "process"
+        forks = "fork" in multiprocessing.get_all_start_methods()
+        assert FleetSettings(replicas=2).resolved_backend() == (
+            "process" if forks else "thread"
+        )
+
+
 # ----------------------------------------------------------------------
 # HTTP surface (fleet mode)
 # ----------------------------------------------------------------------
@@ -506,7 +517,7 @@ class TestFleetHTTP:
     @pytest.mark.parametrize("backend", ["thread", "process"])
     def test_models_counts_fleet_predictions(self, registry, inputs, backend):
         # Replicas infer on clones or in children; /models describes the
-        # template, which the fleet counts, like a single engine does.
+        # template, which the fleet counts.
         fleet = make_fleet(registry, replicas=2, backend=backend).start()
         server = ServingServer(fleet, port=0)
         thread = threading.Thread(

@@ -1,7 +1,8 @@
 """HTTP endpoint tests: routes, JSON shapes, error paths, concurrency.
 
 The server binds to port 0 (OS-assigned) so tests never collide with a real
-service or each other.  Responses on ``/predict`` must carry the same
+service or each other, in front of what ``serve`` runs by default: a fleet
+of one thread replica.  Responses on ``/predict`` must carry the same
 bitwise logits as in-process inference — the HTTP layer adds JSON transport,
 not numerics.
 """
@@ -16,18 +17,21 @@ import urllib.request
 import numpy as np
 import pytest
 
-from repro.serve import BatchSettings, ServingEngine
+from repro.serve import FleetSettings, ServingFleet
 from repro.serve.server import ServingServer
 
 from .conftest import KEY
 
 
+def single_replica(registry) -> ServingFleet:
+    """``serve``'s defaults: one replica (a thread under ``auto``), chunk 8."""
+    return ServingFleet(registry, FleetSettings(replicas=1))
+
+
 @pytest.fixture()
 def server(registry):
-    engine = ServingEngine(
-        registry, BatchSettings(max_batch_size=8, max_latency_ms=3.0, workers=2)
-    ).start()
-    http = ServingServer(engine, port=0)
+    fleet = single_replica(registry).start()
+    http = ServingServer(fleet, port=0)
     thread = threading.Thread(
         target=http.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
     )
@@ -38,7 +42,7 @@ def server(registry):
         http.shutdown()
         thread.join(timeout=5)
         http.server_close()
-        engine.close()
+        fleet.close()
 
 
 def get(server: ServingServer, path: str) -> dict:
@@ -67,7 +71,7 @@ def post_error(server: ServingServer, path: str, payload: dict) -> tuple[int, di
 
 class TestRoutes:
     def test_healthz(self, server):
-        assert get(server, "/healthz") == {"status": "ok", "models": 1}
+        assert get(server, "/healthz") == {"status": "ok", "models": 1, "replicas": 1}
 
     def test_models_catalog(self, server):
         payload = get(server, "/models")
@@ -76,6 +80,11 @@ class TestRoutes:
     def test_stats_shape(self, server):
         stats = get(server, "/stats")
         assert {"requests", "batches", "errors", "mean_batch"} <= set(stats)
+
+    def test_fleet_of_one(self, server):
+        payload = get(server, "/fleet")
+        assert payload["backend"] == "thread"
+        assert [r["alive"] for r in payload["replicas"]] == [True]
 
     def test_unknown_path_404(self, server):
         with pytest.raises(urllib.error.HTTPError) as excinfo:
@@ -171,26 +180,26 @@ class TestMetricsEndpoint:
             assert response.headers["Content-Type"].startswith("text/plain")
             text = response.read().decode("utf-8")
         parsed = parse_prometheus_text(text)  # validates +Inf buckets, counts
-        assert parsed["serve_requests_total"]["value"] >= 4
-        assert parsed["serve_batches_total"]["value"] >= 1
-        assert parsed["serve_errors_total"]["value"] == 0
-        latency = parsed["serve_request_latency_seconds"]
+        assert parsed["fleet_requests_total"]["value"] >= 4
+        assert parsed["fleet_batch_size"]["count"] >= 1
+        assert parsed["fleet_errors_total"]["value"] == 0
+        latency = parsed["fleet_request_latency_seconds"]
         assert latency["type"] == "histogram"
         assert latency["count"] >= 4
-        assert f'serve_request_latency_seconds_bucket{{le="+Inf"}}' in text
+        assert f'fleet_request_latency_seconds_bucket{{le="+Inf"}}' in text
 
     def test_metrics_json(self, server, inputs):
         post(server, "/predict", {"model": KEY.id, "inputs": inputs[:2].tolist()})
         snapshot = get(server, "/metrics?format=json")
-        assert snapshot["serve_requests_total"]["type"] == "counter"
-        assert snapshot["serve_requests_total"]["value"] >= 2
-        hist = snapshot["serve_request_latency_seconds"]
+        assert snapshot["fleet_requests_total"]["type"] == "counter"
+        assert snapshot["fleet_requests_total"]["value"] >= 2
+        hist = snapshot["fleet_request_latency_seconds"]
         assert hist["type"] == "histogram"
         assert hist["count"] == sum(hist["counts"])
         assert len(hist["counts"]) == len(hist["buckets"]) + 1  # +Inf overflow
 
     def test_stats_percentiles_match_histogram(self, server, inputs):
-        """/stats p50/p95/p99 come from the same histogram /metrics serves."""
+        """/stats p50/p95/p99 come from the same histograms /metrics serves."""
         from repro.telemetry import Histogram, latency_summary_ms
 
         post(server, "/predict", {"model": KEY.id, "inputs": inputs[:8].tolist()})
@@ -198,10 +207,10 @@ class TestMetricsEndpoint:
         assert {"p50_ms", "p95_ms", "p99_ms"} == set(stats["latency_ms"])
         assert {"p50", "p95", "p99", "counts", "buckets"} <= set(stats["batch_size"])
 
-        # Rebuild the histogram from the served snapshot and recompute the
-        # summary with the shared implementation — they must agree exactly.
+        # Rebuild the histograms from the served snapshot and recompute the
+        # summaries with the shared implementation — they must agree exactly.
         snapshot = get(server, "/metrics?format=json")
-        served = snapshot["serve_request_latency_seconds"]
+        served = snapshot["fleet_request_latency_seconds"]
         hist = Histogram("rebuilt", buckets=served["buckets"])
         hist.merge(served)
         rebuilt = latency_summary_ms(hist)
@@ -209,70 +218,46 @@ class TestMetricsEndpoint:
         # GETs only if another test ran concurrently; the suite is serial, so
         # the snapshots agree.
         assert stats["latency_ms"] == rebuilt
-
-
-class _SleepyModule:
-    """Duck-typed module whose forward stalls long enough to trip timeouts.
-
-    The stall ends when ``release`` is set, or after ``delay_s`` at most.
-    """
-
-    def __init__(self, delay_s: float) -> None:
-        self.delay_s = delay_s
-        self.release = threading.Event()
-
-    def eval(self) -> "_SleepyModule":
-        return self
-
-    def num_parameters(self) -> int:
-        return 0
-
-    def __call__(self, tensor):
-        self.release.wait(self.delay_s)
-        return tensor
+        sizes = snapshot["fleet_batch_size"]
+        assert stats["batch_size"]["counts"] == sizes["counts"]
+        assert stats["batch_size"]["buckets"] == sizes["buckets"]
+        assert stats["batches"] == sizes["count"] >= 1
+        assert sum(sizes["counts"]) == sizes["count"]
 
 
 class TestRequestTimeout:
-    def test_slow_prediction_returns_503(self, inputs):
-        from repro.serve import ModelKey, ModelRegistry
-
-        key = ModelKey(model="sleepy", dataset="gtsrb")
-        reg = ModelRegistry()
-        sleepy = _SleepyModule(delay_s=2.0)
-        reg.register_module(key, sleepy)
-        engine = ServingEngine(
-            reg, BatchSettings(max_batch_size=8, max_latency_ms=1.0, workers=1)
-        ).start()
-        http = ServingServer(engine, port=0, request_timeout_s=0.1)
+    def test_slow_prediction_returns_503(self, registry, inputs):
+        fleet = single_replica(registry).start()
+        fleet.slow_replica(0, delay_s=2.0)  # every forward stalls, until close
+        http = ServingServer(fleet, port=0, request_timeout_s=0.1)
         thread = threading.Thread(
             target=http.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
         )
         thread.start()
         try:
             code, body = post_error(
-                http, "/predict", {"model": key.id, "inputs": inputs[0].tolist()}
+                http, "/predict", {"model": KEY.id, "inputs": inputs[0].tolist()}
             )
             assert code == 503
             assert "timed out" in body["error"]
             # The server survives the timeout and keeps answering.
             assert get(http, "/healthz")["status"] == "ok"
         finally:
-            sleepy.release.set()
             http.shutdown()
             thread.join(timeout=5)
             http.server_close()
-            engine.close()
+            fleet.close()
 
     def test_timeout_validation(self, registry):
-        engine = ServingEngine(registry, BatchSettings(max_latency_ms=1.0))
+        fleet = single_replica(registry)
         with pytest.raises(ValueError, match="request_timeout_s"):
-            ServingServer(engine, port=0, request_timeout_s=0.0)
+            ServingServer(fleet, port=0, request_timeout_s=0.0)
 
 
 class TestShutdown:
     def test_shutdown_route_stops_the_server(self, registry):
-        engine = ServingEngine(registry, BatchSettings(max_latency_ms=1.0)).start()
-        http = ServingServer(engine, port=0)
+        fleet = single_replica(registry).start()
+        http = ServingServer(fleet, port=0)
         thread = threading.Thread(
             target=http.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
         )
@@ -283,4 +268,4 @@ class TestShutdown:
             assert not thread.is_alive()
         finally:
             http.server_close()
-            engine.close()
+            fleet.close()

@@ -110,28 +110,31 @@ class TestParser:
         assert args.state is None
         assert args.port == 8777
         assert args.max_batch_size == 8
-        assert args.max_latency_ms == 2.0
-        assert args.serve_workers == 2
+        assert args.replicas == 1
+        assert args.replica_backend == "auto"
 
     def test_serve_flags(self):
         args = build_parser().parse_args([
             "serve", "--dataset", "pneumonia", "--fault", "mislabelling@30%",
             "--state", "model.npz", "--port", "9000",
-            "--max-batch-size", "16", "--max-latency-ms", "5.5",
-            "--serve-workers", "4", "--trace", "out/serve.jsonl",
+            "--max-batch-size", "16", "--trace", "out/serve.jsonl",
         ])
         assert args.dataset == "pneumonia"
         assert args.fault == "mislabelling@30%"
         assert args.state == "model.npz"
         assert args.port == 9000
         assert args.max_batch_size == 16
-        assert args.max_latency_ms == 5.5
-        assert args.serve_workers == 4
         assert args.trace == "out/serve.jsonl"
+
+    @pytest.mark.parametrize("flag", ["--max-latency-ms", "--serve-workers"])
+    def test_serve_has_no_fill_wait_or_worker_flags(self, flag, capsys):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["serve", flag, "2"])
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_serve_max_batch_size_is_the_fleet_chunk(self):
         from repro.cli import _serve_settings
-        from repro.serve import BatchSettings, FleetSettings
+        from repro.serve import FleetSettings
 
         parse = build_parser().parse_args
         fleet = _serve_settings(parse(["serve", "--replicas", "3"]))
@@ -139,11 +142,22 @@ class TestParser:
         assert (fleet.replicas, fleet.chunk) == (3, 8)
         fleet = _serve_settings(parse(["serve", "--replicas", "2", "--max-batch-size", "16"]))
         assert fleet.chunk == 16
-        engine = _serve_settings(parse(["serve", "--max-batch-size", "16"]))
-        assert isinstance(engine, BatchSettings)
-        assert (engine.max_batch_size, engine.max_latency_ms, engine.workers) == (16, 2.0, 2)
+        single = _serve_settings(parse(["serve", "--max-batch-size", "16"]))
+        assert isinstance(single, FleetSettings)
+        assert (single.replicas, single.chunk, single.resolved_backend()) == (1, 16, "thread")
         with pytest.raises(ValueError, match="chunk"):
             _serve_settings(parse(["serve", "--replicas", "2", "--max-batch-size", "0"]))
+
+    def test_serve_fleet_flags_apply_to_one_replica(self):
+        from repro.cli import _serve_settings
+
+        single = _serve_settings(build_parser().parse_args([
+            "serve", "--max-queue", "4", "--shed-policy", "evict-lowest",
+            "--client-rate", "5", "--replica-deadline", "3",
+        ]))
+        assert single.replicas == 1
+        assert (single.max_queue, single.shed_policy) == (4, "evict-lowest")
+        assert (single.client_rate, single.replica_deadline_s) == (5.0, 3.0)
 
 
 class TestMain:
@@ -350,7 +364,22 @@ class TestMain:
             "--max-batch-size", "0",
         ])
         assert code == 2
-        assert "max_batch_size" in capsys.readouterr().err
+        assert "chunk" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--replicas", "0"], "replicas must be >= 1"),
+        (["--replicas", "-2"], "replicas must be >= 1"),
+        (["--max-queue", "0"], "max_queue must be >= 1"),
+    ])
+    def test_serve_invalid_fleet_settings_are_exit_2(self, flags, message, capsys):
+        # Refused before the re-fit, for one replica as for many.
+        from repro.cli import _serve_settings
+
+        argv = ["serve", "--dataset", "pneumonia", *flags]
+        with pytest.raises(ValueError, match=message):
+            _serve_settings(build_parser().parse_args(argv))
+        assert main(argv) == 2
+        assert message in capsys.readouterr().err
 
     def test_serve_end_to_end_smoke(self, capsys, monkeypatch):
         """Train, serve over HTTP, predict, shut down — the whole path."""
@@ -365,7 +394,7 @@ class TestMain:
         thread = threading.Thread(
             target=lambda: codes.update(code=main([
                 "serve", "--dataset", "pneumonia", "--model", "convnet",
-                "--port", str(port), "--max-latency-ms", "1",
+                "--port", str(port),
             ])),
             daemon=True,
         )
@@ -392,6 +421,10 @@ class TestMain:
             payload = json.loads(response.read())
         assert payload["count"] == 1
         assert payload["labels"][0] in (0, 1)
+        with urllib.request.urlopen(url + "/fleet", timeout=10) as response:
+            fleet = json.loads(response.read())
+        assert fleet["backend"] == "thread"  # one replica stays in-process
+        assert [r["alive"] for r in fleet["replicas"]] == [True]
         shutdown = urllib.request.Request(
             url + "/shutdown", data=b"{}", method="POST"
         )
