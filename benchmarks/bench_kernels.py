@@ -19,7 +19,15 @@ Times the vectorized (``fast``) kernels against their baselines and writes
   the argmax) on ReLU outputs: the hardware campaign's two batch-64 pooling
   inputs (gated) and a one-image request (report-only), plus a training
   forward+backward row, where the argmax is taken, against ``reference``
-  mode (report-only).
+  mode (report-only);
+* ``small_map`` — training batch norm and depthwise convolution, forward
+  and backward, in fast mode, with the small-map form against the NumPy
+  form the same call takes when ``_SMALL_MAP_MIN_MAPS`` rules it out: 2x2
+  maps of the ensemble's batch 32 at 96 and 192 channels (gated), 2x2 steps
+  either side of each op's break-even (report-only: the numbers behind the
+  floor), and 16x16 controls that no small-map form touches (report-only).
+  Where NumPy sums in other orders (``_orders_copied``) no form runs and
+  nothing is gated.
 
 The CI smoke gate is 1.2x so container timing noise cannot flake the job.
 """
@@ -33,15 +41,18 @@ import numpy as np
 
 from bench_common import write_bench_json
 from repro.nn import Tensor, no_grad, use_kernel_mode
+from repro.nn import functional as F
 from repro.nn.functional import (
     col2im,
     col2im_reference,
+    depthwise_conv2d,
     im2col,
     im2col_reference,
     log_softmax,
     max_pool2d,
     softmax_cross_entropy,
 )
+from repro.nn.layers import BatchNorm2D
 
 GATE_MIN_SPEEDUP = 1.2
 
@@ -65,6 +76,22 @@ POOL_SHAPES = [
     ("pool2x2_1x8x16x16", (1, 8, 16, 16), False),
 ]
 POOL_TRAIN_SHAPE = (32, 8, 16, 16)
+
+#: (label, op, (n, c, h, w), gated) — training steps: MobileNet's deepest
+#: 2x2 maps at batch 32, 2x2 steps either side of each op's break-even, then
+#: wide controls.
+SMALL_MAP_SHAPES = [
+    ("bn_train_2x2_c96", "bn", (32, 96, 2, 2), True),
+    ("bn_train_2x2_c192", "bn", (32, 192, 2, 2), True),
+    ("depthwise_2x2_c96", "depthwise", (32, 96, 2, 2), True),
+    ("depthwise_2x2_c192", "depthwise", (32, 192, 2, 2), True),
+    ("bn_train_2x2_maps512", "bn", (32, 16, 2, 2), False),
+    ("bn_train_2x2_maps768", "bn", (32, 24, 2, 2), False),
+    ("depthwise_2x2_maps128", "depthwise", (32, 4, 2, 2), False),
+    ("depthwise_2x2_maps256", "depthwise", (32, 8, 2, 2), False),
+    ("bn_train_16x16_c12", "bn", (32, 12, 16, 16), False),
+    ("depthwise_16x16_c12", "depthwise", (32, 12, 16, 16), False),
+]
 
 
 def _best_ms(fn, reps: int = 10) -> float:
@@ -197,6 +224,53 @@ def _bench_max_pool2d() -> dict:
     return section
 
 
+def _train_step(op: str, shape, rng):
+    """One forward+backward of training batch norm or a padded 3x3
+    depthwise convolution on ``shape``."""
+    x = rng.normal(size=shape).astype(np.float32)
+    grad = rng.normal(size=shape).astype(np.float32)
+    if op == "bn":
+        bn = BatchNorm2D(shape[1])
+
+        def step():
+            images = Tensor(x, requires_grad=True)
+            bn(images).backward(grad)
+
+        return step
+    w = rng.normal(size=(shape[1], 1, 3, 3)).astype(np.float32)
+
+    def step():
+        images, weight = Tensor(x, requires_grad=True), Tensor(w, requires_grad=True)
+        depthwise_conv2d(images, weight, None, stride=1, padding=1).backward(grad)
+
+    return step
+
+
+def _bench_small_map() -> dict:
+    rng = np.random.default_rng(5)
+    floor = F._SMALL_MAP_MIN_MAPS
+    section = {}
+    for label, op, shape, gated in SMALL_MAP_SHAPES:
+        step = _train_step(op, shape, rng)
+        times = {}
+        try:
+            for form, min_maps in (("small_map", 1), ("numpy", 1 << 62)):
+                F._SMALL_MAP_MIN_MAPS = min_maps
+                times[form] = _best_ms(step, reps=20)
+        finally:
+            F._SMALL_MAP_MIN_MAPS = floor
+        n, c, h, w = shape
+        section[label] = {
+            "small_map_ms": round(times["small_map"], 4),
+            "numpy_ms": round(times["numpy"], 4),
+            "speedup": round(times["numpy"] / times["small_map"], 3),
+            "maps": n * c,
+            "takes_small_map": 1 < h * w < F._SMALL_MAP and n * c >= floor,
+            "gated": gated and F._orders_copied(),
+        }
+    return section
+
+
 def test_kernel_perf():
     payload = {
         "gate_min_speedup": GATE_MIN_SPEEDUP,
@@ -204,6 +278,7 @@ def test_kernel_perf():
         "col2im": _bench_col2im(),
         "fused_loss": _bench_fused_loss(),
         "max_pool2d": _bench_max_pool2d(),
+        "small_map": _bench_small_map(),
     }
     out = write_bench_json("BENCH_kernel_perf.json", "kernel_perf", payload)
     print(f"\n{json.dumps(payload, indent=2)}\n[saved to {out}]")
@@ -216,3 +291,7 @@ def test_kernel_perf():
     for label, row in payload["max_pool2d"].items():
         if row["gated"]:
             assert row["speedup"] >= GATE_MIN_SPEEDUP, f"max_pool2d {label}: {row}"
+    # small_map: the 2x2 training steps' small-map forms must beat NumPy's form.
+    for label, row in payload["small_map"].items():
+        if row["gated"]:
+            assert row["speedup"] >= GATE_MIN_SPEEDUP, f"small_map {label}: {row}"

@@ -13,11 +13,14 @@ code by :class:`use_kernel_mode` (an :mod:`repro.nn.context` scope):
 ``fast`` (default)
     Vectorised patch extraction — a flat-index gather on narrow maps and
     ``numpy.lib.stride_tricks.sliding_window_view`` on wide ones (see
-    :func:`im2col`) — the fused :func:`softmax_cross_entropy` tape node, and
-    scratch-buffer reuse through :mod:`repro.nn.workspace`.
+    :func:`im2col`) — the fused :func:`softmax_cross_entropy` tape node, the
+    small-map forms of training batch norm and depthwise convolution (see
+    :func:`_small_map`), and scratch-buffer reuse through
+    :mod:`repro.nn.workspace`.
 ``reference``
-    The loop-based patch extraction and the composed (unfused) loss, with no
-    buffer reuse.  ``reference`` and ``fast`` share every GEMM shape and every
+    The loop-based patch extraction, the composed (unfused) loss, and
+    NumPy's own channel sums and depthwise einsums, with no buffer reuse.
+    ``reference`` and ``fast`` share every GEMM shape and every
     floating-point operation order, so they produce **bitwise-identical**
     forward values and gradients — this is what lets the study harness swap
     kernels without perturbing a single result (``results_equivalent`` does
@@ -417,6 +420,29 @@ def _fold_index(c: int, h: int, w: int, kh: int, kw: int, stride: int, padding: 
     return index
 
 
+@functools.lru_cache(maxsize=128)
+def _offset_major_index(c: int, h: int, w: int, kh: int, kw: int, stride: int, padding: int):
+    """:func:`_unfold_index` and :func:`_fold_index` for offset-major patches.
+
+    The small-map depthwise form lays each sample's patches out as
+    ``(KH*KW, C, OH*OW)`` instead of im2col's ``(C, KH*KW, OH*OW)``, so the
+    per-offset products run over whole ``(C, OH*OW)`` planes.  Returns the
+    unfold index in that order and the fold index pointing into it (the
+    zero column stays last).  Read-only and shared like the two it permutes.
+    """
+    kk = kh * kw
+    ohw = conv_output_size(h, kh, stride, padding) * conv_output_size(w, kw, stride, padding)
+    unfold = _unfold_index(c, h, w, kh, kw, stride, padding)
+    unfold = unfold.reshape(c, kk, ohw).transpose(1, 0, 2).ravel()
+    fold = _fold_index(c, h, w, kh, kw, stride, padding)
+    ch, rest = np.divmod(fold, kk * ohw)
+    k, p = np.divmod(rest, ohw)
+    fold = np.where(fold == c * kk * ohw, fold, (k * c + ch) * ohw + p)
+    unfold.flags.writeable = False
+    fold.flags.writeable = False
+    return unfold, fold
+
+
 def _gather_patches(
     images: np.ndarray, index: np.ndarray, out: np.ndarray, rows: np.ndarray | None
 ) -> np.ndarray:
@@ -644,9 +670,165 @@ def _scratch(ctx: OpCtx, ws: Workspace | None, key: str, shape, dtype) -> np.nda
     return ws.acquire(shape, dtype) if ws is not None else ctx.buffer(key, shape, dtype)
 
 
+# ----------------------------------------------------------------------
+# Small-map forms (training batch norm, depthwise convolution)
+# ----------------------------------------------------------------------
+#: Maps with more than one and fewer than this many pixels take the
+#: small-map forms of training batch norm and depthwise convolution in the
+#: fast modes.  On such a map NumPy runs each channel reduction, each
+#: ``(1, C, 1, 1)`` broadcast and each depthwise einsum as one inner loop of
+#: H·W elements per sample and channel, so its per-loop overhead dominates;
+#: the small-map forms run C·H·W-long loops over the same element pairs, in
+#: NumPy's own summation order.  The 8 is not tuned: below 8 elements
+#: NumPy's pairwise sum adds in order and einsum's 4-lane sum of products
+#: runs one pass per lane, and at 8 both change order.
+#:
+#: Those are the loops of a NumPy built for the x86-64 baseline (SSE): 4
+#: float32 lanes, each product rounded before it is added.  Builds whose
+#: einsum fuses the multiply and add (an FMA baseline, or aarch64's NEON) or
+#: runs wider lanes round the depthwise sums differently, with no NaN to
+#: show it, so no form is taken until :func:`_orders_copied` has checked the
+#: copied orders against this NumPy.
+_SMALL_MAP = 8
+#: The small-map forms make more NumPy calls per pass, so they also need
+#: this many maps (samples × channels) to pay: training batch norm's form
+#: broke even between 512 and 768 maps on 2x2 inputs, depthwise
+#: convolution's near 128 (``benchmarks/bench_kernels.py``'s ``small_map``
+#: rows).
+_SMALL_MAP_MIN_MAPS = 768
+
+
+def _small_map(shape) -> bool:
+    """Whether ops on ``(N, C, H, W)`` inputs of ``shape`` take their
+    small-map form.  NumPy merges a single channel's batch and pixel axes
+    into one long loop, with another summation order and another loop for
+    a broadcast operand, so one channel never does."""
+    n, c, h, w = shape
+    return (
+        1 < h * w < _SMALL_MAP
+        and c > 1
+        and n * c >= _SMALL_MAP_MIN_MAPS
+        and current_context().kernels in _FAST_LIKE
+        and _orders_copied()
+    )
+
+
+@functools.cache
+def _orders_copied() -> bool:
+    """Whether this NumPy sums as the small-map forms do; checked once."""
+    return _sums_match(np.einsum)
+
+
+def _sums_match(einsum) -> bool:
+    """Whether the small-map channel sum, depthwise forward and depthwise
+    weight gradient equal ``a.sum`` and ``einsum``, bit for bit, on random
+    float32 maps of 2 to 7 pixels (offset-major patches of 9 offsets)."""
+    rng = np.random.default_rng(0)
+    temps = _Temps(OpCtx(persistent=True), True)
+    for p in range(2, _SMALL_MAP):
+        x = rng.normal(size=(4, 8, 1, p)).astype(np.float32)
+        cols = rng.normal(size=(4, 9, 8, p)).astype(np.float32)
+        flat_weight = rng.normal(size=(8, 9)).astype(np.float32)
+        grad = rng.normal(size=(4, 8, p)).astype(np.float32)
+        channel_major = _channel_major(cols)
+        forward = np.add.reduce(cols * _offset_weights(flat_weight, p, temps), axis=1)
+        grad_w = np.add.reduce(_lane_sum(cols * grad[:, None]), axis=0).T
+        pairs = [
+            (_channel_sum(x, temps), x.sum(axis=(0, 2, 3))),
+            (forward, einsum("nckp,ck->ncp", channel_major, flat_weight)),
+            (grad_w, einsum("ncp,nckp->ck", grad, channel_major)),
+        ]
+        if any(ours.tobytes() != numpys.tobytes() for ours, numpys in pairs):
+            return False
+    return True
+
+
+def _has_nan(a: np.ndarray) -> bool:
+    """Whether ``a`` holds a NaN, in one pass (``min`` propagates NaNs)."""
+    return bool(np.isnan(a.min()))
+
+
+class _Temps:
+    """The temporaries of one apply or vjp call, one buffer per key.
+
+    ``small`` says whether the call takes the small-map form.  Fast eager
+    calls draw temporaries from the thread's workspace and hand them back
+    in :meth:`release`; an armed ctx keeps one persistent buffer per key,
+    rewritten on every call; ``reference`` mode allocates.  Asking for a key
+    again returns its buffer (and its stale contents) in every mode.
+    """
+
+    __slots__ = ("ctx", "ws", "small", "held")
+
+    def __init__(self, ctx: OpCtx, small: bool) -> None:
+        self.ctx = ctx
+        self.ws = _pool() if ctx.bufs is None else None
+        self.small = small
+        self.held: dict[str, np.ndarray] = {}
+
+    def buffer(self, key: str, shape, dtype) -> np.ndarray:
+        if self.ws is None:
+            return self.ctx.buffer(key, shape, dtype)
+        buf = self.held.get(key)
+        if buf is None or buf.shape != shape or buf.dtype != dtype:
+            if buf is not None:
+                self.ws.release(buf)
+            buf = self.held[key] = self.ws.acquire(shape, dtype)
+        return buf
+
+    def release(self) -> None:
+        for buf in self.held.values():
+            self.ws.release(buf)
+        self.held.clear()
+
+
+def _channel_sum(a: np.ndarray, temps: _Temps) -> np.ndarray:
+    """Per-channel sum of an ``(N, C, ...)`` array: NumPy's
+    ``a.sum(axis=(0, 2, ...))``, bit for bit, as a fresh ``(C,)`` array.
+
+    NumPy adds each sample's pixels of a channel in order (its pairwise sum
+    runs in order below 8 elements), then those partial sums over the batch
+    from +0.  The small-map form does the same adds as one call per pixel
+    column and one batch reduce.  NumPy also starts each partial sum from
+    +0, which changes only the sign of a zero partial; the batch sum from +0
+    erases that.  It needs the layout NumPy iterates that way, a
+    C-contiguous array (see also :func:`_small_map`).  Sums are exact
+    whatever the operand order, except which NaN's sign survives
+    ``NaN + NaN``, so a NaN result is recomputed by NumPy.
+    """
+    axes = (0, *range(2, a.ndim))
+    n, c = a.shape[:2]
+    if not temps.small or not a.flags.c_contiguous:
+        return a.sum(axis=axes)
+    columns = a.reshape(n, c, -1)
+    partial = np.add(columns[:, :, 0], columns[:, :, 1], out=temps.buffer("partial", (n, c), a.dtype))
+    for j in range(2, columns.shape[2]):
+        partial += columns[:, :, j]
+    total = np.add.reduce(partial, axis=0)
+    return a.sum(axis=axes) if _has_nan(total) else total
+
+
+def _per_channel(v: np.ndarray, shape, temps: _Temps) -> np.ndarray:
+    """Per-channel values ``v`` (C,) as an operand of elementwise ops on an
+    ``(N, C, ...)`` array of ``shape``.
+
+    As a ``(1, C, 1, ...)`` broadcast, NumPy runs one pixel-long inner loop
+    per sample and channel; the small-map form copies ``v`` out to a
+    contiguous ``(1, C, ...)`` operand, so the op runs C·H·W-long loops on
+    the same element pairs.  The copy reuses one buffer per call, so use
+    each operand before asking for the next.
+    """
+    column = v.reshape((1, -1) + (1,) * (len(shape) - 2))
+    if not temps.small:
+        return column
+    operand = temps.buffer("operand", (1,) + tuple(shape[1:]), v.dtype)
+    np.copyto(operand, column)
+    return operand
+
+
 def _fold_patch_grads(
     ctx: OpCtx, ws: Workspace | None, acc, x_shape, kh: int, kw: int, stride: int,
-    padding: int, ckk: int, dtype, fill,
+    padding: int, ckk: int, dtype, fill, index: np.ndarray | None = None,
 ) -> None:
     """Route patch gradients to input 0: ``acc(0, col2im(fill(gcols)))``.
 
@@ -654,8 +836,10 @@ def _fold_patch_grads(
     On narrow maps ``gcols`` is the body of the zero-column row buffer the
     flat-index fold gathers from (see :func:`col2im`), so the gradients land
     there without a copy; an armed ctx keeps those buffers and the index as
-    a plan.  Otherwise the offset loop folds them.  Every workspace buffer
-    is released once ``acc`` has consumed the values.
+    a plan.  Otherwise the offset loop folds them.  ``index``, when given,
+    is the fold index of another patch layout (the small-map depthwise
+    form's offset-major patches), and always takes the flat-index fold.
+    Every workspace buffer is released once ``acc`` has consumed the values.
     """
     plan = None if ctx.bufs is None else ctx.bufs.get("fold_plan")
     if plan is None or plan[0] != x_shape:
@@ -663,7 +847,7 @@ def _fold_patch_grads(
         out_h = conv_output_size(h, kh, stride, padding)
         out_w = conv_output_size(w, kw, stride, padding)
         ohw = out_h * out_w
-        if not _narrow(out_w):
+        if index is None and not _narrow(out_w):
             gcols = _scratch(ctx, ws, "gcols", (n, ckk, ohw), dtype)
             fill(gcols)
             fold = None
@@ -680,7 +864,8 @@ def _fold_patch_grads(
             return
         rows = _scratch(ctx, ws, "fold_rows", (n, ckk * ohw + 1), dtype)
         rows[:, -1] = 0
-        index = _fold_index(c, h, w, kh, kw, stride, padding)
+        if index is None:
+            index = _fold_index(c, h, w, kh, kw, stride, padding)
         blocks = _scratch(ctx, ws, "fold_blocks", (n, index.size), dtype)
         grad = _scratch(ctx, ws, "fold_sum", (n, c * h * w), dtype)
         plan = (x_shape, rows, rows[:, :-1].reshape(n, ckk, ohw), index, blocks, grad)
@@ -888,53 +1073,127 @@ def _depthwise_apply(ctx: OpCtx, inputs, kwargs) -> np.ndarray:
     out_w = conv_output_size(w_in, kw, stride, padding)
     ohw = out_h * out_w
     kk = kh * kw
-
-    if ctx.bufs is None:
-        ws = _pool()
-        cols = ws.acquire((n, c * kk, ohw), x.dtype) if ws is not None else None
-        cols = im2col(x, kh, kw, stride, padding, out=cols)
-        cols4 = cols.reshape(n, c, kk, ohw)
-        flat_weight = w.reshape(c, kk)  # (C, KH*KW)
-        out = np.einsum("nckp,ck->ncp", cols4, flat_weight)  # (N, C, OH*OW)
+    flat_weight = w.reshape(c, kk)  # (C, KH*KW)
+    # einsum runs a 1x1 output through another loop, and sums 8 or more
+    # terms per lane pass in another order, so those outputs keep it.
+    temps = _Temps(ctx, _small_map(x.shape) and 1 < ohw < _SMALL_MAP)
+    ws = temps.ws
+    cols = None
+    if ws is not None or ctx.bufs is not None:
+        cols = _scratch(ctx, ws, "cols", (n, c * kk, ohw), x.dtype)
+    out = ctx.buffer("out", (n, c, ohw), x.dtype)
+    if temps.small:
+        # Offset-major patches (N, KH*KW, C, OH*OW): einsum's sum over the
+        # offsets, from +0 in offset order, as one reduce over the products.
+        rows = None
+        if padding > 0:
+            rows = temps.buffer("rows", (n, c * h * w_in + 1), x.dtype)
+            rows[:, -1] = 0
+        index = _offset_major_index(c, h, w_in, kh, kw, stride, padding)[0]
+        cols4 = _gather_patches(x, index, cols, rows).reshape(n, kk, c, ohw)
+        weights = _offset_weights(flat_weight, ohw, temps)
+        products = np.multiply(cols4, weights, out=temps.buffer("products", cols4.shape, x.dtype))
+        np.add.reduce(products, axis=1, out=out)
+        if _has_nan(out):  # einsum's operand order picks which NaN survives
+            np.einsum("nckp,ck->ncp", _channel_major(cols4), flat_weight, out=out)
     else:
-        ws = None
-        cols = _armed_im2col(
-            ctx, x, kh, kw, stride, padding, ctx.buffer("cols", (n, c * kk, ohw), x.dtype)
-        )
-        cols4 = cols.reshape(n, c, kk, ohw)
-        flat_weight = w.reshape(c, kk)
-        out = np.einsum(
-            "nckp,ck->ncp", cols4, flat_weight, out=ctx.buffer("out", (n, c, ohw), x.dtype)
-        )
+        if ctx.bufs is None:
+            cols = im2col(x, kh, kw, stride, padding, out=cols)
+        else:
+            cols = _armed_im2col(ctx, x, kh, kw, stride, padding, cols)
+        np.einsum("nckp,ck->ncp", cols.reshape(n, c, kk, ohw), flat_weight, out=out)
     if b is not None:
-        out += b[:, None]
-    out_data = out.reshape(n, c, out_h, out_w)
-    ctx.saved = (x.shape, w.shape, cols, cols4, flat_weight, ws, (n, c, kk, ohw, kh, kw, stride, padding))
-    return out_data
+        out += _per_channel(b, out.shape, temps)
+    temps.release()
+    ctx.saved = (x.shape, w.shape, cols, flat_weight, ws, temps.small, (n, c, kk, ohw, kh, kw, stride, padding))
+    return out.reshape(n, c, out_h, out_w)
+
+
+def _offset_weights(flat_weight: np.ndarray, ohw: int, temps: _Temps) -> np.ndarray:
+    """The ``(C, KH*KW)`` depthwise weights as a contiguous ``(KH*KW, C, OH*OW)``
+    operand of the offset-major patches."""
+    c, kk = flat_weight.shape
+    weights = temps.buffer("weights", (kk, c, ohw), flat_weight.dtype)
+    np.copyto(weights, flat_weight.T[:, :, None])
+    return weights
+
+
+def _channel_major(cols4: np.ndarray) -> np.ndarray:
+    """Offset-major patches copied to the ``(N, C, KH*KW, OH*OW)`` layout of
+    the einsums, which iterate in a different order over other layouts."""
+    return np.ascontiguousarray(cols4.transpose(0, 2, 1, 3))
+
+
+def _lane_sum(terms: np.ndarray) -> np.ndarray:
+    """Sum the last axis of ``terms`` (2 to 7 long) as einsum's sum of
+    products does, in place; returns a view of the sums.
+
+    einsum's 4-lane loop puts term ``j`` in lane ``j % 4``, each lane summed
+    in order, then adds the lanes as ``(l0 + l1) + (l2 + l3)``.  Its lanes
+    start from +0; this sum does not, which changes only the sign of a zero
+    sum, and the batch sum that follows from +0 erases that.
+    """
+    p = terms.shape[-1]
+    for j in range(p - 4):
+        terms[..., j] += terms[..., j + 4]
+    terms[..., 0] += terms[..., 1]
+    if p > 3:
+        terms[..., 2] += terms[..., 3]
+    if p > 2:
+        terms[..., 0] += terms[..., 2]
+    return terms[..., 0]
 
 
 def _depthwise_discard(ctx: OpCtx) -> None:
-    cols, ws = ctx.saved[2], ctx.saved[5]
+    cols, ws = ctx.saved[2], ctx.saved[4]
     if ws is not None:
         ws.release(cols)
 
 
 def _depthwise_vjp(ctx: OpCtx, grad, needs, acc) -> None:
-    x_shape, w_shape, cols, cols4, flat_weight, ws, geom = ctx.saved
+    x_shape, w_shape, cols, flat_weight, ws, offset_major, geom = ctx.saved
     n, c, kk, ohw, kh, kw, stride, padding = geom
     grad3 = grad.reshape(n, c, ohw)
+    temps = _Temps(ctx, offset_major)
     if len(needs) == 3 and needs[2]:
-        acc(2, grad3.sum(axis=(0, 2)))
+        acc(2, _channel_sum(grad3, temps))
     if needs[1]:
-        grad_w = np.einsum("ncp,nckp->ck", grad3, cols4)
+        grad_w = None
+        # The einsum iterates a non-contiguous gradient in another order.
+        if offset_major and grad.flags.c_contiguous:
+            cols4 = cols.reshape(n, kk, c, ohw)
+            terms = temps.buffer("terms", cols4.shape, grad.dtype)
+            lanes = _lane_sum(np.multiply(cols4, grad3[:, None], out=terms))
+            grad_w = np.add.reduce(lanes, axis=0).T  # summed over the batch from +0
+        if grad_w is None or _has_nan(grad_w):
+            cols4 = cols.reshape(n, c, kk, ohw)
+            if offset_major:
+                cols4 = _channel_major(cols.reshape(n, kk, c, ohw))
+            grad_w = np.einsum("ncp,nckp->ck", grad3, cols4)
         acc(1, grad_w.reshape(w_shape))
     if needs[0]:
+        index = None
+        if offset_major:
+            index = _offset_major_index(c, *x_shape[2:], kh, kw, stride, padding)[1]
+
+        def fill(gcols):
+            if not offset_major:
+                gcols = gcols.reshape(n, c, kk, ohw)
+                return np.einsum("ncp,ck->nckp", grad3, flat_weight, out=gcols)
+            gcols = gcols.reshape(n, kk, c, ohw)
+            if not _has_nan(flat_weight):
+                # The products einsum writes, up to the sign of zeros, which
+                # the fold's sum from +0 erases.  NaN * NaN keeps whichever
+                # NaN the loop reads first, so NaN weights take einsum.
+                weights = _offset_weights(flat_weight, ohw, temps)
+                return np.multiply(grad3[:, None], weights, out=gcols)
+            products = np.einsum("ncp,ck->nckp", grad3, flat_weight)
+            np.copyto(gcols, products.transpose(0, 2, 1, 3))
+
         _fold_patch_grads(
-            ctx, ws, acc, x_shape, kh, kw, stride, padding, c * kk, grad.dtype,
-            lambda gcols: np.einsum(
-                "ncp,ck->nckp", grad3, flat_weight, out=gcols.reshape(n, c, kk, ohw)
-            ),
+            ctx, ws, acc, x_shape, kh, kw, stride, padding, c * kk, grad.dtype, fill, index
         )
+    temps.release()
     if ws is not None:
         ws.release(cols)
 
@@ -1206,68 +1465,69 @@ def _bn_eval_apply(ctx: OpCtx, inputs, kwargs) -> np.ndarray:
     return _bn_normalize(ctx, inputs, bn.running_mean, bn.running_var, bn.eps, False)
 
 
+def _bn_temps(ctx: OpCtx, shape, training: bool) -> _Temps:
+    """Batch norm's temporaries; only training-mode calls take the small-map form."""
+    return _Temps(ctx, training and _small_map(shape))
+
+
 def _bn_normalize(ctx: OpCtx, inputs, mean, var, eps: float, training: bool) -> np.ndarray:
     """``gamma * (x - mean) / sqrt(var + eps) + beta`` over NCHW channels."""
-    x, g, b = inputs
-    c = x.shape[1]
-    shape = (1, c, 1, 1)
-    mean_b = mean.reshape(shape).astype(x.dtype)
-    inv_std = (1.0 / np.sqrt(var + eps)).reshape(shape).astype(x.dtype)
-    if ctx.bufs is None:
-        x_hat = (x - mean_b) * inv_std
-        out_data = g.reshape(shape) * x_hat + b.reshape(shape)
-    else:
-        x_hat = np.subtract(x, mean_b, out=ctx.buffer("x_hat", x.shape, x.dtype))
-        x_hat *= inv_std
-        out_data = np.multiply(g.reshape(shape), x_hat, out=ctx.buffer("out", x.shape, x.dtype))
-        out_data += b.reshape(shape)
-    ctx.saved = (x_hat, inv_std, g, shape, c, training)
-    return out_data
+    x = inputs[0]
+    mean_b = mean.reshape(1, -1, 1, 1).astype(x.dtype)
+    x_hat = np.subtract(x, mean_b, out=ctx.buffer("x_hat", x.shape, x.dtype))
+    inv_std = (1.0 / np.sqrt(var + eps)).astype(x.dtype)
+    return _bn_affine(ctx, _bn_temps(ctx, x.shape, training), inputs, x_hat, inv_std, training)
+
+
+def _bn_affine(ctx: OpCtx, temps: _Temps, inputs, x_hat, inv_std, training: bool) -> np.ndarray:
+    """Scale the centred ``x_hat`` by ``inv_std`` in place, then return
+    ``gamma * x_hat + beta``; saves what :func:`_bn_vjp` reads."""
+    _, g, b = inputs
+    x_hat *= _per_channel(inv_std, x_hat.shape, temps)
+    out = ctx.buffer("out", x_hat.shape, x_hat.dtype)
+    np.multiply(_per_channel(g, x_hat.shape, temps), x_hat, out=out)
+    out += _per_channel(b, x_hat.shape, temps)
+    temps.release()
+    ctx.saved = (x_hat, inv_std, g, training)
+    return out
 
 
 def _bn_vjp(ctx: OpCtx, grad, needs, acc) -> None:
-    """Backward of both batch-norm ops, contributions in beta → gamma → x order.
+    """Backward of the batch-norm ops, contributions in beta → gamma → x order.
 
     The beta/gamma sums double as the mean statistics of the training-mode
     input gradient (mean = sum / count, the exact op np.mean performs), so
     each full-size product and reduction is computed once and shared.
     """
-    x_hat, inv_std, g, shape, c, training = ctx.saved
+    x_hat, inv_std, g, training = ctx.saved
+    temps = _bn_temps(ctx, grad.shape, training)
     need_x = needs[0]
     grad_sum = None
     if needs[2] or (need_x and training):
-        grad_sum = grad.sum(axis=(0, 2, 3), keepdims=True)
+        grad_sum = _channel_sum(grad, temps)
     if needs[2]:
-        acc(2, grad_sum.reshape(c))
+        acc(2, grad_sum)
     grad_xhat_sum = None
     if needs[1] or (need_x and training):
-        if ctx.bufs is None:
-            grad_xhat = grad * x_hat
-        else:
-            grad_xhat = np.multiply(grad, x_hat, out=ctx.buffer("gxh", grad.shape, grad.dtype))
-        grad_xhat_sum = grad_xhat.sum(axis=(0, 2, 3), keepdims=True)
+        grad_xhat = np.multiply(grad, x_hat, out=temps.buffer("gxh", grad.shape, grad.dtype))
+        grad_xhat_sum = _channel_sum(grad_xhat, temps)
     if needs[1]:
-        acc(1, grad_xhat_sum.reshape(c))
-    if not need_x:
-        return
-    scale = g.reshape(shape) * inv_std
-    if not training:
-        acc(0, grad * scale)
-        return
-    # Full training-mode gradient: d/dx of ((x - mu(x)) / sigma(x)).
-    count = grad.shape[0] * grad.shape[2] * grad.shape[3]
-    grad_mean = grad_sum / count
-    grad_xhat_mean = grad_xhat_sum / count
-    if ctx.bufs is None:
-        acc(0, scale * (grad - grad_mean - x_hat * grad_xhat_mean))
-    else:
-        # The identical elementwise sequence as the expression above, staged
-        # through two persistent buffers (``gxh`` is dead once summed).
-        gx = np.subtract(grad, grad_mean, out=ctx.buffer("gx", grad.shape, grad.dtype))
-        term = np.multiply(x_hat, grad_xhat_mean, out=ctx.buffer("gxh", grad.shape, grad.dtype))
-        gx -= term
-        gx *= scale
+        acc(1, grad_xhat_sum)
+    if need_x:
+        scale = g * inv_std
+        gx = temps.buffer("gx", grad.shape, grad.dtype)
+        if training:
+            # Full training-mode gradient, d/dx of ((x - mu(x)) / sigma(x)):
+            # scale * (grad - grad_mean - x_hat * grad_xhat_mean).
+            count = grad.shape[0] * grad.shape[2] * grad.shape[3]
+            np.subtract(grad, _per_channel(grad_sum / count, grad.shape, temps), out=gx)
+            grad_xhat_mean = _per_channel(grad_xhat_sum / count, grad.shape, temps)
+            gx -= np.multiply(x_hat, grad_xhat_mean, out=grad_xhat)  # dead once summed
+            np.multiply(_per_channel(scale, grad.shape, temps), gx, out=gx)
+        else:
+            np.multiply(grad, scale.reshape(1, -1, 1, 1), out=gx)
         acc(0, gx)
+    temps.release()
 
 
 _BATCH_NORM_2D = register_op("batch_norm_2d", _bn_apply, _bn_vjp, site="batch_norm_2d")
@@ -1299,42 +1559,28 @@ def batch_norm_2d_train(x: Tensor, gamma: Tensor, beta: Tensor, bn) -> Tensor:
 
 
 def _bn_train_apply(ctx: OpCtx, inputs, kwargs) -> np.ndarray:
-    x, g, b = inputs
+    x = inputs[0]
     bn = kwargs["bn"]
-    c = x.shape[1]
-    shape = (1, c, 1, 1)
-    # Batch statistics + running-buffer update.
-    mean = x.mean(axis=(0, 2, 3))
-    if ctx.bufs is None:
-        var = x.var(axis=(0, 2, 3))
-    else:
-        # ``np.var`` unrolled into persistent buffers: the same sum → divide →
-        # subtract → square → sum → divide sequence ``np._methods._var`` runs
-        # (the mean division is bitwise-identical to ``x.mean``'s, and the
-        # final divide keeps _var's intp divisor so the f8-loop-then-cast
-        # rounding matches).  The centred difference is kept — it *is* the
-        # x_hat numerator — which drops np.var's hidden x-sized temp and one
-        # full subtract pass per step.
-        d = np.subtract(x, mean.reshape(shape), out=ctx.buffer("x_hat", x.shape, x.dtype))
-        sq = np.multiply(d, d, out=ctx.buffer("sq", x.shape, x.dtype))
-        ssum = sq.sum(axis=(0, 2, 3))
-        count = np.intp(x.shape[0] * x.shape[2] * x.shape[3])
-        var = np.true_divide(ssum, count, out=ssum, casting="unsafe")
+    n, _, h, w = x.shape
+    temps = _bn_temps(ctx, x.shape, True)
+    # Batch statistics by ``np.var``'s own sequence (``np._methods._var``):
+    # sum → divide → subtract → square → sum → divide, with _var's intp
+    # divisor, so the f8-loop-then-cast rounding matches and the mean is
+    # ``x.mean``'s bit for bit.  The centred difference is kept: it is the
+    # x_hat numerator.
+    count = np.intp(n * h * w)
+    mean = _channel_sum(x, temps)
+    np.true_divide(mean, count, out=mean, casting="unsafe")
+    x_hat = np.subtract(
+        x, _per_channel(mean, x.shape, temps), out=ctx.buffer("x_hat", x.shape, x.dtype)
+    )
+    squares = np.multiply(x_hat, x_hat, out=temps.buffer("squares", x.shape, x.dtype))
+    var = _channel_sum(squares, temps)
+    np.true_divide(var, count, out=var, casting="unsafe")
     bn.running_mean[...] = (1 - bn.momentum) * bn.running_mean + bn.momentum * mean
     bn.running_var[...] = (1 - bn.momentum) * bn.running_var + bn.momentum * var
-    # Normalisation, verbatim from batch_norm_2d's apply.
-    mean_b = mean.reshape(shape).astype(x.dtype)
-    inv_std = (1.0 / np.sqrt(var + bn.eps)).reshape(shape).astype(x.dtype)
-    if ctx.bufs is None:
-        x_hat = (x - mean_b) * inv_std
-        out_data = g.reshape(shape) * x_hat + b.reshape(shape)
-    else:
-        x_hat = d  # already x - mean_b, computed for the variance
-        x_hat *= inv_std
-        out_data = np.multiply(g.reshape(shape), x_hat, out=ctx.buffer("out", x.shape, x.dtype))
-        out_data += b.reshape(shape)
-    ctx.saved = (x_hat, inv_std, g, shape, c, True)
-    return out_data
+    inv_std = (1.0 / np.sqrt(var + bn.eps)).astype(x.dtype)
+    return _bn_affine(ctx, temps, inputs, x_hat, inv_std, True)
 
 
 _BATCH_NORM_2D_TRAIN = register_op(

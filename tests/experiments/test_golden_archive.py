@@ -32,7 +32,9 @@ from repro.faults import mislabelling, removal
 FIXTURE = Path(__file__).parent / "fixtures" / "micro_study.json"
 
 #: The archived plan.  Small enough to re-run in a few seconds, but wide
-#: enough to exercise clean + faulty cells and two techniques.
+#: enough to exercise clean + faulty cells and three techniques.  The
+#: ensemble cell trains the paper's five members (§III-B5), so batch norm
+#: and depthwise convolution, on 2x2 maps among others, are pinned here too.
 SCALE = ScaleSettings(
     name="golden-fixture",
     dataset_sizes={"pneumonia": (40, 24)},
@@ -47,6 +49,7 @@ CELLS = [
     ("pneumonia", "convnet", "baseline", mislabelling(0.3)),
     ("pneumonia", "convnet", "label_smoothing", mislabelling(0.3)),
     ("pneumonia", "convnet", "baseline", removal(0.3)),
+    ("pneumonia", "convnet", "ensemble", mislabelling(0.3)),
 ]
 
 

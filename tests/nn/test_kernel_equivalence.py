@@ -31,6 +31,7 @@ from repro.nn.functional import (
     max_pool2d,
     softmax_cross_entropy,
 )
+from repro.nn.layers import BatchNorm2D
 from repro.nn.ops import OP_REGISTRY, OpCtx
 
 from ..conftest import same_bits
@@ -143,6 +144,248 @@ class TestDepthwiseEquivalence:
         assert same_bits(fast[0], ref[0])
         for g_fast, g_ref in zip(fast[1], ref[1]):
             assert same_bits(g_fast, g_ref)
+
+
+#: Maps with more than one and fewer than this many pixels take the
+#: small-map forms of training batch norm and depthwise convolution.
+SMALL_MAP = F._SMALL_MAP
+#: ... when the batch holds at least this many maps (samples x channels).
+MIN_MAPS = F._SMALL_MAP_MIN_MAPS
+
+# Training batch-norm inputs: the ensemble's 2x2 maps at batch 32, non-square
+# maps under 8 pixels, both sides of the 8-pixel threshold and of the map
+# floor, one channel (whose batch and pixel axes NumPy merges), and a wide
+# map as the control.
+BN_TRAIN_CASES = [
+    (32, 96, 2, 2),
+    (32, 192, 2, 2),
+    (32, 24, 1, 2),
+    (16, 48, 1, 3),
+    (8, 96, 2, 3),
+    (4, 200, 1, 7),
+    (8, 96, 2, 4),  # 8 pixels
+    (8, 96, 3, 3),  # 9 pixels
+    (8, 96, 1, 1),
+    (1, MIN_MAPS, 2, 2),
+    (32, MIN_MAPS // 32 - 1, 2, 2),  # under the map floor
+    (MIN_MAPS, 1, 2, 2),
+    (16, 12, 16, 16),
+]
+# (input shape, stride): depthwise 3x3 kernels, padding 1.  Mirrors the
+# batch-norm grid, plus MobileNet's stride-2 step from 4x4 to 2x2.
+SMALL_DEPTHWISE_CASES = [
+    ((32, 96, 2, 2), 1),
+    ((32, 192, 2, 2), 1),
+    ((32, 24, 4, 4), 2),
+    ((32, 24, 1, 2), 1),
+    ((32, 24, 1, 3), 1),
+    ((32, 24, 2, 3), 1),
+    ((32, 24, 3, 2), 2),
+    ((32, 24, 1, 1), 1),
+    ((32, 24, 2, 4), 1),  # 8 pixels
+    ((32, 24, 3, 3), 1),  # 9 pixels
+    ((32, 24, 2, 2), 2),  # 1x1 output
+    ((1, MIN_MAPS, 2, 3), 1),
+    ((MIN_MAPS, 1, 2, 2), 1),
+]
+KINDS = ["normal", "zeros", "special"]
+
+
+def _kind_grid(kind, shape, rng):
+    """``normal`` draws; ``zeros`` mixes +-0.0 with a few values, so sums
+    and products hit signed zeros; ``special`` puts -0.0, +-inf and NaNs of
+    both signs among the normal draws."""
+    x = rng.normal(size=shape).astype(np.float32)
+    if kind == "zeros":
+        x = rng.choice(np.array([-0.0, 0.0, -1.0, 1.0, 0.5], np.float32), size=shape)
+    elif kind == "special":
+        u = rng.random(shape)
+        for lo, hi, value in [
+            (0.0, 0.1, -0.0), (0.1, 0.12, np.inf), (0.12, 0.14, -np.inf),
+            (0.14, 0.15, np.nan), (0.15, 0.16, -np.nan),
+        ]:
+            x = np.where((u >= lo) & (u < hi), np.float32(value), x)
+    return x.astype(np.float32)
+
+
+def _bn_train_eager(mode, x, gamma, beta, grad):
+    """One eager training-mode batch-norm step: outputs, gradients and the
+    running statistics it leaves."""
+    with use_kernel_mode(mode):
+        bn = BatchNorm2D(x.shape[1])
+        bn.gamma.data[...] = gamma
+        bn.beta.data[...] = beta
+        t = Tensor(x.copy(), requires_grad=True)
+        out = bn(t)
+        out.backward(grad)
+        return [out.data, t.grad, bn.gamma.grad, bn.beta.grad, bn.running_mean, bn.running_var]
+
+
+def _armed_step(op, inputs, kwargs, grad, before=lambda: None):
+    """Apply + vjp on one persistent ctx under ``compiled``, twice (the
+    second call replays into the armed buffers); the second call's values."""
+    ctx = OpCtx(persistent=True)
+    with use_kernel_mode("compiled"):
+        for _ in range(2):
+            before()
+            out = op.apply(ctx, inputs, kwargs).copy()
+            grads = {}
+            op.vjp(ctx, grad, (True,) * len(inputs), lambda i, g: grads.__setitem__(i, g.copy()))
+    return [out] + [grads[i].reshape(np.shape(a)) for i, a in enumerate(inputs)]
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # inf - inf, 0 * inf
+class TestSmallMapBatchNorm:
+    """Training batch norm: fast, compiled and armed replay equal
+    ``reference`` bit for bit on outputs, every gradient and the running
+    statistics, including signed zeros, infinities and NaNs."""
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("shape", BN_TRAIN_CASES, ids=lambda s: "x".join(map(str, s)))
+    def test_modes_match_reference_bitwise(self, shape, kind):
+        rng = np.random.default_rng(91)
+        x = _kind_grid(kind, shape, rng)
+        gamma, beta = _kind_grid(kind, shape[1:2], rng), _kind_grid(kind, shape[1:2], rng)
+        grad = _kind_grid(kind, shape, rng)
+        want = _bn_train_eager("reference", x, gamma, beta, grad)
+        for mode in ("fast", "compiled"):
+            got = _bn_train_eager(mode, x, gamma, beta, grad)
+            for i, (g, w) in enumerate(zip(got, want)):
+                assert same_bits(g, w), (mode, i)
+        bn = BatchNorm2D(shape[1])
+
+        def reset():
+            bn.running_mean[...] = 0.0
+            bn.running_var[...] = 1.0
+
+        got = _armed_step(
+            OP_REGISTRY["batch_norm_2d_train"], (x, gamma, beta), {"bn": bn}, grad, reset
+        )
+        got += [bn.running_mean, bn.running_var]
+        for i, (g, w) in enumerate(zip(got, want)):
+            assert same_bits(g, w), ("armed", i)
+
+    @pytest.mark.parametrize("shape", BN_TRAIN_CASES, ids=lambda s: "x".join(map(str, s)))
+    def test_batch_statistics_are_numpys(self, shape):
+        # The oracle itself: every mode's running statistics are one
+        # momentum step from np.mean and np.var of the batch.
+        rng = np.random.default_rng(92)
+        x = _kind_grid("normal", shape, rng)
+        mean, var = x.mean(axis=(0, 2, 3)), x.var(axis=(0, 2, 3))
+        for mode in ("fast", "reference"):
+            with use_kernel_mode(mode):
+                bn = BatchNorm2D(shape[1])
+                bn(Tensor(x))
+            m = bn.momentum
+            assert same_bits(bn.running_mean, (1 - m) * np.float32(0.0) + m * mean)
+            assert same_bits(bn.running_var, (1 - m) * np.float32(1.0) + m * var)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # inf - inf, 0 * inf
+class TestSmallMapDepthwise:
+    """Depthwise convolution, the same contract as :class:`TestSmallMapBatchNorm`."""
+
+    @pytest.mark.parametrize("bias", [True, False], ids=["bias", "nobias"])
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize(
+        "x_shape,stride", SMALL_DEPTHWISE_CASES,
+        ids=lambda v: "x".join(map(str, v)) if isinstance(v, tuple) else f"s{v}",
+    )
+    def test_modes_match_reference_bitwise(self, x_shape, stride, kind, bias):
+        rng = np.random.default_rng(93)
+        c = x_shape[1]
+        x = _kind_grid(kind, x_shape, rng)
+        w = _kind_grid(kind, (c, 1, 3, 3), rng)
+        b = _kind_grid(kind, (c,), rng) if bias else None
+        out_hw = [F.conv_output_size(size, 3, stride, 1) for size in x_shape[2:]]
+        grad = _kind_grid(kind, (x_shape[0], c, *out_hw), rng)
+        arrays = [x, w, b]
+        kwargs = dict(stride=stride, padding=1)
+
+        def eager(mode):
+            with use_kernel_mode(mode):
+                tensors = [Tensor(a.copy(), requires_grad=True) for a in arrays if a is not None]
+                bias = tensors[2] if b is not None else None
+                out = depthwise_conv2d(tensors[0], tensors[1], bias, **kwargs)
+                out.backward(grad)
+                return [out.data] + [t.grad for t in tensors]
+
+        want = eager("reference")
+        for mode in ("fast", "compiled"):
+            for i, (g, e) in enumerate(zip(eager(mode), want)):
+                assert same_bits(g, e), (mode, i)
+        inputs = tuple(a for a in arrays if a is not None)
+        got = _armed_step(OP_REGISTRY["depthwise_conv2d"], inputs, kwargs, grad)
+        for i, (g, e) in enumerate(zip(got, want)):
+            assert same_bits(g, e), ("armed", i)
+
+
+class TestSmallMapSelection:
+    """The grids above check the small-map forms only if fast and compiled
+    take them exactly on maps of 2 to 7 pixels (batches of at least
+    ``MIN_MAPS`` maps, more than one channel) and ``reference`` never does,
+    on a NumPy whose sums the forms copy.  Both forms ask for scratch by
+    key; only the small-map forms ask for these keys."""
+
+    SHAPES = [(1, 1), (1, 2), (2, 2), (1, 7), (2, 4), (3, 3)]
+
+    def _keys(self, monkeypatch):
+        keys = []
+        buffer = F._Temps.buffer
+        monkeypatch.setattr(
+            F._Temps, "buffer", lambda temps, key, *a: keys.append(key) or buffer(temps, key, *a)
+        )
+        return keys
+
+    @pytest.mark.parametrize("mode", ["fast", "compiled", "reference"])
+    @pytest.mark.parametrize("hw", SHAPES, ids=lambda hw: f"{hw[0]}x{hw[1]}")
+    def test_batch_norm(self, mode, hw, monkeypatch):
+        keys = self._keys(monkeypatch)
+        rng = np.random.default_rng(94)
+        for n, c in [(32, MIN_MAPS // 32), (32, MIN_MAPS // 32 - 1), (MIN_MAPS, 1)]:
+            shape = (n, c, *hw)
+            keys.clear()
+            _bn_train_eager(mode, *(_kind_grid("normal", s, rng) for s in (shape, (c,), (c,), shape)))
+            small = mode != "reference" and 1 < hw[0] * hw[1] < SMALL_MAP
+            small = small and n * c >= MIN_MAPS and c > 1 and F._orders_copied()
+            assert ("partial" in keys, "operand" in keys) == (small, small), shape
+
+    @pytest.mark.parametrize("mode", ["fast", "compiled", "reference"])
+    @pytest.mark.parametrize("hw", SHAPES, ids=lambda hw: f"{hw[0]}x{hw[1]}")
+    def test_depthwise(self, mode, hw, monkeypatch):
+        keys = self._keys(monkeypatch)
+        rng = np.random.default_rng(95)
+        c = MIN_MAPS // 32
+        x = rng.normal(size=(32, c, *hw)).astype(np.float32)
+        w = rng.normal(size=(c, 1, 3, 3)).astype(np.float32)
+        _run(mode, depthwise_conv2d, [x, w, None], stride=1, padding=1)
+        # A 1x1 map has a 1x1 output, which keeps einsum.
+        small = mode != "reference" and 1 < hw[0] * hw[1] < SMALL_MAP and F._orders_copied()
+        assert ("products" in keys, "terms" in keys, "weights" in keys) == (small,) * 3
+
+    def test_probe_rejects_sums_rounded_once(self):
+        # An einsum that fuses multiply and add (or accumulates wider)
+        # rounds each sum once; the probe must see the difference.
+        def fused(spec, a, b):
+            return np.einsum(spec, a.astype(np.float64), b.astype(np.float64)).astype(np.float32)
+
+        assert not F._sums_match(fused)
+
+    def test_no_form_where_numpy_sums_otherwise(self, monkeypatch):
+        keys = self._keys(monkeypatch)
+        monkeypatch.setattr(F, "_orders_copied", lambda: False)
+        rng = np.random.default_rng(96)
+        shape = (32, MIN_MAPS // 32, 2, 2)
+        arrays = [_kind_grid("normal", s, rng) for s in (shape, shape[1:2], shape[1:2], shape)]
+        got = _bn_train_eager("fast", *arrays)
+        want = _bn_train_eager("reference", *arrays)
+        assert all(same_bits(g, e) for g, e in zip(got, want))
+        w = rng.normal(size=(shape[1], 1, 3, 3)).astype(np.float32)
+        fast = _run("fast", depthwise_conv2d, [arrays[0], w, None], stride=1, padding=1)
+        ref = _run("reference", depthwise_conv2d, [arrays[0], w, None], stride=1, padding=1)
+        assert same_bits(fast[0], ref[0])
+        assert all(same_bits(g, e) for g, e in zip(fast[1], ref[1]))
+        assert not {"partial", "operand", "products", "terms", "weights"} & set(keys)
 
 
 class TestPoolEquivalence:
@@ -456,10 +699,12 @@ class TestModelLevelEquivalence:
 class TestNarrowPathThreads:
     def test_concurrent_narrow_kernels_match_serial(self):
         # Serving runs inference on worker threads, so the cached patch
-        # indices are built and read concurrently.  A 1 us switch interval
+        # indices (the small-map depthwise form's permuted ones included)
+        # are built and read concurrently.  A 1 us switch interval
         # interleaves the threads inside index construction and the gathers;
         # every thread's output and gradients must equal a serial run's.
         geometries = [
+            ((32, 24, 2, 2), (24, 1, 3, 3), 1, 1),  # depthwise, small-map form
             ((4, 8, 2, 2), (8, 8, 3, 3), 1, 1),
             ((4, 4, 4, 4), (6, 4, 3, 3), 1, 1),
             ((4, 6, 1, 1), (4, 6, 3, 3), 1, 1),
@@ -483,7 +728,8 @@ class TestNarrowPathThreads:
             # the kernel mode is per thread, so the threads never set it.
             x, w, stride, padding = case
             tx, tw = Tensor(x, requires_grad=True), Tensor(w, requires_grad=True)
-            out = conv2d(tx, tw, None, stride=stride, padding=padding)
+            op = depthwise_conv2d if w.shape[1] == 1 and x.shape[1] > 1 else conv2d
+            out = op(tx, tw, None, stride=stride, padding=padding)
             out.backward(np.ones_like(out.data))
             return out.data, [tx.grad, tw.grad]
 
@@ -491,6 +737,7 @@ class TestNarrowPathThreads:
         expected = [run_case(case) for case in cases]
         F._unfold_index.cache_clear()
         F._fold_index.cache_clear()
+        F._offset_major_index.cache_clear()
         mismatches, errors = [], []
         deadline = time.monotonic() + 3.0
 
